@@ -211,17 +211,16 @@ def cmd_coupling(ns, config, parser) -> int:
     profile = _make_profile(params, parser)
     tol = float(params["tol"])
     terms = int(params["terms"])
-    f = factorize(profile)
-    kv = build_kv(f, int(params["n"]))
-    direct = lambda_electrostatic(kv, f)
+    kv = build_kv(factorize(profile), int(params["n"]))
+    direct = lambda_electrostatic(kv)
     methods = {"direct": {"lambda_e": direct.lambda_e,
                           "lambda_s": direct.lambda_s,
                           "residuals": direct.residuals}}
     cand_e, cand_s = [direct.lambda_e], [direct.lambda_s]
 
     if kv.hs_norm < 1.0:
-        neu_e = lambda_neumann(kv, f, +1, terms)
-        neu_s = lambda_neumann(kv, f, -1, terms)
+        neu_e = lambda_neumann(kv, +1, terms)
+        neu_s = lambda_neumann(kv, -1, terms)
         bound = neu_e.residuals["error_bound"]
         methods["neumann"] = {"lambda_e": neu_e.lambda_e,
                               "lambda_s": neu_s.lambda_s,
@@ -234,11 +233,10 @@ def cmd_coupling(ns, config, parser) -> int:
     else:
         methods["neumann"] = {"skipped": "series diverges, hs_norm >= 1"}
 
-    if profile.kind == "square":
-        ce, cs = closed_form_couplings(profile.tau * profile.eta)
-        methods["closed_form"] = {"lambda_e": ce, "lambda_s": cs}
-        cand_e.append(ce)
-        cand_s.append(cs)
+    ce, cs = closed_form_couplings(profile.integral())
+    methods["closed_form"] = {"lambda_e": ce, "lambda_s": cs}
+    cand_e.append(ce)
+    cand_s.append(cs)
 
     agreement = max(max(cand_e) - min(cand_e), max(cand_s) - min(cand_s))
     doc = {"lambda_e": direct.lambda_e, "lambda_s": direct.lambda_s,

@@ -9,10 +9,12 @@ on (-1, 1) and evaluates the effective shell couplings
     lambda_e = int v (1 - K_V^2)^{-1} u     (electrostatic)
     lambda_s = int v (1 + K_V^2)^{-1} u     (Lorentz scalar)
 
-by direct solve, by Neumann series, and against the square-well closed forms
-2 tan(tau eta / 2) and 2 tanh(tau eta / 2).
+by direct solve, by Neumann series, and against the closed forms
+2 tan(s / 2) and 2 tanh(s / 2) of the integrated strength s = int V.
 
-Quadrature is composite Gauss-Legendre on a dyadic panel split. Across
+Quadrature is composite Gauss-Legendre on panels of about equal length, with
+an edge wherever the profile is not smooth (the ends of a table and its nodes
+where the slope changes), so every panel sees a smooth integrand. Across
 distinct panels sign(t-s) is constant, so plain Nystrom weights are already
 spectrally accurate there. Inside a panel the kernel flips sign; those blocks
 use exact interpolatory weights int sign(t_i - s) l_j(s) ds built from
@@ -28,7 +30,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .potential import UVFactorization
+from .potential import PotentialProfile, UVFactorization
 
 DEFAULT_NODES = 128
 IMAG_RESIDUE_TOL = 1e-10
@@ -57,14 +59,47 @@ def _panel_rule(order: int):
     return xi, w, A
 
 
-def _dyadic_layout(n: int):
-    """Split n nodes over 2^k equal panels of (-1, 1), aiming at order ~8."""
+def _smooth_breaks(profile: PotentialProfile) -> np.ndarray:
+    """Ends of the pieces of [-1, 1] on which u and v are smooth.
+
+    A table is linear between its nodes, so it is smooth except at its
+    ends and at the nodes where the slope changes; a slope change below
+    1e-9 of the steepest slope is rounding in the table, not a kink.
+    The other kinds are smooth inside their support.
+    """
+    if profile.kind != "table":
+        return np.array([-1.0, 1.0])
+    ts, vs = np.asarray(profile.ts), np.asarray(profile.vs)
+    slopes = np.diff(vs) / np.diff(ts)
+    kinks = ts[1:-1][np.abs(np.diff(slopes)) > 1e-9 * np.max(np.abs(slopes))]
+    return np.unique(np.concatenate(
+        ([-1.0, 1.0], ts[[0, -1]] / profile.eta, kinks / profile.eta)))
+
+
+def _panel_layout(n: int, breaks: np.ndarray):
+    """Split n nodes over panels of (-1, 1) with edges on the breaks.
+
+    Aims at order ~8: the panel count is the power of two that a dyadic
+    split of (-1, 1) would use, shared among the smooth pieces by length,
+    at least one panel of 8 nodes per piece.  A single piece gives the
+    dyadic split itself.
+    """
+    pieces = breaks.size - 1
+    if n < 8 * pieces:
+        raise ValueError(
+            f"need at least {8 * pieces} nodes, 8 per smooth piece of the "
+            f"profile ({pieces} pieces), got {n}")
     npanels = 1
     while 2 * npanels * 8 <= n:
         npanels *= 2
-    base, extra = divmod(n, npanels)
-    orders = [base + 1 if k < extra else base for k in range(npanels)]
-    edges = np.linspace(-1.0, 1.0, npanels + 1)
+    counts = np.maximum(1, np.rint(np.diff(breaks) * npanels / 2.0)).astype(int)
+    while 8 * counts.sum() > n:
+        counts[np.argmax(counts)] -= 1
+    edges = np.concatenate(
+        [np.linspace(a, b, c + 1)[:-1]
+         for a, b, c in zip(breaks[:-1], breaks[1:], counts)] + [breaks[-1:]])
+    base, extra = divmod(n, counts.sum())
+    orders = [base + 1 if k < extra else base for k in range(counts.sum())]
     return edges, orders
 
 
@@ -84,14 +119,13 @@ class KVOperator:
 
 
 def build_kv(f: UVFactorization, n: int = DEFAULT_NODES) -> KVOperator:
-    """Assemble the N x N Nystrom matrix of K_V on a dyadic panel grid.
+    """Assemble the N x N Nystrom matrix of K_V on a composite panel grid.
 
     Applying the result to the constant function reproduces the analytic
-    K_V[1] for square wells to machine precision.
+    K_V[1] for square wells to machine precision.  Raises ``ValueError``
+    when ``n`` cannot give every smooth piece of the profile 8 nodes.
     """
-    if n < 8:
-        raise ValueError(f"need at least 8 nodes, got {n}")
-    edges, orders = _dyadic_layout(n)
+    edges, orders = _panel_layout(n, _smooth_breaks(f.profile))
 
     nodes, weights, blocks = [], [], []
     for (a, b), order in zip(zip(edges[:-1], edges[1:]), orders):
@@ -164,19 +198,12 @@ def _direct(kv: KVOperator) -> CouplingConstants:
     )
 
 
-def lambda_electrostatic(kv: KVOperator, f: UVFactorization) -> CouplingConstants:
-    """lambda_e by direct solve of (I - K^2) x = u; lambda_s comes along free."""
+def lambda_electrostatic(kv: KVOperator) -> CouplingConstants:
+    """lambda_e and lambda_s by direct solves of (I -+ K^2) x = u."""
     return _direct(kv)
 
 
-def lambda_scalar(kv: KVOperator, f: UVFactorization) -> CouplingConstants:
-    """lambda_s by direct solve of (I + K^2) x = u; lambda_e comes along free."""
-    return _direct(kv)
-
-
-def lambda_neumann(
-    kv: KVOperator, f: UVFactorization, sign: int, terms: int
-) -> CouplingConstants:
+def lambda_neumann(kv: KVOperator, sign: int, terms: int) -> CouplingConstants:
     """Partial Neumann sum sum_{n<=terms} (-+1)^n int v K^{2n} u.
 
     sign=+1 targets lambda_e (geometric series of K^2), sign=-1 targets
@@ -213,9 +240,13 @@ def lambda_neumann(
 
 
 def closed_form_couplings(theta: float) -> tuple[float, float]:
-    """Square-well closed forms (2 tan(theta/2), 2 tanh(theta/2)), theta = tau*eta."""
+    """Closed forms (2 tan(theta/2), 2 tanh(theta/2)), theta = int V.
+
+    The couplings depend on the profile only through its integral, which
+    is tau*eta for the square well.
+    """
     if abs(theta) >= np.pi:
-        raise ValueError(f"tan closed form needs |tau*eta| < pi, got {theta}")
+        raise ValueError(f"tan closed form needs |int V| < pi, got {theta}")
     return 2.0 * np.tan(0.5 * theta), 2.0 * np.tanh(0.5 * theta)
 
 

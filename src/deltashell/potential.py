@@ -34,9 +34,9 @@ class PotentialProfile:
     def __post_init__(self):
         if self.eta <= 0:
             raise ValueError(f"support half-width must be positive, got {self.eta}")
-        if self.kind not in ("square", "gaussian", "pwlinear", "table"):
+        if self.kind not in ("square", "gaussian", "table"):
             raise ValueError(f"unknown profile kind {self.kind!r}")
-        if self.kind in ("pwlinear", "table"):
+        if self.kind == "table":
             ts = np.asarray(self.ts, dtype=float)
             vs = np.asarray(self.vs, dtype=float)
             if ts.size < 2 or ts.size != vs.size:
@@ -118,11 +118,6 @@ def truncated_gaussian(amp: float, sigma: float, eta: float) -> PotentialProfile
     return PotentialProfile(kind="gaussian", eta=eta, amp=amp, sigma=sigma)
 
 
-def piecewise_linear(ts, vs, eta: float | None = None) -> PotentialProfile:
-    eta = max(abs(ts[0]), abs(ts[-1])) if eta is None else eta
-    return PotentialProfile(kind="pwlinear", eta=eta, ts=tuple(ts), vs=tuple(vs))
-
-
 def from_table(ts, vs, eta: float | None = None) -> PotentialProfile:
     eta = max(abs(ts[0]), abs(ts[-1])) if eta is None else eta
     return PotentialProfile(kind="table", eta=eta, ts=tuple(ts), vs=tuple(vs))
@@ -135,9 +130,9 @@ def profile_from_json(doc: str) -> PotentialProfile:
         return square_well(d["tau"], d["eta"])
     if kind == "gaussian":
         return truncated_gaussian(d["amp"], d["sigma"], d["eta"])
+    # "pwlinear" is the older name of the same linearly interpolated table
     if kind in ("pwlinear", "table"):
-        p = PotentialProfile(kind=kind, eta=d["eta"], ts=tuple(d["ts"]), vs=tuple(d["vs"]))
-        return p
+        return from_table(d["ts"], d["vs"], d["eta"])
     raise ValueError(f"unknown profile kind {kind!r}")
 
 

@@ -16,13 +16,12 @@ flat-disk cell model: each surface node owns a disk of equal area, and
 the kernel integral over that disk against a constant density has a
 closed form.  The odd (Riesz) part of the kernel integrates to zero
 over the disk at zero offset, which is the principal-value convention.
-The patch can be disabled (``patch=False``) to fall back to a plain
-punctured rule, which is useful for sensitivity studies.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -30,7 +29,8 @@ from numpy.polynomial.legendre import leggauss
 from scipy.sparse.linalg import svds
 from scipy.spatial import cKDTree
 
-from .dirac_algebra import ALPHA, BETA, I4, SpectralParameter, alpha_dot, phi_a
+from . import CheckFailed
+from .dirac_algebra import BETA, I4, SpectralParameter, alpha_dot, phi_a
 from .geometry import SurfaceMesh
 from .potential import UVFactorization
 
@@ -107,55 +107,84 @@ def ball_grid(radius: float, nr: int = 8, ntheta: int = 8, nphi: int = 16,
 
 
 # ---------------------------------------------------------------------------
-# kernel block evaluation
+# kernel sums
 
 
-def _phi_blocks(sp: SpectralParameter, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Kernel blocks phi_a(x_i - y_j) as an array of shape (nx, ny, 4, 4)."""
-    diff = x[:, None, :] - y[None, :, :]
-    flat = diff.reshape(-1, 3)
-    return phi_a(sp, flat).reshape(x.shape[0], y.shape[0], 4, 4)
+def _chunks(nx: int, row_bytes: int, rows: int = 0):
+    """Row ranges (lo, hi) of ``rows`` rows, or of about 1.5e8 bytes each."""
+    if rows <= 0:
+        rows = max(1, int(1.5e8 // max(row_bytes, 1)))
+    for lo in range(0, nx, rows):
+        yield lo, min(lo + rows, nx)
+
+
+def _kernel_blocks(sp: SpectralParameter, x: np.ndarray, y: np.ndarray,
+                   use, owners: tuple | None = None, rows: int = 0) -> None:
+    """Pass the kernel blocks phi_a(x_i - y_j) to ``use``, a chunk at a time.
+
+    Calls ``use(lo, hi, blocks)`` with blocks of shape (hi - lo, ny, 4, 4)
+    for the rows lo..hi of ``x``.  With ``owners = (x_owner, y_owner)``,
+    a pair whose owners match lies in one surface cell: its block stays
+    zero, for the caller to fill with the cell's closed form.
+    Matrix-free callers contract the blocks, dense callers write them
+    into the matrix; neither keeps them.  A chunk holds about 1.5e8
+    bytes of blocks unless ``rows`` sets its height; dense fills pass
+    one row node's rows, so their transient stays small.
+    """
+    ny = y.shape[0]
+    for lo, hi in _chunks(x.shape[0], ny * 256, rows):
+        diff = (x[lo:hi, None, :] - y[None, :, :]).reshape(-1, 3)
+        keep = slice(None) if owners is None else (
+            owners[0][lo:hi, None] != owners[1][None, :]).ravel()
+        # allocated before the kernel runs, so the previous chunk is freed
+        # first; zero pages take no memory until they are written
+        blocks = np.zeros((diff.shape[0], 4, 4), dtype=complex)
+        blocks[keep] = phi_a(sp, diff[keep])
+        use(lo, hi, blocks.reshape(hi - lo, ny, 4, 4))
+
+
+def _accumulate(out: np.ndarray, coeff: np.ndarray):
+    """Matrix-free use of the blocks: out_i += sum_j blocks_ij coeff_j."""
+    def add(lo: int, hi: int, blocks: np.ndarray) -> None:
+        out[lo:hi] += np.einsum("ijab,jb->ia", blocks, coeff)
+    return add
+
+
+def _as_rows(blocks: np.ndarray) -> np.ndarray:
+    """Blocks (rows, cols, 4, 4) as the matching rows of a dense matrix."""
+    return blocks.transpose(0, 2, 1, 3).reshape(4 * blocks.shape[0], -1)
 
 
 def _phi_apply(sp: SpectralParameter, x: np.ndarray, y: np.ndarray,
-               coeff: np.ndarray, chunk: int = 0) -> np.ndarray:
+               coeff: np.ndarray) -> np.ndarray:
     """Evaluate sum_j phi_a(x_i - y_j) coeff_j without storing all blocks.
 
     ``coeff`` has shape (ny, 4) and already contains quadrature weights.
     """
-    nx, ny = x.shape[0], y.shape[0]
-    if chunk <= 0:
-        chunk = max(1, int(1.5e8 // (max(ny, 1) * 256)))
-    out = np.zeros((nx, 4), dtype=complex)
-    for lo in range(0, nx, chunk):
-        hi = min(lo + chunk, nx)
-        blocks = _phi_blocks(sp, x[lo:hi], y)
-        out[lo:hi] = np.einsum("ijab,jb->ia", blocks, coeff)
+    out = np.zeros((x.shape[0], 4), dtype=complex)
+    _kernel_blocks(sp, x, y, _accumulate(out, coeff))
     return out
 
 
-def _disk_patch(sp: SpectralParameter, nu: np.ndarray, rho: float,
-                delta: np.ndarray) -> np.ndarray:
-    """Integral of phi_a over a flat disk against a constant density.
+def _disk_moments(w: complex, rho, delta) -> tuple:
+    """Kernel integrals over a flat disk against a constant density.
 
-    The disk has radius ``rho``, unit normal ``nu``, and the evaluation
-    point sits on the disk axis at signed height ``delta``.  Closed
-    form; the odd part vanishes at ``delta = 0``, which realizes the
-    principal value.  Shape of the result: ``delta.shape + (4, 4)``.
+    The disk has radius ``rho``; the evaluation point sits on its axis
+    at signed height ``delta``; ``w`` is the decay branch (0 gives the
+    massless kernel).  Returns the Yukawa layer, which multiplies the
+    even part a + m beta, and the axial factor, which multiplies
+    (i/2) alpha.nu in the odd part.  Closed form, broadcast over
+    ``rho`` and ``delta``.  The axial factor vanishes at ``delta = 0``,
+    which realizes the principal value.
     """
     d = np.asarray(delta, dtype=float)
     ad = np.abs(d)
     s = np.sqrt(rho * rho + d * d)
-    w = sp.branch
-    even_coeff = sp.a * I4 + sp.m * BETA
     if abs(w) < 1e-14:
-        radial = 0.5 * (s - ad)
-    else:
-        radial = (np.exp(-w * ad) - np.exp(-w * s)) / (2.0 * w)
-    axial = np.sign(d) * np.exp(-w * ad) - d * np.exp(-w * s) / s
-    an = alpha_dot(nu)
-    return (radial[..., None, None] * even_coeff
-            + (0.5j * axial)[..., None, None] * an)
+        return 0.5 * (s - ad), np.sign(d) - d / s
+    ewa = np.exp(-w * ad)
+    ews = np.exp(-w * s)
+    return (ewa - ews) / (2.0 * w), np.sign(d) * ewa - d * ews / s
 
 
 def _node_disk_radii(mesh: SurfaceMesh) -> np.ndarray:
@@ -180,7 +209,18 @@ def _odd_far_sums(sp: SpectralParameter, nodes: np.ndarray,
 
     The solid-angle content itself is exact (Gauss identity) and is
     added by the caller together with the self-cell closed forms.
+    Evaluation points go in chunks of about 1.5e8 bytes of fields.
     """
+    parts = [_odd_far_chunk(sp, nodes, normals, wts, curv, rows[lo:hi],
+                            pts[lo:hi])
+             for lo, hi in _chunks(rows.size, nodes.shape[0] * 160)]
+    return tuple(np.concatenate(sums) for sums in zip(*parts))
+
+
+def _odd_far_chunk(sp: SpectralParameter, nodes: np.ndarray,
+                   normals: np.ndarray, wts: np.ndarray, curv: np.ndarray,
+                   rows: np.ndarray, pts: np.ndarray) -> tuple:
+    """One chunk of :func:`_odd_far_sums`; its fields die on return."""
     w = sp.branch
     m = rows.size
     ar = np.arange(m)
@@ -207,15 +247,17 @@ def _odd_far_sums(sp: SpectralParameter, nodes: np.ndarray,
     return s_far, v_far, d_far
 
 
-def _odd_diag_blocks(sp: SpectralParameter, mesh: SurfaceMesh) -> np.ndarray:
-    """Diagonal correction blocks for the odd kernel part of the trace.
+def _trace_diag(sp: SpectralParameter, mesh: SurfaceMesh) -> np.ndarray:
+    """Self-cell blocks of the boundary trace operator, (N, 4, 4).
 
-    The punctured sum of the 1/r^2 odd kernel alone stalls on a mesh
-    without local symmetry: its spurious tangential component does not
-    vanish under refinement.  Subtracting the density value at the
-    target node and adding back the principal-value moment of the
-    kernel restores convergence.  In matrix terms that is a diagonal
-    update by ``i alpha . (E_pv - E_punctured)``.
+    The even part is the flat-disk cell integral.  The odd part corrects
+    a quadrature defect: the punctured sum of the 1/r^2 odd kernel alone
+    stalls on a mesh without local symmetry, since its spurious
+    tangential component does not vanish under refinement.  Subtracting
+    the density value at the target node and adding back the
+    principal-value moment of the kernel restores convergence.  In
+    matrix terms that is a diagonal update by
+    ``i alpha . (E_pv - E_punctured)``.
 
     The moment splits into exactly integrable structure plus mild
     remainders: the odd kernel is the y-gradient of the Yukawa kernel,
@@ -223,23 +265,17 @@ def _odd_diag_blocks(sp: SpectralParameter, mesh: SurfaceMesh) -> np.ndarray:
     for a curvature-weighted single layer, and the Gauss solid-angle
     identity fixes the flat double-layer content at -1/2 on the
     surface.  Self cells get closed-form disk and osculating-
-    paraboloid integrals.  Returns an (N, 4, 4) array.
+    paraboloid integrals.
     """
     n = len(mesh)
-    normals = mesh.normals
     curv = -(mesh.lam1 + mesh.lam2)
-    gap = np.zeros((n, 3), dtype=complex)
-    chunk = max(1, int(1.5e8 // (max(n, 1) * 160)))
-    for lo in range(0, n, chunk):
-        rows = np.arange(lo, min(lo + chunk, n))
-        _, v_far, d_far = _odd_far_sums(
-            sp, mesh.nodes, normals, mesh.weights, curv, rows,
-            mesh.nodes[rows])
-        gap[rows] = v_far - d_far
-    rho = _node_disk_radii(mesh)
-    layer, _, _ = _self_cell_moments(sp, rho, 0.0)
-    gap += (curv * layer - 0.5)[:, None] * normals
-    return 1j * alpha_dot(gap)
+    _, v_far, d_far = _odd_far_sums(
+        sp, mesh.nodes, mesh.normals, mesh.weights, curv, np.arange(n),
+        mesh.nodes)
+    layer, _ = _disk_moments(sp.branch, _node_disk_radii(mesh), 0.0)
+    gap = v_far - d_far + (curv * layer - 0.5)[:, None] * mesh.normals
+    return (layer[:, None, None] * (sp.a * I4 + sp.m * BETA)
+            + 1j * alpha_dot(gap))
 
 
 def _mesh_resolution(mesh: SurfaceMesh) -> float:
@@ -282,43 +318,24 @@ def layer_potential(sp: SpectralParameter, mesh: SurfaceMesh,
     return out[0] if single else out
 
 
-def _trace_apply(sp: SpectralParameter, mesh: SurfaceMesh, g: np.ndarray,
-                 patch: bool) -> np.ndarray:
+def _trace_apply(sp: SpectralParameter, mesh: SurfaceMesh,
+                 g: np.ndarray) -> np.ndarray:
     """Matrix-free action of the boundary trace operator C_sigma."""
     n = len(mesh)
     gv = np.asarray(g, dtype=complex).reshape(n, 4)
-    coeff = gv * mesh.weights[:, None]
-    out = np.zeros((n, 4), dtype=complex)
-    nodes = mesh.nodes
-    node_chunk = max(1, int(1.5e8 // (n * 256)))
-    for lo in range(0, n, node_chunk):
-        hi = min(lo + node_chunk, n)
-        diff = nodes[lo:hi, None, :] - nodes[None, :, :]
-        rows = np.arange(lo, hi)
-        keep = np.ones((hi - lo, n), dtype=bool)
-        keep[rows - lo, rows] = False
-        vals = np.zeros((hi - lo, n, 4, 4), dtype=complex)
-        vals[keep] = phi_a(sp, diff.reshape(-1, 3)[keep.ravel()])
-        out[lo:hi] = np.einsum("ijab,jb->ia", vals, coeff)
-    if patch:
-        rho = _node_disk_radii(mesh)
-        w = sp.branch
-        if abs(w) < 1e-14:
-            radial = 0.5 * rho
-        else:
-            radial = (1.0 - np.exp(-w * rho)) / (2.0 * w)
-        even = sp.a * I4 + sp.m * BETA
-        out += np.einsum("k,ab,kb->ka", radial, even, gv)
-        out += np.einsum("kab,kb->ka", _odd_diag_blocks(sp, mesh), gv)
+    out = np.einsum("kab,kb->ka", _trace_diag(sp, mesh), gv)
+    own = np.arange(n)
+    _kernel_blocks(sp, mesh.nodes, mesh.nodes,
+                   _accumulate(out, gv * mesh.weights[:, None]), (own, own))
     return out
 
 
 def cauchy_sigma_apply(sp: SpectralParameter, mesh: SurfaceMesh,
-                       g: np.ndarray, patch: bool = True) -> np.ndarray:
+                       g: np.ndarray) -> np.ndarray:
     """Apply the boundary trace operator to a surface density (N, 4)."""
     if len(mesh) < MIN_TRACE_NODES:
         raise ValueError(f"mesh must have at least {MIN_TRACE_NODES} nodes")
-    return _trace_apply(sp, mesh, g, patch)
+    return _trace_apply(sp, mesh, g)
 
 
 @dataclass(frozen=True)
@@ -356,52 +373,36 @@ def _weighted_opnorm(matrix: np.ndarray, row_w: np.ndarray,
     rw = np.sqrt(_expand_weights(row_w, matrix.shape[0]))
     cw = np.sqrt(_expand_weights(col_w, matrix.shape[1]))
     scaled = matrix * (rw[:, None] / cw[None, :])
-    k = min(scaled.shape) - 1
     if min(scaled.shape) <= 2 or scaled.shape[0] * scaled.shape[1] <= 16384:
         return float(np.linalg.norm(scaled, 2))
     val = svds(scaled, k=1, return_singular_vectors=False, tol=1e-9)
     return float(val[0])
 
 
-def _trace_matrix(sp: SpectralParameter, mesh: SurfaceMesh,
-                  patch: bool) -> np.ndarray:
+def cauchy_sigma(sp: SpectralParameter, mesh: SurfaceMesh) -> ShellOperator:
+    """Dense boundary trace operator on the mesh nodes.
+
+    Off-diagonal blocks are kernel evaluations times node weights; the
+    diagonal block is the self-cell closed form of ``_trace_diag``.  The
+    matrix is filled one row node at a time.
+    """
     n = len(mesh)
+    if n < MIN_TRACE_NODES:
+        raise ValueError(f"mesh must have at least {MIN_TRACE_NODES} nodes")
     if 4 * n > DENSE_DOF_CAP:
         raise ValueError(
             f"dense trace operator needs {4 * n} dofs, cap is {DENSE_DOF_CAP}; "
             "use cauchy_sigma_apply for large meshes")
-    nodes = mesh.nodes
+    diag = _trace_diag(sp, mesh)
+    own = np.arange(n)
     mat = np.zeros((4 * n, 4 * n), dtype=complex)
-    rho = _node_disk_radii(mesh)
-    odd_diag = _odd_diag_blocks(sp, mesh) if patch else None
-    for i in range(n):
-        diff = nodes[i, None, :] - nodes
-        keep = np.ones(n, dtype=bool)
-        keep[i] = False
-        blocks = np.zeros((n, 4, 4), dtype=complex)
-        blocks[keep] = phi_a(sp, diff[keep])
-        blocks *= mesh.weights[:, None, None]
-        if patch:
-            blocks[i] = _disk_patch(sp, mesh.normals[i], rho[i], 0.0) + odd_diag[i]
-        mat[4 * i:4 * i + 4] = blocks.transpose(1, 0, 2).reshape(4, 4 * n)
-    return mat
 
+    def fill(lo: int, hi: int, blocks: np.ndarray) -> None:
+        blocks *= mesh.weights[None, :, None, None]
+        blocks[own[:hi - lo], own[lo:hi]] = diag[lo:hi]
+        mat[4 * lo:4 * hi] = _as_rows(blocks)
 
-def cauchy_sigma(sp: SpectralParameter, mesh: SurfaceMesh,
-                 patch: bool = True) -> ShellOperator:
-    """Dense boundary trace operator on the mesh nodes.
-
-    Off-diagonal blocks are kernel evaluations times node weights; the
-    diagonal block is the flat-disk cell integral (or zero when
-    ``patch`` is off, the plain punctured rule).
-    """
-    if len(mesh) < MIN_TRACE_NODES:
-        raise ValueError(f"mesh must have at least {MIN_TRACE_NODES} nodes")
-    if 4 * len(mesh) > DENSE_DOF_CAP:
-        raise ValueError(
-            f"dense trace needs {4 * len(mesh)} dofs, cap is "
-            f"{DENSE_DOF_CAP}; use cauchy_sigma_apply")
-    mat = _trace_matrix(sp, mesh, patch)
+    _kernel_blocks(sp, mesh.nodes, mesh.nodes, fill, (own, own), rows=1)
     return ShellOperator("C_sigma^a", mat, sp, mesh.weights, mesh.weights)
 
 
@@ -431,28 +432,6 @@ class PlemeljReport:
         return max(self.l2_rel_plus, self.l2_rel_minus)
 
 
-def _self_cell_moments(sp: SpectralParameter, rho: np.ndarray,
-                       delta: float) -> tuple:
-    """Closed-form flat-disk self-cell integrals at signed height delta.
-
-    Returns the Yukawa layer, the axial factor of the odd kernel, and
-    the same axial factor for the massless kernel, per disk radius.
-    """
-    w = sp.branch
-    d = float(delta)
-    ad = abs(d)
-    s = np.sqrt(rho * rho + d * d)
-    axial_flat = np.sign(d) * np.ones_like(s) - d / s
-    if abs(w) < 1e-14:
-        layer = 0.5 * (s - ad)
-        return layer, axial_flat, axial_flat
-    ewa = np.exp(-w * ad)
-    ews = np.exp(-w * s)
-    layer = (ewa - ews) / (2.0 * w)
-    axial = np.sign(d) * ewa - d * ews / s
-    return layer, axial, axial_flat
-
-
 def _one_sided_values(sp: SpectralParameter, mesh: SurfaceMesh,
                       gv: np.ndarray, idx: np.ndarray,
                       offs: np.ndarray) -> tuple:
@@ -466,55 +445,49 @@ def _one_sided_values(sp: SpectralParameter, mesh: SurfaceMesh,
     exact for a closed surface), so at h -> 0 the construction
     reproduces the discrete trace plus or minus half the jump.
     """
-    n = len(mesh)
     nodes, normals, wts = mesh.nodes, mesh.normals, mesh.weights
     curv = -(mesh.lam1 + mesh.lam2)
-    rho = _node_disk_radii(mesh)
+    rho = _node_disk_radii(mesh)[idx]
     even = sp.a * I4 + sp.m * BETA
+    owners = (idx, np.arange(len(mesh)))
+
+    def subtracted(out, lo, hi, blocks):
+        # the kernel against g(y) - g(x), one coefficient set per row
+        coeff = ((gv[None, :, :] - gv[idx[lo:hi], None, :])
+                 * wts[None, :, None])
+        out[lo:hi] += np.einsum("ijab,ijb->ia", blocks, coeff)
+
     plus_vals = np.zeros((offs.size, idx.size, 4), dtype=complex)
     minus_vals = np.zeros_like(plus_vals)
-    chunk = max(1, int(1.5e8 // (n * 256)))
-    for lo in range(0, idx.size, chunk):
-        rows = idx[lo:lo + chunk]
-        m = rows.size
-        keep = np.ones((m, n), dtype=bool)
-        keep[np.arange(m), rows] = False
-        flat_keep = keep.ravel()
-        coeff = (gv[None, :, :] - gv[rows, None, :]) * wts[None, :, None]
-        for q, h in enumerate(offs):
-            for side, store in ((1.0, plus_vals), (-1.0, minus_vals)):
-                delta = side * h
-                pts = nodes[rows] + delta * normals[rows]
-                diff = pts[:, None, :] - nodes[None, :, :]
-                vals = np.zeros((m, n, 4, 4), dtype=complex)
-                vals.reshape(-1, 4, 4)[flat_keep] = phi_a(
-                    sp, diff.reshape(-1, 3)[flat_keep])
-                out = np.einsum("ijab,ijb->ia", vals, coeff)
-                s_far, v_far, _ = _odd_far_sums(
-                    sp, nodes, normals, wts, curv, rows, pts)
-                layer, axial, axial_flat = _self_cell_moments(
-                    sp, rho[rows], delta)
-                chi = 0.0 if delta > 0 else -1.0
-                s_mom = s_far + layer
-                v_mom = v_far + (curv[rows] * layer
-                                 + 0.5 * (axial - axial_flat)
-                                 + chi)[:, None] * normals[rows]
-                mom = s_mom[:, None, None] * even + 1j * alpha_dot(v_mom)
-                out += np.einsum("iab,ib->ia", mom, gv[rows])
-                store[q, lo:lo + m] = out
+    for q, h in enumerate(offs):
+        for delta, out in ((h, plus_vals[q]), (-h, minus_vals[q])):
+            pts = nodes[idx] + delta * normals[idx]
+            s_far, v_far, _ = _odd_far_sums(
+                sp, nodes, normals, wts, curv, idx, pts)
+            layer, axial = _disk_moments(sp.branch, rho, delta)
+            _, axial_flat = _disk_moments(0.0, rho, delta)
+            chi = 0.0 if delta > 0 else -1.0
+            s_mom = s_far + layer
+            v_mom = v_far + (curv[idx] * layer
+                             + 0.5 * (axial - axial_flat)
+                             + chi)[:, None] * normals[idx]
+            mom = s_mom[:, None, None] * even + 1j * alpha_dot(v_mom)
+            out[:] = np.einsum("iab,ib->ia", mom, gv[idx])
+            _kernel_blocks(sp, pts, nodes, partial(subtracted, out), owners)
     return plus_vals, minus_vals
 
 
 def plemelj_check(sp: SpectralParameter, mesh: SurfaceMesh, g: np.ndarray,
                   offsets: Sequence[float] | None = None,
-                  eta: float = 0.3, max_eval_nodes: int = 1024,
-                  patch: bool = True) -> PlemeljReport:
+                  eta: float = 0.3,
+                  max_eval_nodes: int = 1024) -> PlemeljReport:
     """Verify the one-sided trace formulas C_pm = -/+ (i/2) alpha.nu + C_sigma.
 
     The layer potential of ``g`` is evaluated at ``x +- h nu`` for each
     offset ``h`` with the same cell quadrature that defines the trace
     operator, then extrapolated to ``h -> 0`` by a least-squares
-    quadratic fit in ``h``.  Offsets must stay inside the collar and
+    polynomial fit in ``h`` of degree ``min(3, len(offsets) - 1)``,
+    cubic for the five default offsets.  Offsets must stay inside the collar and
     above the mesh resolution; the default set hugs the resolution
     floor, where the extrapolation is most accurate.
     """
@@ -548,7 +521,7 @@ def plemelj_check(sp: SpectralParameter, mesh: SurfaceMesh, g: np.ndarray,
     minus0 = minus0.reshape(idx.size, 4)
 
     nus = mesh.normals[idx]
-    csg = _trace_apply(sp, mesh, gv, patch)[idx]
+    csg = _trace_apply(sp, mesh, gv)[idx]
     jump = np.einsum("kab,kb->ka", alpha_dot(nus), gv[idx])
     # outward limit (x + h nu) carries + (i/2) alpha.nu, inward the opposite
     ref_outside = 0.5j * jump + csg
@@ -667,132 +640,100 @@ def _check_shift_separation(pts: np.ndarray) -> None:
             f"shifted quadrature points separated by {closest:.3e}")
 
 
-def _source_coeff(grid: OperatorGrid, eps: float, g: np.ndarray) -> np.ndarray:
-    """v(s) weights times coarea det times quadrature weights times g."""
+def _source_weights(grid: OperatorGrid, eps: float) -> np.ndarray:
+    """v(s) weights times coarea det times quadrature weights, (N, M)."""
     det = _coarea_det(grid, eps)
-    fac = (grid.v_vals[None, :] * grid.t_weights[None, :] * det
-           * grid.mesh.weights[:, None])
-    return np.asarray(g, dtype=complex).reshape(
-        grid.n_nodes, grid.n_transverse, 4) * fac[..., None]
+    return (grid.v_vals[None, :] * grid.t_weights[None, :] * det
+            * grid.mesh.weights[:, None])
 
 
-def _same_node_block(grid: OperatorGrid, sp: SpectralParameter, eps: float,
-                     k: int, patch: bool) -> np.ndarray:
-    """Self-interaction block of B_eps at node k, shape (M, M, 4, 4).
+def _collar_points(grid: OperatorGrid, eps: float) -> np.ndarray:
+    """Shifted collar points as (N M, 3), checked for coincidences."""
+    if not 0.0 < eps:
+        raise ValueError("eps must be positive")
+    pts = _shifted_points(grid, eps).reshape(-1, 3)
+    _check_shift_separation(pts)
+    return pts
 
-    The surface cell is modeled as a flat disk; the block entry (q, q')
-    is the disk integral of the kernel at axial offset eps (t_q - t_q'),
-    times the source-side quadrature factors.  The u(t) row factor is
-    applied by the caller.  At eps = 0 this reproduces
-    the trace diagonal plus the sharp sign-kernel jump term entry by
-    entry, so the squeezed family has no discretization floor here.
+
+def _same_node_blocks(grid: OperatorGrid, sp: SpectralParameter,
+                      eps: float) -> np.ndarray:
+    """Self-interaction blocks of B_eps, shape (N, M, M, 4, 4).
+
+    The surface cell is modeled as a flat disk; the block entry (p, q)
+    is the disk integral of the kernel at axial offset eps (t_p - t_q),
+    times the source-side quadrature factors.  At eps = 0 this
+    reproduces the trace diagonal plus the sharp sign-kernel jump term
+    entry by entry, so the squeezed family has no discretization floor
+    here.
+
+    On top come odd-moment corrections.  The punctured bulk rule of the
+    squeezed family carries the same odd-kernel quadrature defect as
+    the boundary trace; left alone, its eps -> 0 limit is the
+    uncorrected trace and the distance to B_0 + B' develops a
+    mesh-level floor.  For the transverse pair (p, q) the evaluation
+    point sits at the exact signed height eps (t_p - t_q) over the
+    parallel sheet swept by t_q, which is a closed surface with the
+    same normal field, coarea-scaled weights, and shifted principal
+    curvatures.  The divergence-theorem far sums and the Gauss
+    solid-angle anchor therefore apply verbatim on the sheet.  The even
+    kernel parts cancel against the flat-disk block exactly, so the
+    correction is purely odd, and as eps -> 0 every (p, q) entry tends
+    to the diagonal gap used by the trace operator.  The u(t) row
+    factor is applied by the caller.
     """
-    m = grid.n_transverse
-    if not patch:
-        return np.zeros((m, m, 4, 4), dtype=complex)
-    rho = float(np.sqrt(grid.mesh.weights[k] / np.pi))
-    delta = eps * (grid.t_nodes[:, None] - grid.t_nodes[None, :])
-    blocks = _disk_patch(sp, grid.mesh.normals[k], rho, delta)
-    det = _coarea_det(grid, eps)[k]
-    fac = grid.v_vals[None, :] * grid.t_weights[None, :] * det[None, :]
-    return blocks * fac[..., None, None]
-
-
-def _squeeze_gap_blocks(grid: OperatorGrid, sp: SpectralParameter,
-                        eps: float, patch: bool) -> np.ndarray:
-    """Odd-moment corrections for the same-node blocks of B_eps.
-
-    The punctured bulk rule of the squeezed family carries the same
-    odd-kernel quadrature defect as the boundary trace; left alone, its
-    eps -> 0 limit is the uncorrected trace and the distance to
-    B_0 + B' develops a mesh-level floor.  For the transverse pair
-    (p, q) the evaluation point sits at the exact signed height
-    eps (t_p - t_q) over the parallel sheet swept by t_q, which is a
-    closed surface with the same normal field, coarea-scaled weights,
-    and shifted principal curvatures.  The divergence-theorem far sums
-    and the Gauss solid-angle anchor therefore apply verbatim on the
-    sheet.  The even kernel parts cancel against the flat-disk block
-    exactly, so the correction is purely odd, and as eps -> 0 every
-    (p, q) entry tends to the diagonal gap used by the trace operator.
-    Returns (N, M, M, 4, 4); the u(t) row factor is applied by the
-    caller.
-    """
-    n, m = grid.n_nodes, grid.n_transverse
-    out = np.zeros((n, m, m, 4, 4), dtype=complex)
-    if not patch:
-        return out
     mesh = grid.mesh
-    nodes, normals = mesh.nodes, mesh.normals
-    rho = _node_disk_radii(mesh)
+    nodes, normals, t = mesh.nodes, mesh.normals, grid.t_nodes
+    rho = _node_disk_radii(mesh)[:, None, None]
+    delta = eps * (t[:, None] - t[None, :])
+    layer, axial = _disk_moments(sp.branch, rho, delta)
+    _, axial_flat = _disk_moments(0.0, rho, delta)
     det = _coarea_det(grid, eps)
-    chunk = max(1, int(1.5e8 // (max(n, 1) * 160)))
-    for q in range(m):
-        shift = eps * grid.t_nodes[q]
+    fac = grid.v_vals[None, :] * grid.t_weights[None, :] * det
+    blocks = (layer[..., None, None] * (sp.a * I4 + sp.m * BETA)
+              + (0.5j * axial)[..., None, None]
+              * alpha_dot(normals)[:, None, None])
+    blocks *= fac[:, None, :, None, None]
+    rows = np.arange(grid.n_nodes)
+    for q in range(grid.n_transverse):
+        shift = eps * t[q]
         src = nodes + shift * normals
-        swts = mesh.weights * det[:, q]
         curv = (-mesh.lam1 / (1.0 - shift * mesh.lam1)
                 - mesh.lam2 / (1.0 - shift * mesh.lam2))
-        for p in range(m):
-            delta = eps * (grid.t_nodes[p] - grid.t_nodes[q])
-            pts = nodes + (eps * grid.t_nodes[p]) * normals
-            vgap = np.zeros((n, 3), dtype=complex)
-            for lo in range(0, n, chunk):
-                rows = np.arange(lo, min(lo + chunk, n))
-                _, v_far, d_far = _odd_far_sums(
-                    sp, src, normals, swts, curv, rows, pts[rows])
-                vgap[rows] = v_far - d_far
-            layer, _, axial_flat = _self_cell_moments(sp, rho, delta)
-            chi = -0.5 if p == q else (0.0 if delta > 0.0 else -1.0)
-            vgap += (det[:, q] * (curv * layer - 0.5 * axial_flat)
-                     + chi)[:, None] * normals
-            out[:, p, q] = (grid.v_vals[q] * grid.t_weights[q]
-                            * 1j) * alpha_dot(vgap)
-    return out
+        for p in range(grid.n_transverse):
+            _, v_far, d_far = _odd_far_sums(
+                sp, src, normals, mesh.weights * det[:, q], curv, rows,
+                nodes + (eps * t[p]) * normals)
+            chi = -0.5 if p == q else (0.0 if delta[p, q] > 0.0 else -1.0)
+            vgap = v_far - d_far + (
+                det[:, q] * (curv * layer[:, p, q] - 0.5 * axial_flat[:, p, q])
+                + chi)[:, None] * normals
+            blocks[:, p, q] += (grid.v_vals[q] * grid.t_weights[q]
+                                * 1j) * alpha_dot(vgap)
+    return blocks
 
 
 def b_eps_apply(grid: OperatorGrid, sp: SpectralParameter, eps: float,
-                g: np.ndarray, patch: bool = True) -> np.ndarray:
+                g: np.ndarray) -> np.ndarray:
     """Matrix-free action of the squeezed boundary operator B_eps."""
-    if not 0.0 < eps:
-        raise ValueError("eps must be positive")
+    pts = _collar_points(grid, eps)
     n, m = grid.n_nodes, grid.n_transverse
-    pts = _shifted_points(grid, eps)
-    _check_shift_separation(pts)
-    coeff = _source_coeff(grid, eps, g)
-    flat_src = pts.reshape(-1, 3)
-    flat_coeff = coeff.reshape(-1, 4)
     gv = np.asarray(g, dtype=complex).reshape(n, m, 4)
-    out = np.zeros((n, m, 4), dtype=complex)
-    chunk = max(1, int(1.5e8 // (n * m * m * 256)))
-    for lo in range(0, n, chunk):
-        hi = min(lo + chunk, n)
-        x = pts[lo:hi].reshape(-1, 3)
-        diff = x[:, None, :] - flat_src[None, :, :]
-        keep = np.ones((hi - lo, m, n, m), dtype=bool)
-        for k in range(lo, hi):
-            keep[k - lo, :, k, :] = False
-        keep = keep.reshape(x.shape[0], n * m)
-        vals = np.zeros((x.shape[0], n * m, 4, 4), dtype=complex)
-        flat_keep = keep.ravel()
-        vals.reshape(-1, 4, 4)[flat_keep] = phi_a(
-            sp, diff.reshape(-1, 3)[flat_keep])
-        out[lo:hi] = np.einsum(
-            "ijab,jb->ia", vals, flat_coeff).reshape(hi - lo, m, 4)
-    gap = _squeeze_gap_blocks(grid, sp, eps, patch)
-    for k in range(n):
-        block = _same_node_block(grid, sp, eps, k, patch) + gap[k]
-        out[k] += np.einsum("pqab,qb->pa", block, gv[k])
-    out *= grid.u_vals[None, :, None]
-    return out
+    out = np.einsum("kpqab,kqb->kpa", _same_node_blocks(grid, sp, eps),
+                    gv).reshape(n * m, 4)
+    coeff = (gv * _source_weights(grid, eps)[..., None]).reshape(-1, 4)
+    owner = np.repeat(np.arange(n), m)
+    _kernel_blocks(sp, pts, pts, _accumulate(out, coeff), (owner, owner))
+    return out.reshape(n, m, 4) * grid.u_vals[None, :, None]
 
 
-def b_limit_apply(grid: OperatorGrid, sp: SpectralParameter, g: np.ndarray,
-                  patch: bool = True) -> np.ndarray:
+def b_limit_apply(grid: OperatorGrid, sp: SpectralParameter,
+                  g: np.ndarray) -> np.ndarray:
     """Action of B_0 + B' (the eps -> 0 limit of B_eps)."""
     n, m = grid.n_nodes, grid.n_transverse
     gv = np.asarray(g, dtype=complex).reshape(n, m, 4)
     vhat = np.einsum("q,kqa->ka", grid.v_vals * grid.t_weights, gv)
-    traced = _trace_apply(sp, grid.mesh, vhat, patch)
+    traced = _trace_apply(sp, grid.mesh, vhat)
     out = grid.u_vals[None, :, None] * traced[:, None, :]
     out += bprime_apply(grid, gv)
     return out
@@ -808,43 +749,12 @@ def bprime_apply(grid: OperatorGrid, g: np.ndarray) -> np.ndarray:
     return np.einsum("pq,kab,kqb->kpa", kmat, an, gv)
 
 
-def bprime_tensor(grid: OperatorGrid) -> np.ndarray:
-    """Dense B' via the tensor-product route: blockdiag of kron(K, alpha.nu)."""
-    n, m = grid.n_nodes, grid.n_transverse
-    sign = np.sign(grid.t_nodes[:, None] - grid.t_nodes[None, :])
-    kmat = 0.5j * (grid.u_vals[:, None] * sign
-                   * grid.v_vals[None, :] * grid.t_weights[None, :])
-    out = np.zeros((grid.dofs, grid.dofs), dtype=complex)
-    for k in range(n):
-        an = alpha_dot(grid.mesh.normals[k])
-        blk = np.kron(kmat, an)
-        out[k * 4 * m:(k + 1) * 4 * m, k * 4 * m:(k + 1) * 4 * m] = blk
-    return out
-
-
-def bprime_direct(grid: OperatorGrid) -> np.ndarray:
-    """Dense B' assembled entry by entry from the sign kernel."""
-    n, m = grid.n_nodes, grid.n_transverse
-    out = np.zeros((grid.dofs, grid.dofs), dtype=complex)
-    for k in range(n):
-        an = alpha_dot(grid.mesh.normals[k])
-        for p in range(m):
-            for q in range(m):
-                val = (0.5j * grid.u_vals[p]
-                       * np.sign(grid.t_nodes[p] - grid.t_nodes[q])
-                       * grid.v_vals[q] * grid.t_weights[q])
-                r0 = (k * m + p) * 4
-                c0 = (k * m + q) * 4
-                out[r0:r0 + 4, c0:c0 + 4] = val * an
-    return out
-
-
 def a_eps_apply(grid: OperatorGrid, sp: SpectralParameter, eps: float,
                 g: np.ndarray, test_points: np.ndarray) -> np.ndarray:
     """Layer potential of the squeezed density at ambient test points."""
-    pts = _shifted_points(grid, eps) if eps > 0.0 else np.broadcast_to(
-        grid.mesh.nodes[:, None, :], (grid.n_nodes, grid.n_transverse, 3))
-    coeff = _source_coeff(grid, eps, g)
+    pts = _shifted_points(grid, max(eps, 0.0))
+    coeff = np.asarray(g, dtype=complex).reshape(
+        grid.n_nodes, grid.n_transverse, 4) * _source_weights(grid, eps)[..., None]
     return _phi_apply(sp, np.atleast_2d(test_points),
                       pts.reshape(-1, 3), coeff.reshape(-1, 4))
 
@@ -852,8 +762,7 @@ def a_eps_apply(grid: OperatorGrid, sp: SpectralParameter, eps: float,
 def c_eps_apply(grid: OperatorGrid, sp: SpectralParameter, eps: float,
                 volume: VolumeGrid, f_vals: np.ndarray) -> np.ndarray:
     """Evaluate u(t) Phi^a(F, 0) on the (shifted) collar grid."""
-    pts = _shifted_points(grid, eps) if eps > 0.0 else np.broadcast_to(
-        grid.mesh.nodes[:, None, :], (grid.n_nodes, grid.n_transverse, 3))
+    pts = _shifted_points(grid, max(eps, 0.0))
     coeff = np.asarray(f_vals, dtype=complex).reshape(-1, 4) * volume.weights[:, None]
     vals = _phi_apply(sp, pts.reshape(-1, 3), volume.points, coeff)
     vals = vals.reshape(grid.n_nodes, grid.n_transverse, 4)
@@ -862,102 +771,58 @@ def c_eps_apply(grid: OperatorGrid, sp: SpectralParameter, eps: float,
 
 def assemble_family(grid: OperatorGrid, sp: SpectralParameter, eps: float,
                     test_points: np.ndarray | None = None,
-                    volume: VolumeGrid | None = None,
-                    patch: bool = True) -> dict:
+                    volume: VolumeGrid | None = None) -> dict:
     """Dense squeezed operators at collar width eps.
 
     Returns a dict with key ``"B"`` always present and ``"A"`` / ``"C"``
-    when ambient test points or a volume rule are supplied.  The dense
-    path is capped at {DENSE_DOF_CAP} dofs; use the ``*_apply`` routines
-    beyond that.
+    when ambient test points or a volume rule are supplied.  ``"B"`` is
+    the matrix of :func:`b_eps_apply`, filled one node's M rows at a
+    time.  The dense path is capped at ``DENSE_DOF_CAP`` dofs;
+    use the ``*_apply`` routines beyond that.
     """
-    if not 0.0 < eps:
-        raise ValueError("eps must be positive")
+    pts = _collar_points(grid, eps)
     if grid.dofs > DENSE_DOF_CAP:
         raise ValueError(
             f"grid has {grid.dofs} dofs, dense cap is {DENSE_DOF_CAP}")
     n, m = grid.n_nodes, grid.n_transverse
-    pts = _shifted_points(grid, eps)
-    _check_shift_separation(pts)
-    det = _coarea_det(grid, eps)
-    src_fac = (grid.v_vals[None, :] * grid.t_weights[None, :] * det
-               * grid.mesh.weights[:, None]).ravel()
-    flat = pts.reshape(-1, 3)
-    nm = n * m
-    bmat = np.zeros((4 * nm, 4 * nm), dtype=complex)
-    gap = _squeeze_gap_blocks(grid, sp, eps, patch)
-    for k in range(n):
-        rows = slice(k * m, (k + 1) * m)
-        diff = pts[k][:, None, :] - flat[None, :, :]
-        keep = np.ones((m, nm), dtype=bool)
-        keep[:, k * m:(k + 1) * m] = False
-        blocks = np.zeros((m, nm, 4, 4), dtype=complex)
-        blocks[keep] = phi_a(sp, diff[keep])
+    same = _same_node_blocks(grid, sp, eps)
+    src_fac = _source_weights(grid, eps).ravel()
+    owner = np.repeat(np.arange(n), m)
+    bmat = np.zeros((grid.dofs, grid.dofs), dtype=complex)
+
+    def fill_b(lo: int, hi: int, blocks: np.ndarray) -> None:
         blocks *= src_fac[None, :, None, None]
-        blocks[:, k * m:(k + 1) * m] = (
-            _same_node_block(grid, sp, eps, k, patch) + gap[k])
+        blocks[:, lo:hi] = same[lo // m]
         blocks *= grid.u_vals[:, None, None, None]
-        bmat[4 * k * m:4 * (k + 1) * m] = blocks.transpose(0, 2, 1, 3).reshape(
-            4 * m, 4 * nm)
+        bmat[4 * lo:4 * hi] = _as_rows(blocks)
+
+    _kernel_blocks(sp, pts, pts, fill_b, (owner, owner), rows=m)
     gw = grid.scalar_weights()
     out = {"B": ShellOperator(f"B_eps[eps={eps:g}]", bmat, sp, gw, gw)}
     if test_points is not None:
         tp = np.atleast_2d(np.asarray(test_points, dtype=float))
-        blocks = _phi_blocks(sp, tp, flat) * src_fac[None, :, None, None]
-        amat = blocks.transpose(0, 2, 1, 3).reshape(4 * tp.shape[0], 4 * nm)
+        amat = np.zeros((4 * tp.shape[0], grid.dofs), dtype=complex)
+
+        def fill_a(lo: int, hi: int, blocks: np.ndarray) -> None:
+            blocks *= src_fac[None, :, None, None]
+            amat[4 * lo:4 * hi] = _as_rows(blocks)
+
+        _kernel_blocks(sp, tp, pts, fill_a)
         out["A"] = ShellOperator(
             f"A_eps[eps={eps:g}]", amat, sp,
             np.full(tp.shape[0], 1.0 / tp.shape[0]), gw)
     if volume is not None:
-        blocks = _phi_blocks(sp, flat, volume.points)
-        blocks *= volume.weights[None, :, None, None]
-        blocks *= np.repeat(grid.u_vals[None, :], n, axis=0).ravel()[
-            :, None, None, None]
-        cmat = blocks.transpose(0, 2, 1, 3).reshape(4 * nm, 4 * len(volume))
+        u_rows = np.tile(grid.u_vals, n)
+        cmat = np.zeros((grid.dofs, 4 * len(volume)), dtype=complex)
+
+        def fill_c(lo: int, hi: int, blocks: np.ndarray) -> None:
+            blocks *= volume.weights[None, :, None, None]
+            blocks *= u_rows[lo:hi, None, None, None]
+            cmat[4 * lo:4 * hi] = _as_rows(blocks)
+
+        _kernel_blocks(sp, pts, volume.points, fill_c)
         out["C"] = ShellOperator(f"C_eps[eps={eps:g}]", cmat, sp, gw,
                                  volume.weights)
-    return out
-
-
-def assemble_limits(grid: OperatorGrid, sp: SpectralParameter,
-                    test_points: np.ndarray | None = None,
-                    volume: VolumeGrid | None = None,
-                    patch: bool = True) -> dict:
-    """Dense eps -> 0 limits: B0, B', their sum, and optionally A0, C0."""
-    if grid.dofs > DENSE_DOF_CAP:
-        raise ValueError(
-            f"grid has {grid.dofs} dofs, dense cap is {DENSE_DOF_CAP}")
-    n, m = grid.n_nodes, grid.n_transverse
-    trace = _trace_matrix(sp, grid.mesh, patch)
-    uw = grid.u_vals
-    vw = grid.v_vals * grid.t_weights
-    uv_outer = np.outer(uw, vw)
-    trace_blocks = trace.reshape(n, 4, n, 4)
-    b0 = np.einsum("kalb,pq->kpalqb", trace_blocks, uv_outer)
-    b0 = b0.reshape(grid.dofs, grid.dofs)
-    bp = bprime_tensor(grid)
-    gw = grid.scalar_weights()
-    out = {
-        "B0": ShellOperator("B_0", b0, sp, gw, gw),
-        "Bprime": ShellOperator("B'", bp, sp, gw, gw),
-        "Blimit": ShellOperator("B_0 + B'", b0 + bp, sp, gw, gw),
-    }
-    if test_points is not None:
-        tp = np.atleast_2d(np.asarray(test_points, dtype=float))
-        blocks = _phi_blocks(sp, tp, grid.mesh.nodes)
-        blocks *= grid.mesh.weights[None, :, None, None]
-        a0_nodes = blocks.transpose(0, 2, 1, 3).reshape(4 * tp.shape[0], 4 * n)
-        expand = np.kron(np.eye(n), np.kron(vw[None, :], np.eye(4)))
-        amat = a0_nodes @ expand
-        out["A0"] = ShellOperator(
-            "A_0", amat, sp, np.full(tp.shape[0], 1.0 / tp.shape[0]), gw)
-    if volume is not None:
-        blocks = _phi_blocks(sp, grid.mesh.nodes, volume.points)
-        blocks *= volume.weights[None, :, None, None]
-        c_nodes = blocks.transpose(0, 2, 1, 3).reshape(4 * n, 4 * len(volume))
-        lift = np.kron(np.eye(n), np.kron(uw[:, None], np.eye(4)))
-        cmat = lift @ c_nodes
-        out["C0"] = ShellOperator("C_0", cmat, sp, gw, volume.weights)
     return out
 
 
@@ -991,14 +856,14 @@ def strong_convergence_experiment(grid: OperatorGrid, sp: SpectralParameter,
                                   g: np.ndarray | None = None,
                                   test_points: np.ndarray | None = None,
                                   volume: VolumeGrid | None = None,
-                                  f_vals: np.ndarray | None = None,
-                                  patch: bool = True) -> ConvergenceTable:
+                                  f_vals: np.ndarray | None = None
+                                  ) -> ConvergenceTable:
     """Decay of (B_eps - B_0 - B')g, (A_eps - A_0)g and (C_eps - C_0)F.
 
     All three families act on fixed smooth densities; the table reports
     weighted norms of the differences per eps.  Norms must decrease
     monotonically until they hit the discretization floor (flagged);
-    an increase before the floor raises ``AssertionError``.
+    an increase before the floor raises :class:`CheckFailed`.
     """
     eps = sorted(float(e) for e in eps_list)[::-1]
     if any(e <= 0.0 for e in eps):
@@ -1015,13 +880,13 @@ def strong_convergence_experiment(grid: OperatorGrid, sp: SpectralParameter,
     if f_vals is None:
         f_vals = default_volume_density(volume)
 
-    b_lim = b_limit_apply(grid, sp, g, patch)
+    b_lim = b_limit_apply(grid, sp, g)
     a_lim = a_eps_apply(grid, sp, 0.0, g, test_points)
     c_lim = c_eps_apply(grid, sp, 0.0, volume, f_vals)
 
     rows = []
     for e in eps:
-        db = grid_norm(grid, b_eps_apply(grid, sp, e, g, patch) - b_lim)
+        db = grid_norm(grid, b_eps_apply(grid, sp, e, g) - b_lim)
         da = float(np.sqrt(np.mean(
             np.abs(a_eps_apply(grid, sp, e, g, test_points) - a_lim) ** 2)))
         dc = grid_norm(grid, c_eps_apply(grid, sp, e, volume, f_vals) - c_lim)
@@ -1039,8 +904,8 @@ def strong_convergence_experiment(grid: OperatorGrid, sp: SpectralParameter,
             if hit[i] or (prev is not None and prev < floor_level):
                 prev = val
                 continue
-            if prev is not None:
-                assert val < prev, (
+            if prev is not None and not val < prev:
+                raise CheckFailed(
                     f"norm column {j} increased before the floor: "
                     f"{prev:.3e} -> {val:.3e} at eps={rows[i][0]:g}")
             prev = val
@@ -1055,16 +920,17 @@ def strong_convergence_experiment(grid: OperatorGrid, sp: SpectralParameter,
 
 def shell_resolvent_apply(sp: SpectralParameter, mesh: SurfaceMesh,
                           lam: float, kind: str, volume: VolumeGrid,
-                          f_vals: np.ndarray, eval_points: np.ndarray,
-                          patch: bool = True) -> np.ndarray:
+                          f_vals: np.ndarray,
+                          eval_points: np.ndarray) -> np.ndarray:
     """Apply (H + lam * delta_shell - a)^{-1} to an ambient density.
 
     ``kind`` selects the electrostatic or the scalar (beta) shell.  The
     free part is the convolution with phi_a; the correction solves a
     dense boundary system on the mesh nodes.  Raises
     :class:`NearCriticalCoupling` for electrostatic couplings within
-    {CRITICAL_WINDOW} of +-2 and :class:`SingularBoundaryInverse` when
-    the boundary system condition number exceeds {BOUNDARY_COND_LIMIT:g}.
+    ``CRITICAL_WINDOW`` of +-2 and :class:`SingularBoundaryInverse`
+    when the boundary system condition number exceeds
+    ``BOUNDARY_COND_LIMIT``.
     """
     if kind not in ("electrostatic", "scalar"):
         raise ValueError("kind must be 'electrostatic' or 'scalar'")
@@ -1080,7 +946,7 @@ def shell_resolvent_apply(sp: SpectralParameter, mesh: SurfaceMesh,
     n = len(mesh)
     trace_vals = _phi_apply(sp, mesh.nodes, volume.points,
                             fv * volume.weights[:, None])
-    cmat = cauchy_sigma(sp, mesh, patch=patch).matrix
+    cmat = cauchy_sigma(sp, mesh).matrix
     if kind == "electrostatic":
         system = np.eye(4 * n) + lam * cmat
     else:

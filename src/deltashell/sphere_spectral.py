@@ -31,6 +31,7 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 from scipy.special import spherical_in, spherical_kn
 
+from . import CheckFailed
 from .potential import PotentialProfile, SqueezedFamily, squeeze
 
 __all__ = [
@@ -483,8 +484,8 @@ def klein_convergence_study(profile: PotentialProfile,
 
     gaps = [gap for _, _, gap in rows]
     for prev, cur in zip(gaps, gaps[1:]):
-        if prev > GAP_FLOOR and cur > GAP_FLOOR:
-            assert cur < prev, (
+        if prev > GAP_FLOOR and cur > GAP_FLOOR and not cur < prev:
+            raise CheckFailed(
                 f"error to the effective coupling increased: "
                 f"{prev:.3e} -> {cur:.3e}")
     # once the error drops below half the eigenvalue separation, the
@@ -493,14 +494,15 @@ def klein_convergence_study(profile: PotentialProfile,
     sep = abs(a_eff - a_lin)
     if gaps[-1] < 0.5 * sep:
         final = abs(rows[-1][1] - a_lin)
-        assert final > gaps[-1], (
-            f"converged run sits closer to the naive coupling: "
-            f"distance {final:.3e} vs error {gaps[-1]:.3e}")
+        if not final > gaps[-1]:
+            raise CheckFailed(
+                f"converged run sits closer to the naive coupling: "
+                f"distance {final:.3e} vs error {gaps[-1]:.3e}")
     slope = float("nan")
     if len(eps) >= 2 and all(g > 0 for g in gaps):
         slope = float(np.polyfit(np.log(eps), np.log(gaps), 1)[0])
-        if gaps[-1] > 100.0 * GAP_FLOOR:
-            assert slope > 0.3, (
+        if gaps[-1] > 100.0 * GAP_FLOOR and not slope > 0.3:
+            raise CheckFailed(
                 f"error does not decay with epsilon: slope {slope:.3f}; "
                 "the sequence may be stalling at the wrong coupling")
     path = [a for _, a, _ in rows]

@@ -22,8 +22,8 @@ from deltashell.dirac_algebra import SpectralParameter
 from deltashell.geometry import build_mesh, coarea_integrate, sphere, tubular_map
 from deltashell.potential import (
     factorize,
+    from_table,
     is_delta_eta_small,
-    piecewise_linear,
     square_well,
     squeeze,
     truncated_gaussian,
@@ -60,7 +60,7 @@ def test_criterion_1_klein_closed_forms():
     worst = 0.0
     for theta in (0.1, 0.5, 1.0, math.pi / 2 - 0.1):
         f = factorize(square_well(theta, 1.0))
-        got = lambda_electrostatic(build_kv(f, 128), f)
+        got = lambda_electrostatic(build_kv(f, 128))
         ref_e, ref_s = closed_form_couplings(theta)
         worst = max(worst, abs(got.lambda_e - ref_e), abs(got.lambda_s - ref_s))
     elapsed = time.perf_counter() - t0
@@ -76,9 +76,9 @@ def test_criterion_2_method_triangle():
     for theta in (0.1, 0.3, 0.5):
         f = factorize(square_well(theta, 1.0))
         kv = build_kv(f, 128)
-        direct = lambda_electrostatic(kv, f)
-        neu_e = lambda_neumann(kv, f, +1, 20).lambda_e
-        neu_s = lambda_neumann(kv, f, -1, 20).lambda_s
+        direct = lambda_electrostatic(kv)
+        neu_e = lambda_neumann(kv, +1, 20).lambda_e
+        neu_s = lambda_neumann(kv, -1, 20).lambda_s
         ref_e, ref_s = closed_form_couplings(theta)
         for trip in ((direct.lambda_e, neu_e, ref_e),
                      (direct.lambda_s, neu_s, ref_s)):
@@ -95,7 +95,7 @@ def test_criterion_3_hs_identity():
     t0 = time.perf_counter()
     profiles = [square_well(0.4, 0.25),
                 truncated_gaussian(0.5, 0.3, 1.0),
-                piecewise_linear((-0.5, 0.0, 0.5), (0.0, 1.0, 0.0))]
+                from_table((-0.5, 0.0, 0.5), (0.0, 1.0, 0.0))]
     worst = 0.0
     for p in profiles:
         kv = build_kv(factorize(p), 128)

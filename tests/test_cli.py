@@ -1,5 +1,7 @@
+import importlib.util
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -269,3 +271,37 @@ def test_geometry_audit_needs_axes_for_ellipsoid():
     with pytest.raises(SystemExit) as exc:
         main(["geometry-audit", "--surface", "ellipsoid"])
     assert exc.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# benchmark tracer
+
+
+def test_benchmark_tracer_installs_and_uninstalls(tmp_path):
+    # the traced benchmark rebinds program names from outside; a rename
+    # or a changed signature must fail here, not at benchmark time
+    from deltashell import cli, coupling, shell_ops
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    names = [(shell_ops, "phi_a"), (shell_ops, "b_eps_apply"),
+             (shell_ops.ShellOperator, "norm"), (cli, "main"),
+             (cli, "lambda_electrostatic"), (coupling, "np")]
+    before = [getattr(owner, attr) for owner, attr in names]
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert all(getattr(owner, attr) is not old
+                   for (owner, attr), old in zip(names, before))
+        out = tmp_path / "coupling.json"
+        assert cli.main(["coupling", "--tau", "0.4", "--out", str(out)]) == 0
+    finally:
+        tracer.uninstall()
+    assert all(getattr(owner, attr) is old
+               for (owner, attr), old in zip(names, before))
+    counts = tracer.counts["setup"]
+    assert counts["cli.coupling.calls"] == 1
+    assert counts["coupling.lambda_electrostatic.calls"] == 1
+    assert counts["coupling.solves"] == 2

@@ -9,7 +9,6 @@ from deltashell.coupling import (
     closed_form_couplings,
     lambda_electrostatic,
     lambda_neumann,
-    lambda_scalar,
     oddness_residual,
 )
 from deltashell.potential import (
@@ -29,7 +28,7 @@ def test_zero_potential_gives_zero_matrix():
     kv = build_kv(factorize(p), 64)
     assert np.all(kv.matrix == 0.0)
     assert kv.hs_norm == 0.0
-    res = lambda_electrostatic(kv, factorize(p))
+    res = lambda_electrostatic(kv)
     assert res.lambda_e == 0.0 and res.lambda_s == 0.0
 
 
@@ -72,33 +71,33 @@ def test_first_order_oddness():
 
 def test_lambda_electrostatic_closed_form():
     eta = np.pi / 2
-    res = lambda_electrostatic(kv_for_square(1.0, eta), factorize(square_well(1.0, eta)))
+    res = lambda_electrostatic(kv_for_square(1.0, eta))
     assert res.lambda_e == pytest.approx(2.0, abs=1e-9)
     assert res.method == "direct-solve"
 
 
 def test_lambda_scalar_closed_form():
-    res = lambda_scalar(kv_for_square(1.0, 1.0), factorize(square_well(1.0, 1.0)))
+    res = lambda_electrostatic(kv_for_square(1.0, 1.0))
     assert res.lambda_s == pytest.approx(2.0 * np.tanh(0.5), abs=1e-9)
     assert res.lambda_s == pytest.approx(0.9242343145, abs=1e-9)
 
 
 def test_weak_coupling_is_linear():
     theta = 1e-4
-    res = lambda_electrostatic(kv_for_square(theta, 1.0), factorize(square_well(theta, 1.0)))
+    res = lambda_electrostatic(kv_for_square(theta, 1.0))
     assert abs(res.lambda_e - theta) <= 1e-11
 
 
 def test_electro_scalar_agree_at_weak_coupling():
     theta = 1e-3
-    res = lambda_electrostatic(kv_for_square(theta, 1.0), factorize(square_well(theta, 1.0)))
+    res = lambda_electrostatic(kv_for_square(theta, 1.0))
     assert abs(res.lambda_e - res.lambda_s) <= 1e-8
 
 
 @settings(max_examples=30, deadline=None)
 @given(theta=st.floats(0.05, 1.9))
 def test_direct_matches_closed_form(theta):
-    res = lambda_electrostatic(kv_for_square(theta, 1.0), factorize(square_well(theta, 1.0)))
+    res = lambda_electrostatic(kv_for_square(theta, 1.0))
     tan_val, tanh_val = closed_form_couplings(theta)
     assert res.lambda_e == pytest.approx(tan_val, abs=1e-9)
     assert res.lambda_s == pytest.approx(tanh_val, abs=1e-9)
@@ -108,7 +107,7 @@ def test_neumann_zeroth_term_is_integral():
     f = factorize(square_well(1.3, 0.4))
     kv = build_kv(f, 64)
     for sign in (+1, -1):
-        res = lambda_neumann(kv, f, sign, 0)
+        res = lambda_neumann(kv, sign, 0)
         got = res.lambda_e if sign > 0 else res.lambda_s
         assert got == pytest.approx(1.3 * 0.4, abs=1e-13)
 
@@ -116,9 +115,9 @@ def test_neumann_zeroth_term_is_integral():
 def test_neumann_agrees_with_direct():
     f = factorize(square_well(0.5, 1.0))
     kv = build_kv(f, 128)
-    direct = lambda_electrostatic(kv, f)
-    neu_e = lambda_neumann(kv, f, +1, 20)
-    neu_s = lambda_neumann(kv, f, -1, 20)
+    direct = lambda_electrostatic(kv)
+    neu_e = lambda_neumann(kv, +1, 20)
+    neu_s = lambda_neumann(kv, -1, 20)
     assert abs(neu_e.lambda_e - direct.lambda_e) < 1e-12
     assert abs(neu_s.lambda_s - direct.lambda_s) < 1e-12
 
@@ -138,9 +137,9 @@ def test_neumann_error_bound_holds_on_random_profiles():
         p = from_table(tuple(ts), tuple(scale * vs), eta=eta)
         f = factorize(p)
         kv = build_kv(f, 64)
-        direct = lambda_electrostatic(kv, f)
+        direct = lambda_electrostatic(kv)
         terms = int(rng.integers(1, 6))
-        neu = lambda_neumann(kv, f, +1, terms)
+        neu = lambda_neumann(kv, +1, terms)
         actual = abs(neu.lambda_e - direct.lambda_e)
         assert actual <= neu.residuals["error_bound"] + 1e-14
 
@@ -150,13 +149,13 @@ def test_neumann_rejects_noncontractive():
     kv = build_kv(f, 64)
     assert kv.hs_norm == pytest.approx(1.25, abs=1e-10)
     with pytest.raises(NonContractive):
-        lambda_neumann(kv, f, +1, 5)
+        lambda_neumann(kv, +1, 5)
 
 
 def test_direct_survives_hs_above_one():
     # hs = 1.25 but the solve is still well conditioned; value matches tan
     theta = 2.5
-    res = lambda_electrostatic(kv_for_square(theta, 1.0), factorize(square_well(theta, 1.0)))
+    res = lambda_electrostatic(kv_for_square(theta, 1.0))
     assert res.lambda_e == pytest.approx(2.0 * np.tan(theta / 2.0), abs=1e-8)
 
 
@@ -169,7 +168,7 @@ def test_direct_raises_at_near_singular_coupling():
     f = factorize(square_well(theta_star * (1.0 - 1e-14), 1.0))
     kv = build_kv(f, 128)
     with pytest.raises(NonContractive):
-        lambda_electrostatic(kv, f)
+        lambda_electrostatic(kv)
 
 
 def test_oddness_identity_all_profiles():
@@ -188,14 +187,14 @@ def test_oddness_identity_all_profiles():
 def test_nonlinearity_witness():
     # the effective coupling visibly outruns the naive one at moderate strength
     for theta in np.arange(0.5, 1.4001, 0.1):
-        res = lambda_electrostatic(kv_for_square(theta, 1.0), factorize(square_well(theta, 1.0)))
+        res = lambda_electrostatic(kv_for_square(theta, 1.0))
         assert abs(res.lambda_e - theta) >= theta**3 / 20.0
 
 
 def test_grid_refinement_order():
     p = truncated_gaussian(1.5, 0.45, 0.8)
     f = factorize(p)
-    lam = {n: lambda_electrostatic(build_kv(f, n), f).lambda_e for n in (16, 32, 64)}
+    lam = {n: lambda_electrostatic(build_kv(f, n)).lambda_e for n in (16, 32, 64)}
     d1 = abs(lam[16] - lam[32])
     d2 = abs(lam[32] - lam[64])
     assert d1 / max(d2, 1e-16) >= 4.0
@@ -208,7 +207,7 @@ def test_table_sampled_square_well_near_closed_form():
     vs = np.where(np.abs(ts) < eta, tau / 2.0, tau / 2.0)
     p = from_table(tuple(ts), tuple(vs), eta=eta)
     f = factorize(p)
-    res = lambda_electrostatic(build_kv(f, 128), f)
+    res = lambda_electrostatic(build_kv(f, 128))
     tan_val, _ = closed_form_couplings(tau * eta)
     assert res.lambda_e == pytest.approx(tan_val, abs=1e-4)
 

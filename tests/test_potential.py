@@ -7,7 +7,6 @@ from deltashell.potential import (
     factorize,
     from_table,
     is_delta_eta_small,
-    piecewise_linear,
     profile_from_json,
     square_well,
     squeeze,
@@ -128,6 +127,9 @@ def test_json_round_trip():
     back = profile_from_json(tab.to_json())
     assert back.ts == tab.ts and back.vs == tab.vs and back.eta == tab.eta
     assert back(0.05) == pytest.approx(-0.75)
+    # documents of the older "pwlinear" kind read as the same table
+    older = tab.to_json().replace('"table"', '"pwlinear"')
+    assert profile_from_json(older) == tab
 
 
 def test_table_keeps_node_signs():
@@ -140,7 +142,7 @@ def test_table_keeps_node_signs():
 
 
 def test_pwlinear_l1_with_sign_change():
-    p = piecewise_linear((-1.0, 1.0), (-2.0, 2.0))
+    p = from_table((-1.0, 1.0), (-2.0, 2.0))
     assert p.integral() == pytest.approx(0.0)
     assert p.l1_norm() == pytest.approx(2.0)
 

@@ -1,5 +1,9 @@
 import csv
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,16 +26,13 @@ from deltashell.shell_ops import (
     SingularBoundaryInverse,
     _check_shift_separation,
     _coarea_det,
-    _disk_patch,
+    _disk_moments,
     a_eps_apply,
     assemble_family,
-    assemble_limits,
     b_eps_apply,
     b_limit_apply,
     ball_grid,
     bprime_apply,
-    bprime_direct,
-    bprime_tensor,
     c_eps_apply,
     cauchy_sigma,
     cauchy_sigma_apply,
@@ -91,6 +92,23 @@ def sphere_trace_reference(sp, mesh, spinor=E1):
     xhat = mesh.nodes / np.linalg.norm(mesh.nodes, axis=1)[:, None]
     odd = 1j * np.einsum("kab,b->ka", alpha_dot(xhat), spinor)
     return TRACE_I1 * even[None, :] + TRACE_JPV * odd
+
+
+def bprime_direct(grid):
+    """Dense B' assembled entry by entry from the sign kernel."""
+    n, m = grid.n_nodes, grid.n_transverse
+    out = np.zeros((grid.dofs, grid.dofs), dtype=complex)
+    for k in range(n):
+        an = alpha_dot(grid.mesh.normals[k])
+        for p in range(m):
+            for q in range(m):
+                val = (0.5j * grid.u_vals[p]
+                       * np.sign(grid.t_nodes[p] - grid.t_nodes[q])
+                       * grid.v_vals[q] * grid.t_weights[q])
+                r0 = (k * m + p) * 4
+                c0 = (k * m + q) * 4
+                out[r0:r0 + 4, c0:c0 + 4] = val * an
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -224,17 +242,6 @@ def test_trace_refinement_rate(mesh320, mesh1280):
     assert rate >= 0.95
 
 
-def test_trace_patch_off_is_plain_punctured_rule(mesh320):
-    g = constant_density(mesh320)
-    plain = cauchy_sigma_apply(SP, mesh320, g, patch=False)
-    patched = cauchy_sigma_apply(SP, mesh320, g, patch=True)
-    assert np.linalg.norm(plain - patched) > 1e-3
-    mat = cauchy_sigma(SP, mesh320, patch=False).matrix
-    n = len(mesh320)
-    diag = mat.reshape(n, 4, n, 4)[np.arange(n), :, np.arange(n), :]
-    assert np.all(diag == 0.0)
-
-
 # ---------------------------------------------------------------------------
 # Plemelj jump relations
 
@@ -316,13 +323,16 @@ def test_b_eps_dense_matches_matrix_free(grid_m3):
 
 def test_b_limit_dense_matches_matrix_free(grid_m3):
     g = RNG.normal(size=(grid_m3.n_nodes, 3, 4)) * (1.0 - 0.3j)
-    lim = assemble_limits(grid_m3, SP)
-    dense = lim["Blimit"].apply(g.ravel()).reshape(g.shape)
+    n = grid_m3.n_nodes
+    # B_0 = u(t) C_sigma int v(s) . ds, composed from the dense trace
+    trace = cauchy_sigma(SP, grid_m3.mesh).matrix.reshape(n, 4, n, 4)
+    uv = np.outer(grid_m3.u_vals, grid_m3.v_vals * grid_m3.t_weights)
+    b0 = np.einsum("kalb,pq->kpalqb", trace, uv).reshape(
+        grid_m3.dofs, grid_m3.dofs)
+    dense = (b0 @ g.ravel()
+             + bprime_direct(grid_m3) @ g.ravel()).reshape(g.shape)
     free = b_limit_apply(grid_m3, SP, g)
     assert np.max(np.abs(dense - free)) < 1e-12
-    split = (lim["B0"].apply(g.ravel())
-             + lim["Bprime"].apply(g.ravel())).reshape(g.shape)
-    assert np.max(np.abs(split - free)) < 1e-12
 
 
 def test_b_eps_tends_to_limit(grid_m3):
@@ -359,8 +369,6 @@ def test_dense_dof_cap(mesh1280):
     grid = make_operator_grid(mesh1280, uv, m_nodes=8)
     with pytest.raises(ValueError):
         assemble_family(grid, SP, 0.05)
-    with pytest.raises(ValueError):
-        assemble_limits(grid, SP)
 
 
 def test_degenerate_shift_guard():
@@ -371,13 +379,17 @@ def test_degenerate_shift_guard():
 
 
 def test_disk_patch_odd_part_vanishes_on_surface():
-    for _ in range(5):
-        nu = RNG.normal(size=3)
-        nu /= np.linalg.norm(nu)
-        rho = float(RNG.uniform(0.05, 1.5))
-        up = _disk_patch(SP, nu, rho, np.array(0.0))
-        down = _disk_patch(SP, -nu, rho, np.array(0.0))
-        assert np.max(np.abs(up - down)) < 1e-15
+    # the odd part is the axial factor times (i/2) alpha.nu: it must
+    # vanish at zero height, whichever way the normal points, and flip
+    # sign with the height
+    rho = RNG.uniform(0.05, 1.5, size=5)
+    for w in (SP.branch, 0.0):
+        _, axial = _disk_moments(w, rho, 0.0)
+        assert np.max(np.abs(axial)) < 1e-15
+        _, up = _disk_moments(w, rho, 0.3)
+        _, down = _disk_moments(w, rho, -0.3)
+        assert np.max(np.abs(up + down)) < 1e-15
+        assert np.min(np.abs(up)) > 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -385,12 +397,9 @@ def test_disk_patch_odd_part_vanishes_on_surface():
 
 
 def test_bprime_routes_agree(grid80_m8):
-    tensor = bprime_tensor(grid80_m8)
-    direct = bprime_direct(grid80_m8)
-    assert np.array_equal(tensor, direct)
     g = RNG.normal(size=(grid80_m8.n_nodes, 8, 4)) * (0.4 + 1j)
     free = bprime_apply(grid80_m8, g)
-    dense = (tensor @ g.ravel()).reshape(g.shape)
+    dense = (bprime_direct(grid80_m8) @ g.ravel()).reshape(g.shape)
     assert np.max(np.abs(dense - free)) < 1e-13
 
 
@@ -533,6 +542,40 @@ def test_convergence_table_csv_format(grid_m3):
 def test_strong_convergence_rejects_bad_eps(grid_m3):
     with pytest.raises(ValueError):
         strong_convergence_experiment(grid_m3, SP, [0.1, -0.05])
+
+
+# run under ``python -O``, where a bare assert would be stripped
+GROWING_B_EPS = """
+from deltashell import CheckFailed, shell_ops as so
+from deltashell.dirac_algebra import SpectralParameter
+from deltashell.geometry import build_mesh, sphere
+from deltashell.potential import factorize, square_well
+
+if __debug__:
+    raise SystemExit("asserts are live; expected python -O")
+grid = so.make_operator_grid(build_mesh(sphere(1.0), 80),
+                             factorize(square_well(0.4, 0.25)), 2)
+sp = SpectralParameter(1j, 1.0)
+limit = so.b_limit_apply
+# a B_eps that moves away from its limit as eps shrinks
+so.b_eps_apply = lambda grid, sp, eps, g: limit(grid, sp, g) + 1.0 / eps
+try:
+    so.strong_convergence_experiment(grid, sp, [0.1, 0.05])
+except CheckFailed as exc:
+    print("CheckFailed:", exc)
+"""
+
+
+def test_convergence_check_survives_optimized_python():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src)] + [p for p in [env.get("PYTHONPATH")] if p])
+    done = subprocess.run([sys.executable, "-O", "-c", GROWING_B_EPS],
+                          capture_output=True, text=True, env=env,
+                          timeout=600)
+    assert done.returncode == 0, done.stderr
+    assert "CheckFailed: norm column 0 increased before the floor" in done.stdout
 
 
 # ---------------------------------------------------------------------------
