@@ -40,6 +40,7 @@ from .geometry import (
 from .potential import factorize, profile_from_json, square_well, truncated_gaussian
 from .shell_ops import make_operator_grid, plemelj_check, strong_convergence_experiment
 from .sphere_spectral import (
+    TRANSFER_PANELS,
     ChannelSystem,
     find_gap_eigenvalues,
     klein_convergence_study,
@@ -58,24 +59,23 @@ COAREA_TOL = 1e-6
 # argument plumbing
 
 
-def _float_list(text: str) -> list:
-    items = [s.strip() for s in text.split(",") if s.strip()]
-    if not items:
-        raise argparse.ArgumentTypeError("empty list")
-    try:
-        return [float(s) for s in items]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad float list {text!r}")
+def _list_type(item):
+    """Flag type for comma-separated text, or a JSON list, of ``item``s."""
+    def convert(value) -> list:
+        items = value if isinstance(value, list) else [
+            s.strip() for s in value.split(",") if s.strip()]
+        if not items:
+            raise argparse.ArgumentTypeError("empty list")
+        try:
+            return [item(s) for s in items]
+        except (TypeError, ValueError):
+            raise argparse.ArgumentTypeError(
+                f"bad {item.__name__} list {value!r}")
+    return convert
 
 
-def _int_list(text: str) -> list:
-    items = [s.strip() for s in text.split(",") if s.strip()]
-    if not items:
-        raise argparse.ArgumentTypeError("empty list")
-    try:
-        return [int(s) for s in items]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad integer list {text!r}")
+_float_list = _list_type(float)
+_int_list = _list_type(int)
 
 
 def _as_complex(value) -> complex:
@@ -97,16 +97,36 @@ def _load_config(path: str | None, parser: argparse.ArgumentParser) -> dict:
     return doc
 
 
+def _config_value(value, kind):
+    """A config-file value converted by its flag's ``type``, or as text."""
+    if (kind in (_float_list, _int_list)) != isinstance(value, list):
+        raise TypeError("list flags take JSON lists, other flags single values")
+    return (kind or str)(value)
+
+
 def _resolve(ns: argparse.Namespace, config: dict, defaults: dict,
              parser: argparse.ArgumentParser) -> dict:
-    """Flag > config file > default, with unknown config keys rejected."""
-    for key in config:
+    """Flag > config file > default, with unknown config keys rejected.
+
+    Config values go through the same converters as their flags, so a
+    command sees one form whatever the source; a value that does not
+    convert is a usage error naming its key.
+    """
+    types = {action.dest: action.type for action in parser._actions}
+    params = dict(defaults)
+    for key, value in config.items():
         if key not in defaults:
             parser.error(f"unknown config key {key!r}")
-    params = {}
-    for key, default in defaults.items():
+        if value is None:  # null leaves the default, as an absent flag does
+            continue
+        try:
+            params[key] = _config_value(value, types[key])
+        except (argparse.ArgumentTypeError, TypeError, ValueError) as exc:
+            parser.error(f"config key {key!r}: bad value {value!r} ({exc})")
+    for key in defaults:
         flag = getattr(ns, key)
-        params[key] = flag if flag is not None else config.get(key, default)
+        if flag is not None:
+            params[key] = flag
     return params
 
 
@@ -180,12 +200,11 @@ def _emit_json(doc: dict, out: str | None) -> None:
 def _make_profile(params: dict, parser: argparse.ArgumentParser):
     kind = params["potential"]
     if kind == "square":
-        return square_well(float(params["tau"]), float(params["eta"]))
+        return square_well(params["tau"], params["eta"])
     if kind == "gaussian":
         for key in ("amp", "sigma"):
             _require(params, key, parser)
-        return truncated_gaussian(float(params["amp"]), float(params["sigma"]),
-                                  float(params["eta"]))
+        return truncated_gaussian(params["amp"], params["sigma"], params["eta"])
     if kind == "table":
         path = _require(params, "file", parser)
         try:
@@ -209,9 +228,9 @@ COUPLING_DEFAULTS = {
 def cmd_coupling(ns, config, parser) -> int:
     params = _resolve(ns, config, COUPLING_DEFAULTS, parser)
     profile = _make_profile(params, parser)
-    tol = float(params["tol"])
-    terms = int(params["terms"])
-    kv = build_kv(factorize(profile), int(params["n"]))
+    tol = params["tol"]
+    terms = params["terms"]
+    kv = build_kv(factorize(profile), params["n"])
     direct = lambda_electrostatic(kv)
     methods = {"direct": {"lambda_e": direct.lambda_e,
                           "lambda_s": direct.lambda_s,
@@ -282,13 +301,13 @@ def _jump_density(mesh, name: str, seed: int) -> np.ndarray:
 
 def cmd_jump_check(ns, config, parser) -> int:
     params = _resolve(ns, config, JUMP_DEFAULTS, parser)
-    sp = SpectralParameter(_as_complex(params["a"]), float(params["m"]))
-    mesh = build_mesh(sphere(float(params["radius"])), int(params["n"]))
-    g = _jump_density(mesh, params["density"], int(params["seed"]))
-    tol = float(params["tol"])
+    sp = SpectralParameter(_as_complex(params["a"]), params["m"])
+    mesh = build_mesh(sphere(params["radius"]), params["n"])
+    g = _jump_density(mesh, params["density"], params["seed"])
+    tol = params["tol"]
     report = plemelj_check(
-        sp, mesh, g, offsets=params["offsets"], eta=float(params["eta"]),
-        max_eval_nodes=int(params["max_eval_nodes"]))
+        sp, mesh, g, offsets=params["offsets"], eta=params["eta"],
+        max_eval_nodes=params["max_eval_nodes"])
     passed = report.max_rel_error <= tol
     doc = {"nodes": len(mesh),
            "offsets": list(report.offsets),
@@ -324,29 +343,29 @@ def cmd_geometry_audit(ns, config, parser) -> int:
     params = _resolve(ns, config, GEOMETRY_DEFAULTS, parser)
     name = params["surface"]
     if name == "sphere":
-        surf = sphere(float(params["radius"]))
+        surf = sphere(params["radius"])
     elif name == "ellipsoid":
         axes = _require(params, "axes", parser)
         if len(axes) != 3:
             parser.error("--axes needs three comma-separated values")
-        surf = ellipsoid(*[float(x) for x in axes])
+        surf = ellipsoid(*axes)
     else:
         parser.error(f"unknown surface {name!r}")
-    mesh = build_mesh(surf, int(params["n"]))
+    mesh = build_mesh(surf, params["n"])
     tm = tubular_map(mesh)
-    eps = float(params["eps"])
-    tol = float(params["tol"])
+    eps = params["eps"]
+    tol = params["tol"]
 
     volume = coarea_integrate(tm, lambda pts: np.ones(len(pts)), eps,
-                              int(params["t_nodes"]))
+                              params["t_nodes"])
     moment = coarea_integrate(tm, lambda pts: np.sum(pts * pts, axis=1), eps,
-                              int(params["t_nodes"]))
+                              params["t_nodes"])
     doc = {"volume": volume, "radial_moment": moment,
            "collar_eta": tm.eta, "nodes": len(mesh),
            "metadata": _meta_dict("geometry-audit", params)}
     checks = []
     if name == "sphere":
-        r = float(params["radius"])
+        r = params["radius"]
         vol_exact = 4.0 * np.pi * ((r + eps) ** 3 - (r - eps) ** 3) / 3.0
         mom_exact = 4.0 * np.pi * ((r + eps) ** 5 - (r - eps) ** 5) / 5.0
         doc["volume_closed_form"] = vol_exact
@@ -357,9 +376,8 @@ def cmd_geometry_audit(ns, config, parser) -> int:
                    doc["radial_moment_rel_error"] <= tol]
 
     try:
-        growth = measure_growth_audit(tm, float(params["t"]),
-                                      [float(r) for r in params["radii"]],
-                                      int(params["max_centers"]))
+        growth = measure_growth_audit(tm, params["t"], params["radii"],
+                                      params["max_centers"])
         doc["growth"] = {"t": growth.t, "resolution": growth.resolution,
                          "diameter": growth.diameter, "c1": growth.c1,
                          "c2": growth.c2, "rows": [list(r) for r in growth.rows]}
@@ -390,13 +408,11 @@ CONVERGE_DEFAULTS = {
 def cmd_converge(ns, config, parser) -> int:
     params = _resolve(ns, config, CONVERGE_DEFAULTS, parser)
     eps = _require(params, "eps", parser)
-    if not eps:
-        parser.error("--eps list is empty")
-    sp = SpectralParameter(_as_complex(params["a"]), float(params["m"]))
-    mesh = build_mesh(sphere(1.0), int(params["n"]))
-    uv = factorize(square_well(float(params["tau"]), float(params["eta"])))
-    grid = make_operator_grid(mesh, uv, int(params["m_nodes"]))
-    table = strong_convergence_experiment(grid, sp, [float(e) for e in eps])
+    sp = SpectralParameter(_as_complex(params["a"]), params["m"])
+    mesh = build_mesh(sphere(1.0), params["n"])
+    uv = factorize(square_well(params["tau"], params["eta"]))
+    grid = make_operator_grid(mesh, uv, params["m_nodes"])
+    table = strong_convergence_experiment(grid, sp, eps)
     _emit(table.csv() + _meta_block("converge", params,
                                     {"mesh_nodes": len(mesh)}),
           params["out"])
@@ -409,13 +425,13 @@ def cmd_converge(ns, config, parser) -> int:
 
 SPECTRUM_DEFAULTS = {
     "kappa": [-1], "lam": None, "kind": "electrostatic", "m": 1.0, "R": 1.0,
-    "scan": None, "basis": "bessel", "out": None,
+    "scan": None, "out": None,
 }
 
 
 def cmd_spectrum(ns, config, parser) -> int:
     params = _resolve(ns, config, SPECTRUM_DEFAULTS, parser)
-    lam = float(_require(params, "lam", parser))
+    lam = _require(params, "lam", parser)
     scan = params["scan"]
     if scan is not None:
         if len(scan) != 3:
@@ -424,11 +440,11 @@ def cmd_spectrum(ns, config, parser) -> int:
     matching = shell_matching(lam, params["kind"])
     lines = ["kappa,index,eigenvalue,residual,bracket_lo,bracket_hi"]
     for kap in params["kappa"]:
-        ch = ChannelSystem(int(kap), float(params["m"]), float(params["R"]))
-        res = find_gap_eigenvalues(ch, matching, scan, basis=params["basis"])
+        ch = ChannelSystem(kap, params["m"], params["R"])
+        res = find_gap_eigenvalues(ch, matching, scan)
         for i, (eig, resid, brk) in enumerate(
                 zip(res.eigenvalues, res.residuals, res.brackets)):
-            lines.append(f"{int(kap)},{i},{eig:.12g},{resid:.3g},"
+            lines.append(f"{kap},{i},{eig:.12g},{resid:.3g},"
                          f"{brk[0]:.12g},{brk[1]:.12g}")
     _emit("\n".join(lines) + "\n" + _meta_block("spectrum", params),
           params["out"])
@@ -442,7 +458,7 @@ def cmd_spectrum(ns, config, parser) -> int:
 KLEIN_DEFAULTS = {
     "potential": "square", "tau": 1.0, "eta": 1.0, "amp": None, "sigma": None,
     "file": None, "eps": None, "kappa": -1, "kind": "electrostatic",
-    "m": 1.0, "R": 1.0, "panels": 400, "basis": "bessel",
+    "m": 1.0, "R": 1.0, "panels": TRANSFER_PANELS,
     "out": None, "json_out": None,
 }
 
@@ -450,22 +466,12 @@ KLEIN_DEFAULTS = {
 def cmd_klein(ns, config, parser) -> int:
     params = _resolve(ns, config, KLEIN_DEFAULTS, parser)
     eps = _require(params, "eps", parser)
-    if not eps:
-        parser.error("--eps list is empty")
     profile = _make_profile(params, parser)
     study = klein_convergence_study(
-        profile, [float(e) for e in eps], kappa=int(params["kappa"]),
-        m=float(params["m"]), R=float(params["R"]), kind=params["kind"],
-        sub_panels=int(params["panels"]), basis=params["basis"])
-    summary = {"strength": study.strength,
-               "coupling_effective": study.coupling_effective,
-               "coupling_linear": study.coupling_linear,
-               "a_nonlinear": study.a_nonlinear,
-               "a_linear": study.a_linear,
-               "slope": study.slope,
-               "monotone_path": study.monotone_path,
-               "separation": abs(study.a_nonlinear - study.a_linear)}
-    _emit(study.csv() + _meta_block("klein", params, summary), params["out"])
+        profile, eps, kappa=params["kappa"], m=params["m"], R=params["R"],
+        kind=params["kind"], sub_panels=params["panels"])
+    _emit(study.csv() + _meta_block("klein", params, study.summary()),
+          params["out"])
     if params["json_out"] is not None:
         _emit(study.json_summary() + "\n", params["json_out"])
     return 0
@@ -485,22 +491,25 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON config file; flags override it")
         p.add_argument("--out", help="write the result to a file instead of stdout")
 
+    def profile(p):
+        p.add_argument("--potential", choices=("square", "gaussian", "table"),
+                       help="profile family (default: square)")
+        p.add_argument("--tau", type=float, help="square-well strength (default: 1.0)")
+        p.add_argument("--eta", type=float, help="support half-width (default: 1.0)")
+        p.add_argument("--amp", type=float, help="gaussian amplitude")
+        p.add_argument("--sigma", type=float, help="gaussian width")
+        p.add_argument("--file", help="JSON potential table for --potential table")
+
     p = sub.add_parser(
         "coupling",
         help="nonlinear shell couplings of a squeezed potential, three ways")
     common(p)
-    p.add_argument("--potential", choices=("square", "gaussian", "table"),
-                   help="profile family (default: square)")
-    p.add_argument("--tau", type=float, help="square-well strength (default: 1.0)")
-    p.add_argument("--eta", type=float, help="support half-width (default: 1.0)")
-    p.add_argument("--amp", type=float, help="gaussian amplitude")
-    p.add_argument("--sigma", type=float, help="gaussian width")
-    p.add_argument("--file", help="JSON potential table for --potential table")
+    profile(p)
     p.add_argument("--n", type=int, help="quadrature nodes (default: 128)")
     p.add_argument("--terms", type=int, help="Neumann terms (default: 20)")
     p.add_argument("--tol", type=float,
                    help=f"method agreement tolerance (default: {COUPLING_TOL:g})")
-    p.set_defaults(func=cmd_coupling)
+    p.set_defaults(func=cmd_coupling, parser=p)
 
     p = sub.add_parser(
         "jump-check",
@@ -520,7 +529,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="evaluation node cap (default: 1024)")
     p.add_argument("--tol", type=float,
                    help=f"max relative error bound (default: {JUMP_TOL:g})")
-    p.set_defaults(func=cmd_jump_check)
+    p.set_defaults(func=cmd_jump_check, parser=p)
 
     p = sub.add_parser(
         "geometry-audit",
@@ -541,7 +550,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="growth audit center cap (default: 256)")
     p.add_argument("--tol", type=float,
                    help=f"closed-form tolerance (default: {COAREA_TOL:g})")
-    p.set_defaults(func=cmd_geometry_audit)
+    p.set_defaults(func=cmd_geometry_audit, parser=p)
 
     p = sub.add_parser(
         "converge",
@@ -556,7 +565,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eta", type=float, help="support half-width (default: 0.25)")
     p.add_argument("--a", help="spectral point (default: i)")
     p.add_argument("--m", type=float, help="mass (default: 1.0)")
-    p.set_defaults(func=cmd_converge)
+    p.set_defaults(func=cmd_converge, parser=p)
 
     p = sub.add_parser(
         "spectrum",
@@ -570,21 +579,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=float, help="mass (default: 1.0)")
     p.add_argument("--R", dest="R", type=float, help="shell radius (default: 1.0)")
     p.add_argument("--scan", type=_float_list, help="scan window lo,hi,steps")
-    p.add_argument("--basis", choices=("bessel", "series"),
-                   help="radial solution basis (default: bessel)")
-    p.set_defaults(func=cmd_spectrum)
+    p.set_defaults(func=cmd_spectrum, parser=p)
 
     p = sub.add_parser(
         "klein",
         help="squeezed eigenvalues against the two candidate couplings")
     common(p)
-    p.add_argument("--potential", choices=("square", "gaussian", "table"),
-                   help="profile family (default: square)")
-    p.add_argument("--tau", type=float, help="square-well strength (default: 1.0)")
-    p.add_argument("--eta", type=float, help="support half-width (default: 1.0)")
-    p.add_argument("--amp", type=float, help="gaussian amplitude")
-    p.add_argument("--sigma", type=float, help="gaussian width")
-    p.add_argument("--file", help="JSON potential table for --potential table")
+    profile(p)
     p.add_argument("--eps", type=_float_list,
                    help="strictly decreasing epsilon list, comma-separated")
     p.add_argument("--kappa", type=int, help="channel index (default: -1)")
@@ -593,12 +594,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=float, help="mass (default: 1.0)")
     p.add_argument("--R", dest="R", type=float, help="shell radius (default: 1.0)")
     p.add_argument("--panels", type=int,
-                   help="transfer sub-panels (default: 400)")
-    p.add_argument("--basis", choices=("bessel", "series"),
-                   help="radial solution basis (default: bessel)")
+                   help=f"transfer sub-panels (default: {TRANSFER_PANELS})")
     p.add_argument("--json-out", dest="json_out",
                    help="also write the JSON summary to this file")
-    p.set_defaults(func=cmd_klein)
+    p.set_defaults(func=cmd_klein, parser=p)
 
     return parser
 
@@ -608,7 +607,7 @@ def main(argv=None) -> int:
     ns = parser.parse_args(argv)
     config = _load_config(ns.config, parser)
     try:
-        return ns.func(ns, config, parser)
+        return ns.func(ns, config, ns.parser)
     except (AssertionError, NonContractive) as exc:
         _emit_json({"error": {"type": type(exc).__name__,
                               "message": str(exc)}}, None)

@@ -172,7 +172,8 @@ def _real_checked(value: complex, what: str) -> float:
     return float(value.real)
 
 
-def _direct(kv: KVOperator) -> CouplingConstants:
+def lambda_electrostatic(kv: KVOperator) -> CouplingConstants:
+    """lambda_e and lambda_s by direct solves of (I -+ K^2) x = u."""
     n = kv.matrix.shape[0]
     ksq = kv.matrix @ kv.matrix
     eye = np.eye(n)
@@ -196,11 +197,6 @@ def _direct(kv: KVOperator) -> CouplingConstants:
         lambda_e=values["lambda_e"], lambda_s=values["lambda_s"],
         method="direct-solve", residuals=residuals,
     )
-
-
-def lambda_electrostatic(kv: KVOperator) -> CouplingConstants:
-    """lambda_e and lambda_s by direct solves of (I -+ K^2) x = u."""
-    return _direct(kv)
 
 
 def lambda_neumann(kv: KVOperator, sign: int, terms: int) -> CouplingConstants:

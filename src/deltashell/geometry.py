@@ -109,15 +109,20 @@ def _tangent_basis(nu: np.ndarray) -> np.ndarray:
 
 
 def weingarten(s: Surface, x) -> np.ndarray:
-    """2x2 matrix of W = -d(nu) in an orthonormal tangent basis at x."""
+    """2x2 matrix of W = -d(nu) in an orthonormal tangent basis at x.
+
+    x of shape (3,) gives one (2, 2) matrix, (n, 3) gives (n, 2, 2).
+    """
     x = np.asarray(x, dtype=float)
     s._check_on_surface(x)
-    g = x / np.asarray(s.axes) ** 2
-    nu = g / np.linalg.norm(g)
-    E = _tangent_basis(nu)[0]
-    M = np.diag(1.0 / np.asarray(s.axes) ** 2)
-    W = -(E.T @ M @ E) / np.linalg.norm(g)
-    return 0.5 * (W + W.T)
+    a = np.asarray(s.axes)
+    pts = np.atleast_2d(x)
+    gn = np.linalg.norm(pts / a**2, axis=1)
+    E = _tangent_basis(s.normal(pts))
+    ME = np.einsum("ij,njk->nik", np.diag(1.0 / a**2), E)
+    W = -np.einsum("nji,njk->nik", E, ME) / gn[:, None, None]
+    W = 0.5 * (W + np.swapaxes(W, 1, 2))
+    return W if x.ndim == 2 else W[0]
 
 
 def curvatures(s: Surface, x) -> tuple[float, float]:
@@ -227,13 +232,7 @@ def build_mesh(s: Surface, n: int) -> SurfaceMesh:
     # linear-image area element: |det A| * |A^{-T} n_sph|
     weights = sph_w * np.prod(a) * np.linalg.norm(centroids / a, axis=1)
 
-    g = nodes / a**2
-    gn = np.linalg.norm(g, axis=1)
-    E = _tangent_basis(normals)
-    M = np.diag(1.0 / a**2)
-    ME = np.einsum("ij,njk->nik", M, E)
-    W = -np.einsum("nji,njk->nik", E, ME) / gn[:, None, None]
-    lam = np.linalg.eigvalsh(0.5 * (W + np.swapaxes(W, 1, 2)))
+    lam = np.linalg.eigvalsh(weingarten(s, nodes))
     lam1, lam2 = lam[:, 0], lam[:, 1]
     return SurfaceMesh(
         surface=s, nodes=nodes, weights=weights, normals=normals, lam1=lam1, lam2=lam2

@@ -375,7 +375,9 @@ def _weighted_opnorm(matrix: np.ndarray, row_w: np.ndarray,
     scaled = matrix * (rw[:, None] / cw[None, :])
     if min(scaled.shape) <= 2 or scaled.shape[0] * scaled.shape[1] <= 16384:
         return float(np.linalg.norm(scaled, 2))
-    val = svds(scaled, k=1, return_singular_vectors=False, tol=1e-9)
+    # a seeded start keeps repeated calls bit-identical
+    val = svds(scaled, k=1, return_singular_vectors=False, tol=1e-9,
+               rng=np.random.default_rng(0))
     return float(val[0])
 
 

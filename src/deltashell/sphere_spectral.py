@@ -13,7 +13,9 @@ via a Cayley transform of the channel coupling generator; a squeezed
 potential of width 2 eps turns into an exact matrix-exponential
 transfer.  Gap eigenvalues a in (-m, m) are roots of the matching
 determinant between the regular inner solution and the decaying outer
-solution.  The Klein convergence study compares the squeezed
+solution.  The free channel solutions are the modified spherical Bessel
+closed forms; an ODE-integrated power-series route lives in the tests
+as their oracle.  The Klein convergence study compares the squeezed
 eigenvalues against the shell eigenvalue at the nonlinear effective
 coupling 2 tan(strength/2) (electrostatic) or 2 tanh(strength/2)
 (scalar), and against the naive linear coupling.
@@ -23,11 +25,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 from scipy.special import spherical_in, spherical_kn
 
@@ -59,12 +60,6 @@ GAP_MARGIN = 1e-4
 SCAN_STEPS = 241
 #: below this error level the squeezed sequence counts as converged
 GAP_FLOOR = 1e-9
-#: series-basis seed radius as a fraction of the shell radius
-SEED_RADIUS_FACTOR = 0.1
-#: series-basis seed order (power series exponent range at the origin)
-SEED_ORDER = 6
-#: series-basis outer start, in units of the decay length 1/k past R
-DECAY_LENGTHS = 30.0
 
 #: channel generator of the electrostatic coupling (a rotation)
 ROTATION_GENERATOR = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -158,74 +153,21 @@ def _gap_momentum(ch: ChannelSystem, a: float) -> float:
     return math.sqrt(ch.m * ch.m - a * a)
 
 
-def _free_rhs(ch: ChannelSystem, a: float) -> Callable:
-    kap, m = ch.kappa, ch.m
-
-    def rhs(r, y):
-        return (kap / r * y[0] + (a + m) * y[1],
-                -kap / r * y[1] - (a - m) * y[0])
-
-    return rhs
-
-
-def _integrate_free(ch: ChannelSystem, a: float, psi0: np.ndarray,
-                    r_from: float, r_to: float) -> np.ndarray:
-    sol = solve_ivp(_free_rhs(ch, a), (r_from, r_to), psi0,
-                    method="DOP853", rtol=1e-12, atol=1e-14)
-    if not sol.success:
-        raise RuntimeError(f"radial integration failed: {sol.message}")
-    return sol.y[:, -1]
-
-
-def _series_seed(ch: ChannelSystem, a: float, r0: float) -> np.ndarray:
-    """Power-series values (G, F)(r0) of the regular solution."""
-    sigma = abs(ch.kappa)
-    g = np.zeros(SEED_ORDER + 1)
-    f = np.zeros(SEED_ORDER + 1)
-    if ch.kappa > 0:
-        g[0] = 1.0
-    else:
-        f[0] = 1.0
-    for j in range(1, SEED_ORDER + 1):
-        g[j] = (a + ch.m) * f[j - 1] / (sigma + j - ch.kappa)
-        f[j] = -(a - ch.m) * g[j - 1] / (sigma + j + ch.kappa)
-    powers = r0 ** (sigma + np.arange(SEED_ORDER + 1))
-    return np.array([np.dot(g, powers), np.dot(f, powers)])
-
-
-def inner_solution(ch: ChannelSystem, a: float, r: float,
-                   basis: str = "bessel") -> np.ndarray:
+def inner_solution(ch: ChannelSystem, a: float, r: float) -> np.ndarray:
     """Regular-at-origin channel solution (G, F) at radius r, unit norm."""
     k = _gap_momentum(ch, a)
-    if basis == "bessel":
-        lg, lf = _bessel_orders(ch.kappa)
-        psi = np.array([r * spherical_in(lg, k * r),
-                        k * r * spherical_in(lf, k * r) / (a + ch.m)])
-    elif basis == "series":
-        r0 = min(SEED_RADIUS_FACTOR * ch.R, 0.5 * r)
-        seed = _series_seed(ch, a, r0)
-        psi = _integrate_free(ch, a, seed / np.linalg.norm(seed), r0, r)
-    else:
-        raise ValueError("basis must be 'bessel' or 'series'")
+    lg, lf = _bessel_orders(ch.kappa)
+    psi = np.array([r * spherical_in(lg, k * r),
+                    k * r * spherical_in(lf, k * r) / (a + ch.m)])
     return psi / np.linalg.norm(psi)
 
 
-def outer_solution(ch: ChannelSystem, a: float, r: float,
-                   basis: str = "bessel") -> np.ndarray:
+def outer_solution(ch: ChannelSystem, a: float, r: float) -> np.ndarray:
     """Decaying-at-infinity channel solution (G, F) at radius r, unit norm."""
     k = _gap_momentum(ch, a)
-    if basis == "bessel":
-        lg, lf = _bessel_orders(ch.kappa)
-        psi = np.array([r * spherical_kn(lg, k * r),
-                        -k * r * spherical_kn(lf, k * r) / (a + ch.m)])
-    elif basis == "series":
-        r_max = max(r, ch.R) + DECAY_LENGTHS / k
-        seed = np.array([1.0, -k / (a + ch.m)])
-        # backward integration damps whatever growing component the
-        # asymptotic seed carries, by e^{-2 k (r_max - r)}
-        psi = _integrate_free(ch, a, seed / np.linalg.norm(seed), r_max, r)
-    else:
-        raise ValueError("basis must be 'bessel' or 'series'")
+    lg, lf = _bessel_orders(ch.kappa)
+    psi = np.array([r * spherical_kn(lg, k * r),
+                    -k * r * spherical_kn(lf, k * r) / (a + ch.m)])
     return psi / np.linalg.norm(psi)
 
 
@@ -296,31 +238,17 @@ class SpectralResult:
         return len(self.eigenvalues)
 
 
-def _matching_fn(ch: ChannelSystem, matching) -> Callable:
-    if isinstance(matching, TransmissionMatrix):
-        mat = matching.matrix
-        return lambda a: mat
-    if callable(matching):
-        return lambda a: np.asarray(matching(a), dtype=float)
-    mat = np.asarray(matching, dtype=float)
-    if mat.shape != (2, 2):
-        raise ValueError("matching must be a TransmissionMatrix, a 2x2 "
-                         "matrix, or a callable a -> 2x2 matrix")
-    return lambda a: mat
-
-
 def find_gap_eigenvalues(ch: ChannelSystem, matching,
                          scan: tuple | None = None,
-                         half_width: float = 0.0,
-                         basis: str = "bessel") -> SpectralResult:
+                         half_width: float = 0.0) -> SpectralResult:
     """Roots of det[psi_out(R+w), M psi_in(R-w)] inside the gap.
 
-    ``matching`` is a TransmissionMatrix, a plain 2x2 matrix, or a
-    callable mapping the trial energy to a 2x2 matrix (used for
-    squeezed transfers, which depend on the energy).  ``scan`` is
-    (a_min, a_max, steps); sign changes of the determinant on the scan
-    grid are bisected to 1e-12.  An empty result is valid: no sign
-    change means no eigenvalue in the window.
+    ``matching`` is a TransmissionMatrix or a callable mapping the trial
+    energy to a 2x2 matrix (used for squeezed transfers, which depend on
+    the energy).  ``scan`` is (a_min, a_max, steps); each sign change of
+    the determinant on the scan grid is refined by Brent's method
+    (``brentq``) to 1e-12.  An empty result is valid: no sign change
+    means no eigenvalue in the window.
     """
     if scan is None:
         edge = (1.0 - GAP_MARGIN) * ch.m
@@ -331,34 +259,30 @@ def find_gap_eigenvalues(ch: ChannelSystem, matching,
                          f"(-{ch.m}, {ch.m})")
     if steps < 2:
         raise ValueError("scan needs at least 2 steps")
-    matfun = _matching_fn(ch, matching)
+    fixed = isinstance(matching, TransmissionMatrix)
     r_in, r_out = ch.R - half_width, ch.R + half_width
 
     def det(a: float) -> float:
-        pin = inner_solution(ch, a, r_in, basis)
-        pout = outer_solution(ch, a, r_out, basis)
-        mp = matfun(a) @ pin
+        pin = inner_solution(ch, a, r_in)
+        pout = outer_solution(ch, a, r_out)
+        mp = (matching.matrix if fixed else matching(a)) @ pin
         return float(pout[0] * mp[1] - pout[1] * mp[0])
 
     grid = np.linspace(a_lo, a_hi, steps)
     vals = np.array([det(a) for a in grid])
     eigs, resids, brackets = [], [], []
-    for i in range(steps - 1):
-        lo, hi = grid[i], grid[i + 1]
+    for i in range(steps):
+        lo = grid[i]
         if vals[i] == 0.0:
             eigs.append(float(lo))
             resids.append(0.0)
             brackets.append((float(lo), float(lo)))
-            continue
-        if vals[i] * vals[i + 1] < 0.0:
+        elif i + 1 < steps and vals[i] * vals[i + 1] < 0.0:
+            hi = grid[i + 1]
             root = brentq(det, lo, hi, xtol=1e-12, rtol=8.9e-16)
             eigs.append(float(root))
             resids.append(abs(det(root)))
             brackets.append((float(lo), float(hi)))
-    if vals[-1] == 0.0:
-        eigs.append(float(grid[-1]))
-        resids.append(0.0)
-        brackets.append((float(grid[-1]), float(grid[-1])))
     return SpectralResult(tuple(eigs), tuple(resids), tuple(brackets))
 
 
@@ -387,35 +311,38 @@ class KleinStudy:
                          f"{self.a_linear:.12g},{gap:.10g}")
         return "\n".join(lines) + "\n"
 
-    def json_summary(self) -> str:
-        doc = {
-            "kind": self.kind,
+    def summary(self) -> dict:
+        """Scalar results of the study, keyed by name."""
+        return {
             "strength": self.strength,
             "coupling_effective": self.coupling_effective,
             "coupling_linear": self.coupling_linear,
             "a_nonlinear": self.a_nonlinear,
             "a_linear": self.a_linear,
-            "epsilons": [eps for eps, _, _ in self.rows],
-            "gaps": [gap for _, _, gap in self.rows],
             "slope": self.slope,
             "monotone_path": self.monotone_path,
             "separation": abs(self.a_nonlinear - self.a_linear),
         }
+
+    def json_summary(self) -> str:
+        doc = self.summary()
+        doc["kind"] = self.kind
+        doc["epsilons"] = [eps for eps, _, _ in self.rows]
+        doc["gaps"] = [gap for _, _, gap in self.rows]
         return json.dumps(doc, sort_keys=True, indent=2)
 
 
 def _single_root(ch: ChannelSystem, matching, scan, half_width: float,
-                 basis: str, near: float | None = None) -> float:
-    res = find_gap_eigenvalues(ch, matching, scan, half_width, basis)
+                 near: float | None = None) -> float:
+    res = find_gap_eigenvalues(ch, matching, scan, half_width)
     if len(res) == 0:
         raise ValueError("no gap eigenvalue in the scan window")
-    if len(res) == 1 or near is None:
+    if near is None:
         if len(res) > 1:
             raise ValueError(f"{len(res)} eigenvalues in the scan window; "
                              "narrow the scan")
         return res.eigenvalues[0]
-    idx = int(np.argmin([abs(e - near) for e in res.eigenvalues]))
-    return res.eigenvalues[idx]
+    return min(res.eigenvalues, key=lambda e: abs(e - near))
 
 
 def klein_convergence_study(profile: PotentialProfile,
@@ -423,8 +350,7 @@ def klein_convergence_study(profile: PotentialProfile,
                             kappa: int = -1, m: float = 1.0, R: float = 1.0,
                             kind: str = "electrostatic",
                             sub_panels: int = TRANSFER_PANELS,
-                            scan: tuple | None = None,
-                            basis: str = "bessel") -> KleinStudy:
+                            scan: tuple | None = None) -> KleinStudy:
     """Track squeezed gap eigenvalues down an epsilon sequence.
 
     For each eps the squeezed well transfer replaces the shell matching
@@ -468,8 +394,8 @@ def klein_convergence_study(profile: PotentialProfile,
     else:
         lam_eff = 2.0 * math.tanh(0.5 * strength)
     lam_lin = strength
-    a_eff = _single_root(ch, shell_matching(lam_eff, kind), scan, 0.0, basis)
-    a_lin = _single_root(ch, shell_matching(lam_lin, kind), scan, 0.0, basis)
+    a_eff = _single_root(ch, shell_matching(lam_eff, kind), scan, 0.0)
+    a_lin = _single_root(ch, shell_matching(lam_lin, kind), scan, 0.0)
 
     rows = []
     for e in eps:
@@ -479,7 +405,7 @@ def klein_convergence_study(profile: PotentialProfile,
             trial = ChannelSystem(kappa, m, R, a)
             return transfer_through_squeezed(trial, fam, kind, sub_panels)
 
-        a_eps = _single_root(ch, squeezed, scan, e, basis, near=a_eff)
+        a_eps = _single_root(ch, squeezed, scan, e, near=a_eff)
         rows.append((e, a_eps, abs(a_eps - a_eff)))
 
     gaps = [gap for _, _, gap in rows]

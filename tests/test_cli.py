@@ -6,7 +6,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from deltashell.cli import main
+from deltashell.cli import (
+    CONVERGE_DEFAULTS,
+    COUPLING_DEFAULTS,
+    GEOMETRY_DEFAULTS,
+    JUMP_DEFAULTS,
+    KLEIN_DEFAULTS,
+    SPECTRUM_DEFAULTS,
+    _build_parser,
+    main,
+)
 
 
 def run_json(args, tmp_path, name="out.json"):
@@ -93,6 +102,13 @@ def test_config_file_supplies_parameters(tmp_path):
     code, doc = run_json(["coupling", "--config", str(cfg)], tmp_path)
     assert code == 0
     assert abs(doc["lambda_e"] - 2.0) < 1e-9
+    # a JSON list for a list flag and an integer for a float flag give
+    # the same run, metadata included, as the flags
+    cfg.write_text(json.dumps({"lam": 1, "kappa": [-1, 1]}))
+    _, from_config = run_text(["spectrum", "--config", str(cfg)], tmp_path)
+    _, from_flags = run_text(
+        ["spectrum", "--lam", "1.0", "--kappa=-1,1"], tmp_path, "flags.csv")
+    assert from_config == from_flags
 
 
 def test_flags_override_config(tmp_path):
@@ -110,6 +126,37 @@ def test_unknown_config_key_is_usage_error(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["coupling", "--config", str(cfg)])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command, config", [
+    ("spectrum", {"lam": 1.0, "kappa": -1}),
+    ("klein", {"eps": 0.1}),
+    ("geometry-audit", {"radii": 0.5}),
+    ("converge", {"eps": []}),
+])
+def test_config_value_of_wrong_shape_is_usage_error(tmp_path, capsys,
+                                                    command, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", str(cfg)])
+    assert exc.value.code == 2
+    assert repr(list(config)[-1]) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, defaults", [
+    ("coupling", COUPLING_DEFAULTS), ("jump-check", JUMP_DEFAULTS),
+    ("geometry-audit", GEOMETRY_DEFAULTS), ("converge", CONVERGE_DEFAULTS),
+    ("spectrum", SPECTRUM_DEFAULTS), ("klein", KLEIN_DEFAULTS),
+])
+def test_parser_destinations_are_the_defaults_keys(command, defaults):
+    # _resolve reads "flag not given" from None, so a parser default
+    # other than None would silently override the config file
+    dests = vars(_build_parser().parse_args([command]))
+    for plumbing in ("command", "func", "parser", "config"):
+        dests.pop(plumbing)
+    assert set(dests) == set(defaults)
+    assert all(value is None for value in dests.values())
 
 
 def test_missing_config_file_is_usage_error(tmp_path):

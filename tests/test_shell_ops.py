@@ -230,6 +230,13 @@ def test_trace_dense_matches_matrix_free(mesh320):
     assert np.max(np.abs(dense.reshape(-1, 4) - free)) < 1e-12
 
 
+def test_trace_norm_is_reproducible(mesh320):
+    # the svds behind norm() starts from a seeded vector, so repeated
+    # calls agree to the bit
+    op = cauchy_sigma(SP, mesh320)
+    assert len({op.norm() for _ in range(3)}) == 1
+
+
 def test_trace_refinement_rate(mesh320, mesh1280):
     probe = np.array([0.3, -1.0, 0.7j, 0.2], dtype=complex)
     vals = []
