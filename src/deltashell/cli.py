@@ -238,17 +238,16 @@ def cmd_coupling(ns, config, parser) -> int:
     cand_e, cand_s = [direct.lambda_e], [direct.lambda_s]
 
     if kv.hs_norm < 1.0:
-        neu_e = lambda_neumann(kv, +1, terms)
-        neu_s = lambda_neumann(kv, -1, terms)
-        bound = neu_e.residuals["error_bound"]
-        methods["neumann"] = {"lambda_e": neu_e.lambda_e,
-                              "lambda_s": neu_s.lambda_s,
+        neu = lambda_neumann(kv, terms)
+        bound = neu.residuals["error_bound"]
+        methods["neumann"] = {"lambda_e": neu.lambda_e,
+                              "lambda_s": neu.lambda_s,
                               "terms": terms, "error_bound": bound}
         # the partial sum only joins the agreement check once its
         # geometric tail is negligible against the tolerance
         if bound <= 0.1 * tol:
-            cand_e.append(neu_e.lambda_e)
-            cand_s.append(neu_s.lambda_s)
+            cand_e.append(neu.lambda_e)
+            cand_s.append(neu.lambda_s)
     else:
         methods["neumann"] = {"skipped": "series diverges, hs_norm >= 1"}
 

@@ -199,15 +199,14 @@ def lambda_electrostatic(kv: KVOperator) -> CouplingConstants:
     )
 
 
-def lambda_neumann(kv: KVOperator, sign: int, terms: int) -> CouplingConstants:
-    """Partial Neumann sum sum_{n<=terms} (-+1)^n int v K^{2n} u.
+def lambda_neumann(kv: KVOperator, terms: int) -> CouplingConstants:
+    """Partial Neumann sums sum_{n<=terms} (+-1)^n int v K^{2n} u.
 
-    sign=+1 targets lambda_e (geometric series of K^2), sign=-1 targets
-    lambda_s (alternating). The reported error bound is the geometric tail
-    hs^{2(terms+1)} / (1 - hs^2) * ||u|| ||v||.
+    One pass over the powers K^{2n} u gives both couplings: lambda_e
+    sums them as a geometric series of K^2, lambda_s with alternating
+    signs.  The reported error bound is the geometric tail
+    hs^{2(terms+1)} / (1 - hs^2) * ||u|| ||v||, shared by both.
     """
-    if sign not in (+1, -1):
-        raise ValueError("sign must be +1 (electrostatic) or -1 (scalar)")
     if terms < 0:
         raise ValueError("terms must be nonnegative")
     hs = kv.hs_norm
@@ -217,22 +216,23 @@ def lambda_neumann(kv: KVOperator, sign: int, terms: int) -> CouplingConstants:
     u_norm = np.sqrt(np.sum(kv.weights * kv.u_vals**2))
     v_norm = np.sqrt(np.sum(kv.weights * kv.v_vals**2))
     y = kv.u_vals.astype(complex)
-    total = np.sum(kv.weights * kv.v_vals * y)
+    total_e = total_s = np.sum(kv.weights * kv.v_vals * y)
     for k in range(1, terms + 1):
         y = kv.matrix @ (kv.matrix @ y)
-        total += sign**k * np.sum(kv.weights * kv.v_vals * y)
+        term = np.sum(kv.weights * kv.v_vals * y)
+        total_e += term
+        total_s += (-1) ** k * term
     bound = hs ** (2 * (terms + 1)) / (1.0 - hs**2) * u_norm * v_norm
 
-    value = _real_checked(total, "neumann sum")
     residuals = {
         "hs_norm": hs,
         "error_bound": float(bound),
         "terms": terms,
-        "imag_residue": float(abs(total.imag)),
+        "imag_residue": float(max(abs(total_e.imag), abs(total_s.imag))),
     }
-    if sign > 0:
-        return CouplingConstants(value, float("nan"), "neumann", residuals)
-    return CouplingConstants(float("nan"), value, "neumann", residuals)
+    return CouplingConstants(_real_checked(total_e, "neumann sum"),
+                             _real_checked(total_s, "neumann sum"),
+                             "neumann", residuals)
 
 
 def closed_form_couplings(theta: float) -> tuple[float, float]:

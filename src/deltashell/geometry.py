@@ -196,6 +196,11 @@ class SurfaceMesh:
     def area(self) -> float:
         return float(np.sum(self.weights))
 
+    def coarea(self, t) -> np.ndarray:
+        """det(1 - t W) per node, (N,); t of shape (M,) gives (N, M)."""
+        return ((1.0 - np.multiply.outer(self.lam1, t))
+                * (1.0 - np.multiply.outer(self.lam2, t)))
+
     def to_csv(self) -> str:
         lines = ["x,y,z,nx,ny,nz,weight,lam1,lam2"]
         for k in range(len(self.nodes)):
@@ -260,7 +265,7 @@ class TubularMap:
     def weights_t(self, t: float) -> np.ndarray:
         """Quadrature weights on the offset surface: w * det(1 - t W)."""
         self._check_t(t)
-        return self.mesh.weights * (1.0 - t * self.mesh.lam1) * (1.0 - t * self.mesh.lam2)
+        return self.mesh.weights * self.mesh.coarea(t)
 
     def _check_t(self, t: float):
         if abs(t) > self.eta:
@@ -268,7 +273,7 @@ class TubularMap:
 
     def min_image_spacing(self, t: float) -> float:
         pts = self.images(t)
-        if np.any((1.0 - t * self.mesh.lam1) * (1.0 - t * self.mesh.lam2) <= 0):
+        if np.any(self.mesh.coarea(t) <= 0):
             raise ValueError("det(1 - t W) not positive; tube degenerate")
         d, _ = cKDTree(pts).query(pts, k=2)
         return float(np.min(d[:, 1]))

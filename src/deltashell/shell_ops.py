@@ -11,11 +11,15 @@ Gauss node) x (spinor component) and are stored as complex arrays of
 shape ``(N, M, 4)``.  All operator norms are taken in the weighted L2
 sense induced by the quadrature weights.
 
-The singular diagonal is handled by an analytically integrated
-flat-disk cell model: each surface node owns a disk of equal area, and
-the kernel integral over that disk against a constant density has a
-closed form.  The odd (Riesz) part of the kernel integrates to zero
-over the disk at zero offset, which is the principal-value convention.
+Each operator is defined once, as a ``_KernelSum``: its points,
+weights and closed-form cells.  The dense matrix and the matrix-free
+apply are two readings of that one definition.  The singular cells use
+an analytically integrated flat-disk model: each surface node owns a
+disk of equal area, and the odd (Riesz) part of the kernel integrates
+to zero over the disk at zero offset, which is the principal-value
+convention.  ``_cell_moment`` gives that moment, with punctured far
+sums for the rest of the surface; it serves the trace diagonal, the
+one-sided limits and the same-node blocks of the squeezed family.
 """
 
 from __future__ import annotations
@@ -128,8 +132,8 @@ def _kernel_blocks(sp: SpectralParameter, x: np.ndarray, y: np.ndarray,
     zero, for the caller to fill with the cell's closed form.
     Matrix-free callers contract the blocks, dense callers write them
     into the matrix; neither keeps them.  A chunk holds about 1.5e8
-    bytes of blocks unless ``rows`` sets its height; dense fills pass
-    one row node's rows, so their transient stays small.
+    bytes of blocks unless ``rows`` sets its height; a dense matrix with
+    cells passes one cell's rows, so its transient stays small.
     """
     ny = y.shape[0]
     for lo, hi in _chunks(x.shape[0], ny * 256, rows):
@@ -143,27 +147,64 @@ def _kernel_blocks(sp: SpectralParameter, x: np.ndarray, y: np.ndarray,
         use(lo, hi, blocks.reshape(hi - lo, ny, 4, 4))
 
 
-def _accumulate(out: np.ndarray, coeff: np.ndarray):
-    """Matrix-free use of the blocks: out_i += sum_j blocks_ij coeff_j."""
-    def add(lo: int, hi: int, blocks: np.ndarray) -> None:
-        out[lo:hi] += np.einsum("ijab,jb->ia", blocks, coeff)
-    return add
+@dataclass(frozen=True)
+class _KernelSum:
+    """One shell operator: g -> row_i sum_j phi_a(x_i - y_j) col_j g_j.
 
-
-def _as_rows(blocks: np.ndarray) -> np.ndarray:
-    """Blocks (rows, cols, 4, 4) as the matching rows of a dense matrix."""
-    return blocks.transpose(0, 2, 1, 3).reshape(4 * blocks.shape[0], -1)
-
-
-def _phi_apply(sp: SpectralParameter, x: np.ndarray, y: np.ndarray,
-               coeff: np.ndarray) -> np.ndarray:
-    """Evaluate sum_j phi_a(x_i - y_j) coeff_j without storing all blocks.
-
-    ``coeff`` has shape (ny, 4) and already contains quadrature weights.
+    ``col`` holds the source weights and ``row`` (optional) a factor per
+    row.  With ``cells = (owner, blocks)``, ``x`` is ``y``, owner[i] is
+    the cell of point i and a cell's p points are consecutive; a pair
+    within one cell takes the cell's closed-form (p, p, 4, 4) block,
+    which carries its own column weights, in place of the kernel.
+    :meth:`apply` contracts the kernel blocks chunk by chunk and
+    :meth:`matrix` writes them into a dense matrix, so both paths read
+    this one definition.
     """
-    out = np.zeros((x.shape[0], 4), dtype=complex)
-    _kernel_blocks(sp, x, y, _accumulate(out, coeff))
-    return out
+
+    sp: SpectralParameter
+    x: np.ndarray
+    y: np.ndarray
+    col: np.ndarray
+    row: np.ndarray | None = None
+    cells: tuple | None = None
+
+    def apply(self, g: np.ndarray) -> np.ndarray:
+        """The operator applied to a density of shape (ny, 4), as (nx, 4)."""
+        gv = np.asarray(g, dtype=complex).reshape(-1, 4)
+        out = np.zeros((self.x.shape[0], 4), dtype=complex)
+        owners = None
+        if self.cells is not None:
+            owner, cell = self.cells
+            out += np.einsum("kpqab,kqb->kpa", cell, gv.reshape(
+                cell.shape[0], cell.shape[2], 4)).reshape(-1, 4)
+            owners = (owner, owner)
+        coeff = gv * self.col[:, None]
+
+        def add(lo: int, hi: int, blocks: np.ndarray) -> None:
+            out[lo:hi] += np.einsum("ijab,jb->ia", blocks, coeff)
+
+        _kernel_blocks(self.sp, self.x, self.y, add, owners)
+        return out if self.row is None else out * self.row[:, None]
+
+    def matrix(self) -> np.ndarray:
+        """The operator as a dense (4 nx, 4 ny) matrix."""
+        mat = np.zeros((4 * self.x.shape[0], 4 * self.y.shape[0]),
+                       dtype=complex)
+        owner, cell = self.cells or (None, None)
+
+        def write(lo: int, hi: int, blocks: np.ndarray) -> None:
+            blocks *= self.col[None, :, None, None]
+            if cell is not None:
+                blocks[:, lo:hi] = cell[owner[lo]]
+            if self.row is not None:
+                blocks *= self.row[lo:hi, None, None, None]
+            mat[4 * lo:4 * hi] = blocks.transpose(0, 2, 1, 3).reshape(
+                4 * (hi - lo), -1)
+
+        _kernel_blocks(self.sp, self.x, self.y, write,
+                       None if cell is None else (owner, owner),
+                       0 if cell is None else cell.shape[1])
+        return mat
 
 
 def _disk_moments(w: complex, rho, delta) -> tuple:
@@ -187,40 +228,72 @@ def _disk_moments(w: complex, rho, delta) -> tuple:
     return (ewa - ews) / (2.0 * w), np.sign(d) * ewa - d * ews / s
 
 
-def _node_disk_radii(mesh: SurfaceMesh) -> np.ndarray:
-    return np.sqrt(mesh.weights / np.pi)
+def _cell_moment(sp: SpectralParameter, mesh: SurfaceMesh, rows: np.ndarray,
+                 shift: float, height: float) -> tuple:
+    """Principal-value moment of the kernel over a parallel sheet.
 
+    The sheet is the mesh moved by ``shift`` along its normals: a closed
+    surface with the same normal field, weights w det(1 - shift W) and
+    shifted principal curvatures, so the far sums and the Gauss anchor
+    below apply on it verbatim.  Each row node sees it from signed
+    height ``height`` over its own cell.  Returns ``(s_far, layer, v,
+    d)``: the punctured Yukawa single layer, the cell's coarea-scaled
+    flat-disk layer, the odd moment (curvature-trace layer and normal-
+    projection parts, plus the solid-angle content) and the punctured
+    vector moment of the odd kernel.  The one-sided moment of the layer
+    potential is ``(s_far + layer) (a + m beta) + i alpha.v``.
 
-def _odd_far_sums(sp: SpectralParameter, nodes: np.ndarray,
-                  normals: np.ndarray, wts: np.ndarray, curv: np.ndarray,
-                  rows: np.ndarray, pts: np.ndarray) -> tuple:
-    """Punctured sums of the regularized odd-kernel integrands.
+    Why a moment at all: the punctured sum of the 1/r^2 odd kernel alone
+    stalls on a mesh without local symmetry, since its spurious
+    tangential component does not vanish under refinement.  Subtracting
+    the density value at the target node and adding back the
+    principal-value moment of the kernel restores convergence.  In
+    matrix terms that is a diagonal update by
+    ``i alpha . (E_pv - E_punctured)``.  The squeezed family B_eps
+    carries the same defect in its punctured bulk rule; left alone, its
+    eps -> 0 limit is the uncorrected trace and the distance to
+    B_0 + B' develops a mesh-level floor.
 
-    The source quadrature is given explicitly (nodes, outward normals,
-    weights, and the divergence of the normal field), so the same sums
-    work on the base surface and on its parallel sheets inside the
-    collar.  For each evaluation point pts[t] paired with source node
-    rows[t] (that node is excluded from the sum), accumulates
-
-      s_far   single layer of the Yukawa kernel,
-      v_far   curvature-trace layer plus the normal-projection parts
-              with the flat solid-angle content removed,
-      d_far   plain vector moment of the odd kernel.
-
-    The solid-angle content itself is exact (Gauss identity) and is
-    added by the caller together with the self-cell closed forms.
-    Evaluation points go in chunks of about 1.5e8 bytes of fields.
+    The moment splits into exactly integrable structure plus mild
+    remainders: the odd kernel is the y-gradient of the Yukawa kernel,
+    so the tangential divergence theorem trades its 1/r^2 singularity
+    for a curvature-weighted single layer, and the Gauss solid-angle
+    identity fixes the flat double-layer content.  Its anchor is
+    ``(sign(height) - 1) / 2``: 0 above the sheet, -1 below it (exact
+    for a closed surface) and -1/2 on it, which carries the jump.  The
+    own cell gets closed-form disk and osculating-paraboloid integrals;
+    off the sheet its odd part is the axial factor of the Yukawa kernel
+    less that of the flat one, which the anchor already counts.  The
+    even parts are exact on the disk, so as the height and shift go to
+    0 every moment tends to the trace's.  The far sums go in chunks of
+    evaluation points of about 1.5e8 bytes of fields.
     """
-    parts = [_odd_far_chunk(sp, nodes, normals, wts, curv, rows[lo:hi],
-                            pts[lo:hi])
-             for lo, hi in _chunks(rows.size, nodes.shape[0] * 160)]
-    return tuple(np.concatenate(sums) for sums in zip(*parts))
+    det = mesh.coarea(shift)
+    src = mesh.nodes + shift * mesh.normals
+    curv = (-mesh.lam1 / (1.0 - shift * mesh.lam1)
+            - mesh.lam2 / (1.0 - shift * mesh.lam2))
+    pts = src[rows] + height * mesh.normals[rows]
+    parts = [_odd_far_chunk(sp, src, mesh.normals, mesh.weights * det, curv,
+                            rows[lo:hi], pts[lo:hi])
+             for lo, hi in _chunks(rows.size, len(mesh) * 160)]
+    s_far, v_far, d_far = (np.concatenate(sums) for sums in zip(*parts))
+    rho = np.sqrt(mesh.weights[rows] / np.pi)
+    layer, axial = _disk_moments(sp.branch, rho, height)
+    _, axial_flat = _disk_moments(0.0, rho, height)
+    layer = det[rows] * layer
+    anchor = 0.5 * (np.sign(height) - 1.0)
+    v = v_far + (curv[rows] * layer + 0.5 * det[rows] * (axial - axial_flat)
+                 + anchor)[:, None] * mesh.normals[rows]
+    return s_far, layer, v, d_far
 
 
 def _odd_far_chunk(sp: SpectralParameter, nodes: np.ndarray,
                    normals: np.ndarray, wts: np.ndarray, curv: np.ndarray,
                    rows: np.ndarray, pts: np.ndarray) -> tuple:
-    """One chunk of :func:`_odd_far_sums`; its fields die on return."""
+    """Far sums of :func:`_cell_moment`, one chunk; fields die on return.
+
+    Point pts[t] skips source node rows[t]; ``curv`` is div nu.
+    """
     w = sp.branch
     m = rows.size
     ar = np.arange(m)
@@ -245,37 +318,6 @@ def _odd_far_chunk(sp: SpectralParameter, nodes: np.ndarray,
     v_far -= np.sum(q, axis=1)[:, None] * normals[rows]
     d_far = np.einsum("ij,ijc,j->ic", fac, diff, wts)
     return s_far, v_far, d_far
-
-
-def _trace_diag(sp: SpectralParameter, mesh: SurfaceMesh) -> np.ndarray:
-    """Self-cell blocks of the boundary trace operator, (N, 4, 4).
-
-    The even part is the flat-disk cell integral.  The odd part corrects
-    a quadrature defect: the punctured sum of the 1/r^2 odd kernel alone
-    stalls on a mesh without local symmetry, since its spurious
-    tangential component does not vanish under refinement.  Subtracting
-    the density value at the target node and adding back the
-    principal-value moment of the kernel restores convergence.  In
-    matrix terms that is a diagonal update by
-    ``i alpha . (E_pv - E_punctured)``.
-
-    The moment splits into exactly integrable structure plus mild
-    remainders: the odd kernel is the y-gradient of the Yukawa kernel,
-    so the tangential divergence theorem trades its 1/r^2 singularity
-    for a curvature-weighted single layer, and the Gauss solid-angle
-    identity fixes the flat double-layer content at -1/2 on the
-    surface.  Self cells get closed-form disk and osculating-
-    paraboloid integrals.
-    """
-    n = len(mesh)
-    curv = -(mesh.lam1 + mesh.lam2)
-    _, v_far, d_far = _odd_far_sums(
-        sp, mesh.nodes, mesh.normals, mesh.weights, curv, np.arange(n),
-        mesh.nodes)
-    layer, _ = _disk_moments(sp.branch, _node_disk_radii(mesh), 0.0)
-    gap = v_far - d_far + (curv * layer - 0.5)[:, None] * mesh.normals
-    return (layer[:, None, None] * (sp.a * I4 + sp.m * BETA)
-            + 1j * alpha_dot(gap))
 
 
 def _mesh_resolution(mesh: SurfaceMesh) -> float:
@@ -310,24 +352,27 @@ def layer_potential(sp: SpectralParameter, mesh: SurfaceMesh,
             f"guard is {guard:.3e}")
     out = np.zeros((pts.shape[0], 4), dtype=complex)
     if g is not None:
-        gv = np.asarray(g, dtype=complex).reshape(len(mesh), 4)
-        out += _phi_apply(sp, pts, mesh.nodes, gv * mesh.weights[:, None])
+        out += _KernelSum(sp, pts, mesh.nodes, mesh.weights).apply(g)
     if volume is not None and volume_values is not None:
-        fv = np.asarray(volume_values, dtype=complex).reshape(len(volume), 4)
-        out += _phi_apply(sp, pts, volume.points, fv * volume.weights[:, None])
+        out += _KernelSum(sp, pts, volume.points, volume.weights).apply(
+            volume_values)
     return out[0] if single else out
 
 
-def _trace_apply(sp: SpectralParameter, mesh: SurfaceMesh,
-                 g: np.ndarray) -> np.ndarray:
-    """Matrix-free action of the boundary trace operator C_sigma."""
-    n = len(mesh)
-    gv = np.asarray(g, dtype=complex).reshape(n, 4)
-    out = np.einsum("kab,kb->ka", _trace_diag(sp, mesh), gv)
-    own = np.arange(n)
-    _kernel_blocks(sp, mesh.nodes, mesh.nodes,
-                   _accumulate(out, gv * mesh.weights[:, None]), (own, own))
-    return out
+def _cell_block(sp: SpectralParameter, mesh: SurfaceMesh, rows: np.ndarray,
+                shift: float, height: float) -> np.ndarray:
+    """Cell blocks ``layer (a + m beta) + i alpha.(v - d)``, (rows, 4, 4)."""
+    _, layer, v, d = _cell_moment(sp, mesh, rows, shift, height)
+    return (layer[:, None, None] * (sp.a * I4 + sp.m * BETA)
+            + 1j * alpha_dot(v - d))
+
+
+def _trace_op(sp: SpectralParameter, mesh: SurfaceMesh) -> _KernelSum:
+    """C_sigma: kernel times node weights, each node's cell on the diagonal."""
+    own = np.arange(len(mesh))
+    diag = _cell_block(sp, mesh, own, 0.0, 0.0)
+    return _KernelSum(sp, mesh.nodes, mesh.nodes, mesh.weights,
+                      cells=(own, diag[:, None, None]))
 
 
 def cauchy_sigma_apply(sp: SpectralParameter, mesh: SurfaceMesh,
@@ -335,7 +380,7 @@ def cauchy_sigma_apply(sp: SpectralParameter, mesh: SurfaceMesh,
     """Apply the boundary trace operator to a surface density (N, 4)."""
     if len(mesh) < MIN_TRACE_NODES:
         raise ValueError(f"mesh must have at least {MIN_TRACE_NODES} nodes")
-    return _trace_apply(sp, mesh, g)
+    return _trace_op(sp, mesh).apply(g)
 
 
 @dataclass(frozen=True)
@@ -347,9 +392,7 @@ class ShellOperator:
     after the corresponding diagonal similarity.
     """
 
-    label: str
     matrix: np.ndarray
-    sp: SpectralParameter
     row_weights: np.ndarray
     col_weights: np.ndarray
 
@@ -382,12 +425,7 @@ def _weighted_opnorm(matrix: np.ndarray, row_w: np.ndarray,
 
 
 def cauchy_sigma(sp: SpectralParameter, mesh: SurfaceMesh) -> ShellOperator:
-    """Dense boundary trace operator on the mesh nodes.
-
-    Off-diagonal blocks are kernel evaluations times node weights; the
-    diagonal block is the self-cell closed form of ``_trace_diag``.  The
-    matrix is filled one row node at a time.
-    """
+    """Dense boundary trace operator, one row node's rows at a time."""
     n = len(mesh)
     if n < MIN_TRACE_NODES:
         raise ValueError(f"mesh must have at least {MIN_TRACE_NODES} nodes")
@@ -395,17 +433,8 @@ def cauchy_sigma(sp: SpectralParameter, mesh: SurfaceMesh) -> ShellOperator:
         raise ValueError(
             f"dense trace operator needs {4 * n} dofs, cap is {DENSE_DOF_CAP}; "
             "use cauchy_sigma_apply for large meshes")
-    diag = _trace_diag(sp, mesh)
-    own = np.arange(n)
-    mat = np.zeros((4 * n, 4 * n), dtype=complex)
-
-    def fill(lo: int, hi: int, blocks: np.ndarray) -> None:
-        blocks *= mesh.weights[None, :, None, None]
-        blocks[own[:hi - lo], own[lo:hi]] = diag[lo:hi]
-        mat[4 * lo:4 * hi] = _as_rows(blocks)
-
-    _kernel_blocks(sp, mesh.nodes, mesh.nodes, fill, (own, own), rows=1)
-    return ShellOperator("C_sigma^a", mat, sp, mesh.weights, mesh.weights)
+    return ShellOperator(_trace_op(sp, mesh).matrix(), mesh.weights,
+                         mesh.weights)
 
 
 # ---------------------------------------------------------------------------
@@ -441,15 +470,13 @@ def _one_sided_values(sp: SpectralParameter, mesh: SurfaceMesh,
 
     The density value at the target node is split off: the kernel acts
     on g(y) - g(x) by punctured quadrature, while the split-off value
-    multiplies the one-sided moment of the kernel.  The moment reuses
-    the regularized far sums of the trace discretization; the jump
+    multiplies the one-sided moment of the kernel.  The moment is the
+    cell moment of the trace discretization at height +-h; the jump
     carrier is the Gauss solid-angle identity (0 outside, -1 inside,
     exact for a closed surface), so at h -> 0 the construction
     reproduces the discrete trace plus or minus half the jump.
     """
     nodes, normals, wts = mesh.nodes, mesh.normals, mesh.weights
-    curv = -(mesh.lam1 + mesh.lam2)
-    rho = _node_disk_radii(mesh)[idx]
     even = sp.a * I4 + sp.m * BETA
     owners = (idx, np.arange(len(mesh)))
 
@@ -463,19 +490,11 @@ def _one_sided_values(sp: SpectralParameter, mesh: SurfaceMesh,
     minus_vals = np.zeros_like(plus_vals)
     for q, h in enumerate(offs):
         for delta, out in ((h, plus_vals[q]), (-h, minus_vals[q])):
-            pts = nodes[idx] + delta * normals[idx]
-            s_far, v_far, _ = _odd_far_sums(
-                sp, nodes, normals, wts, curv, idx, pts)
-            layer, axial = _disk_moments(sp.branch, rho, delta)
-            _, axial_flat = _disk_moments(0.0, rho, delta)
-            chi = 0.0 if delta > 0 else -1.0
-            s_mom = s_far + layer
-            v_mom = v_far + (curv[idx] * layer
-                             + 0.5 * (axial - axial_flat)
-                             + chi)[:, None] * normals[idx]
-            mom = s_mom[:, None, None] * even + 1j * alpha_dot(v_mom)
+            s_far, layer, v, _ = _cell_moment(sp, mesh, idx, 0.0, delta)
+            mom = (s_far + layer)[:, None, None] * even + 1j * alpha_dot(v)
             out[:] = np.einsum("iab,ib->ia", mom, gv[idx])
-            _kernel_blocks(sp, pts, nodes, partial(subtracted, out), owners)
+            _kernel_blocks(sp, nodes[idx] + delta * normals[idx], nodes,
+                           partial(subtracted, out), owners)
     return plus_vals, minus_vals
 
 
@@ -523,7 +542,7 @@ def plemelj_check(sp: SpectralParameter, mesh: SurfaceMesh, g: np.ndarray,
     minus0 = minus0.reshape(idx.size, 4)
 
     nus = mesh.normals[idx]
-    csg = _trace_apply(sp, mesh, gv)[idx]
+    csg = _trace_op(sp, mesh).apply(gv)[idx]
     jump = np.einsum("kab,kb->ka", alpha_dot(nus), gv[idx])
     # outward limit (x + h nu) carries + (i/2) alpha.nu, inward the opposite
     ref_outside = 0.5j * jump + csg
@@ -622,15 +641,9 @@ def default_volume_density(volume: VolumeGrid) -> np.ndarray:
 
 
 def _shifted_points(grid: OperatorGrid, eps: float) -> np.ndarray:
-    """Collar quadrature points x_k + eps t_q nu_k, shape (N, M, 3)."""
-    return (grid.mesh.nodes[:, None, :]
-            + eps * grid.t_nodes[None, :, None] * grid.mesh.normals[:, None, :])
-
-
-def _coarea_det(grid: OperatorGrid, eps: float) -> np.ndarray:
-    """det(1 - eps t W) per (node, t), the coarea weight on the collar."""
-    t = eps * grid.t_nodes[None, :]
-    return (1.0 - t * grid.mesh.lam1[:, None]) * (1.0 - t * grid.mesh.lam2[:, None])
+    """Collar quadrature points x_k + eps t_q nu_k, shape (N M, 3)."""
+    return (grid.mesh.nodes[:, None, :] + eps * grid.t_nodes[None, :, None]
+            * grid.mesh.normals[:, None, :]).reshape(-1, 3)
 
 
 def _check_shift_separation(pts: np.ndarray) -> None:
@@ -644,7 +657,7 @@ def _check_shift_separation(pts: np.ndarray) -> None:
 
 def _source_weights(grid: OperatorGrid, eps: float) -> np.ndarray:
     """v(s) weights times coarea det times quadrature weights, (N, M)."""
-    det = _coarea_det(grid, eps)
+    det = grid.mesh.coarea(eps * grid.t_nodes)
     return (grid.v_vals[None, :] * grid.t_weights[None, :] * det
             * grid.mesh.weights[:, None])
 
@@ -653,80 +666,56 @@ def _collar_points(grid: OperatorGrid, eps: float) -> np.ndarray:
     """Shifted collar points as (N M, 3), checked for coincidences."""
     if not 0.0 < eps:
         raise ValueError("eps must be positive")
-    pts = _shifted_points(grid, eps).reshape(-1, 3)
+    pts = _shifted_points(grid, eps)
     _check_shift_separation(pts)
     return pts
 
 
-def _same_node_blocks(grid: OperatorGrid, sp: SpectralParameter,
-                      eps: float) -> np.ndarray:
-    """Self-interaction blocks of B_eps, shape (N, M, M, 4, 4).
+def _b_eps_op(grid: OperatorGrid, sp: SpectralParameter,
+              eps: float) -> _KernelSum:
+    """The squeezed boundary operator B_eps on the collar grid.
 
-    The surface cell is modeled as a flat disk; the block entry (p, q)
-    is the disk integral of the kernel at axial offset eps (t_p - t_q),
-    times the source-side quadrature factors.  At eps = 0 this
-    reproduces the trace diagonal plus the sharp sign-kernel jump term
-    entry by entry, so the squeezed family has no discretization floor
-    here.
-
-    On top come odd-moment corrections.  The punctured bulk rule of the
-    squeezed family carries the same odd-kernel quadrature defect as
-    the boundary trace; left alone, its eps -> 0 limit is the
-    uncorrected trace and the distance to B_0 + B' develops a
-    mesh-level floor.  For the transverse pair (p, q) the evaluation
-    point sits at the exact signed height eps (t_p - t_q) over the
-    parallel sheet swept by t_q, which is a closed surface with the
-    same normal field, coarea-scaled weights, and shifted principal
-    curvatures.  The divergence-theorem far sums and the Gauss
-    solid-angle anchor therefore apply verbatim on the sheet.  The even
-    kernel parts cancel against the flat-disk block exactly, so the
-    correction is purely odd, and as eps -> 0 every (p, q) entry tends
-    to the diagonal gap used by the trace operator.  The u(t) row
-    factor is applied by the caller.
+    Pairs of distinct nodes are kernel evaluations times the source
+    weights v(s) det(1 - eps s W) w; the u(t) factor scales the rows.
+    The M x M block of a node is its cell: entry (p, q) is the cell
+    moment over the parallel sheet swept by t_q, seen from the exact
+    signed height eps (t_p - t_q) over it, times v_q w_q.  At eps = 0
+    this reproduces the trace diagonal plus the sharp sign-kernel jump
+    term entry by entry, so the squeezed family has no discretization
+    floor here.
     """
-    mesh = grid.mesh
-    nodes, normals, t = mesh.nodes, mesh.normals, grid.t_nodes
-    rho = _node_disk_radii(mesh)[:, None, None]
-    delta = eps * (t[:, None] - t[None, :])
-    layer, axial = _disk_moments(sp.branch, rho, delta)
-    _, axial_flat = _disk_moments(0.0, rho, delta)
-    det = _coarea_det(grid, eps)
-    fac = grid.v_vals[None, :] * grid.t_weights[None, :] * det
-    blocks = (layer[..., None, None] * (sp.a * I4 + sp.m * BETA)
-              + (0.5j * axial)[..., None, None]
-              * alpha_dot(normals)[:, None, None])
-    blocks *= fac[:, None, :, None, None]
-    rows = np.arange(grid.n_nodes)
-    for q in range(grid.n_transverse):
-        shift = eps * t[q]
-        src = nodes + shift * normals
-        curv = (-mesh.lam1 / (1.0 - shift * mesh.lam1)
-                - mesh.lam2 / (1.0 - shift * mesh.lam2))
-        for p in range(grid.n_transverse):
-            _, v_far, d_far = _odd_far_sums(
-                sp, src, normals, mesh.weights * det[:, q], curv, rows,
-                nodes + (eps * t[p]) * normals)
-            chi = -0.5 if p == q else (0.0 if delta[p, q] > 0.0 else -1.0)
-            vgap = v_far - d_far + (
-                det[:, q] * (curv * layer[:, p, q] - 0.5 * axial_flat[:, p, q])
-                + chi)[:, None] * normals
-            blocks[:, p, q] += (grid.v_vals[q] * grid.t_weights[q]
-                                * 1j) * alpha_dot(vgap)
-    return blocks
+    pts = _collar_points(grid, eps)
+    n, m, t = grid.n_nodes, grid.n_transverse, grid.t_nodes
+    rows = np.arange(n)
+    same = np.empty((n, m, m, 4, 4), dtype=complex)
+    for p in range(m):
+        for q in range(m):
+            same[:, p, q] = (grid.v_vals[q] * grid.t_weights[q]) * _cell_block(
+                sp, grid.mesh, rows, eps * t[q], eps * (t[p] - t[q]))
+    return _KernelSum(sp, pts, pts, _source_weights(grid, eps).ravel(),
+                      np.tile(grid.u_vals, n), (np.repeat(rows, m), same))
+
+
+def _a_eps_op(grid: OperatorGrid, sp: SpectralParameter, eps: float,
+              test_points: np.ndarray) -> _KernelSum:
+    """A_eps: the layer potential of a collar density at test points."""
+    pts = _shifted_points(grid, max(eps, 0.0))
+    return _KernelSum(sp, test_points, pts, _source_weights(grid, eps).ravel())
+
+
+def _c_eps_op(grid: OperatorGrid, sp: SpectralParameter, eps: float,
+              volume: VolumeGrid) -> _KernelSum:
+    """C_eps: u(t) times the volume potential on the collar grid."""
+    pts = _shifted_points(grid, max(eps, 0.0))
+    return _KernelSum(sp, pts, volume.points, volume.weights,
+                      np.tile(grid.u_vals, grid.n_nodes))
 
 
 def b_eps_apply(grid: OperatorGrid, sp: SpectralParameter, eps: float,
                 g: np.ndarray) -> np.ndarray:
     """Matrix-free action of the squeezed boundary operator B_eps."""
-    pts = _collar_points(grid, eps)
-    n, m = grid.n_nodes, grid.n_transverse
-    gv = np.asarray(g, dtype=complex).reshape(n, m, 4)
-    out = np.einsum("kpqab,kqb->kpa", _same_node_blocks(grid, sp, eps),
-                    gv).reshape(n * m, 4)
-    coeff = (gv * _source_weights(grid, eps)[..., None]).reshape(-1, 4)
-    owner = np.repeat(np.arange(n), m)
-    _kernel_blocks(sp, pts, pts, _accumulate(out, coeff), (owner, owner))
-    return out.reshape(n, m, 4) * grid.u_vals[None, :, None]
+    return _b_eps_op(grid, sp, eps).apply(g).reshape(
+        grid.n_nodes, grid.n_transverse, 4)
 
 
 def b_limit_apply(grid: OperatorGrid, sp: SpectralParameter,
@@ -735,7 +724,7 @@ def b_limit_apply(grid: OperatorGrid, sp: SpectralParameter,
     n, m = grid.n_nodes, grid.n_transverse
     gv = np.asarray(g, dtype=complex).reshape(n, m, 4)
     vhat = np.einsum("q,kqa->ka", grid.v_vals * grid.t_weights, gv)
-    traced = _trace_apply(sp, grid.mesh, vhat)
+    traced = _trace_op(sp, grid.mesh).apply(vhat)
     out = grid.u_vals[None, :, None] * traced[:, None, :]
     out += bprime_apply(grid, gv)
     return out
@@ -754,21 +743,14 @@ def bprime_apply(grid: OperatorGrid, g: np.ndarray) -> np.ndarray:
 def a_eps_apply(grid: OperatorGrid, sp: SpectralParameter, eps: float,
                 g: np.ndarray, test_points: np.ndarray) -> np.ndarray:
     """Layer potential of the squeezed density at ambient test points."""
-    pts = _shifted_points(grid, max(eps, 0.0))
-    coeff = np.asarray(g, dtype=complex).reshape(
-        grid.n_nodes, grid.n_transverse, 4) * _source_weights(grid, eps)[..., None]
-    return _phi_apply(sp, np.atleast_2d(test_points),
-                      pts.reshape(-1, 3), coeff.reshape(-1, 4))
+    return _a_eps_op(grid, sp, eps, np.atleast_2d(test_points)).apply(g)
 
 
 def c_eps_apply(grid: OperatorGrid, sp: SpectralParameter, eps: float,
                 volume: VolumeGrid, f_vals: np.ndarray) -> np.ndarray:
     """Evaluate u(t) Phi^a(F, 0) on the (shifted) collar grid."""
-    pts = _shifted_points(grid, max(eps, 0.0))
-    coeff = np.asarray(f_vals, dtype=complex).reshape(-1, 4) * volume.weights[:, None]
-    vals = _phi_apply(sp, pts.reshape(-1, 3), volume.points, coeff)
-    vals = vals.reshape(grid.n_nodes, grid.n_transverse, 4)
-    return grid.u_vals[None, :, None] * vals
+    return _c_eps_op(grid, sp, eps, volume).apply(f_vals).reshape(
+        grid.n_nodes, grid.n_transverse, 4)
 
 
 def assemble_family(grid: OperatorGrid, sp: SpectralParameter, eps: float,
@@ -777,54 +759,23 @@ def assemble_family(grid: OperatorGrid, sp: SpectralParameter, eps: float,
     """Dense squeezed operators at collar width eps.
 
     Returns a dict with key ``"B"`` always present and ``"A"`` / ``"C"``
-    when ambient test points or a volume rule are supplied.  ``"B"`` is
-    the matrix of :func:`b_eps_apply`, filled one node's M rows at a
-    time.  The dense path is capped at ``DENSE_DOF_CAP`` dofs;
-    use the ``*_apply`` routines beyond that.
+    when ambient test points or a volume rule are supplied.  Each is
+    the matrix of its ``*_apply`` routine; ``"B"`` is filled one node's
+    M rows at a time.  The dense path is capped at ``DENSE_DOF_CAP``
+    dofs; use the ``*_apply`` routines beyond that.
     """
-    pts = _collar_points(grid, eps)
     if grid.dofs > DENSE_DOF_CAP:
         raise ValueError(
             f"grid has {grid.dofs} dofs, dense cap is {DENSE_DOF_CAP}")
-    n, m = grid.n_nodes, grid.n_transverse
-    same = _same_node_blocks(grid, sp, eps)
-    src_fac = _source_weights(grid, eps).ravel()
-    owner = np.repeat(np.arange(n), m)
-    bmat = np.zeros((grid.dofs, grid.dofs), dtype=complex)
-
-    def fill_b(lo: int, hi: int, blocks: np.ndarray) -> None:
-        blocks *= src_fac[None, :, None, None]
-        blocks[:, lo:hi] = same[lo // m]
-        blocks *= grid.u_vals[:, None, None, None]
-        bmat[4 * lo:4 * hi] = _as_rows(blocks)
-
-    _kernel_blocks(sp, pts, pts, fill_b, (owner, owner), rows=m)
     gw = grid.scalar_weights()
-    out = {"B": ShellOperator(f"B_eps[eps={eps:g}]", bmat, sp, gw, gw)}
+    out = {"B": ShellOperator(_b_eps_op(grid, sp, eps).matrix(), gw, gw)}
     if test_points is not None:
         tp = np.atleast_2d(np.asarray(test_points, dtype=float))
-        amat = np.zeros((4 * tp.shape[0], grid.dofs), dtype=complex)
-
-        def fill_a(lo: int, hi: int, blocks: np.ndarray) -> None:
-            blocks *= src_fac[None, :, None, None]
-            amat[4 * lo:4 * hi] = _as_rows(blocks)
-
-        _kernel_blocks(sp, tp, pts, fill_a)
-        out["A"] = ShellOperator(
-            f"A_eps[eps={eps:g}]", amat, sp,
-            np.full(tp.shape[0], 1.0 / tp.shape[0]), gw)
+        out["A"] = ShellOperator(_a_eps_op(grid, sp, eps, tp).matrix(),
+                                 np.full(tp.shape[0], 1.0 / tp.shape[0]), gw)
     if volume is not None:
-        u_rows = np.tile(grid.u_vals, n)
-        cmat = np.zeros((grid.dofs, 4 * len(volume)), dtype=complex)
-
-        def fill_c(lo: int, hi: int, blocks: np.ndarray) -> None:
-            blocks *= volume.weights[None, :, None, None]
-            blocks *= u_rows[lo:hi, None, None, None]
-            cmat[4 * lo:4 * hi] = _as_rows(blocks)
-
-        _kernel_blocks(sp, pts, volume.points, fill_c)
-        out["C"] = ShellOperator(f"C_eps[eps={eps:g}]", cmat, sp, gw,
-                                 volume.weights)
+        out["C"] = ShellOperator(_c_eps_op(grid, sp, eps, volume).matrix(),
+                                 gw, volume.weights)
     return out
 
 
@@ -938,16 +889,15 @@ def shell_resolvent_apply(sp: SpectralParameter, mesh: SurfaceMesh,
         raise ValueError("kind must be 'electrostatic' or 'scalar'")
     lam = float(lam)
     pts = np.atleast_2d(np.asarray(eval_points, dtype=float))
-    fv = np.asarray(f_vals, dtype=complex).reshape(len(volume), 4)
-    free = _phi_apply(sp, pts, volume.points, fv * volume.weights[:, None])
+    free = _KernelSum(sp, pts, volume.points, volume.weights).apply(f_vals)
     if lam == 0.0:
         return free
     if kind == "electrostatic" and abs(abs(lam) - 2.0) <= CRITICAL_WINDOW:
         raise NearCriticalCoupling(
             f"electrostatic coupling {lam:g} within {CRITICAL_WINDOW} of +-2")
     n = len(mesh)
-    trace_vals = _phi_apply(sp, mesh.nodes, volume.points,
-                            fv * volume.weights[:, None])
+    trace_vals = _KernelSum(sp, mesh.nodes, volume.points,
+                            volume.weights).apply(f_vals)
     cmat = cauchy_sigma(sp, mesh).matrix
     if kind == "electrostatic":
         system = np.eye(4 * n) + lam * cmat
@@ -958,6 +908,5 @@ def shell_resolvent_apply(sp: SpectralParameter, mesh: SurfaceMesh,
         raise SingularBoundaryInverse(
             f"boundary system condition number {cond:.3e}")
     density = np.linalg.solve(system, trace_vals.ravel()).reshape(n, 4)
-    correction = _phi_apply(sp, pts, mesh.nodes,
-                            density * mesh.weights[:, None])
+    correction = _KernelSum(sp, pts, mesh.nodes, mesh.weights).apply(density)
     return free - lam * correction

@@ -332,9 +332,9 @@ class KleinStudy:
         return json.dumps(doc, sort_keys=True, indent=2)
 
 
-def _single_root(ch: ChannelSystem, matching, scan, half_width: float,
+def _single_root(ch: ChannelSystem, matching, half_width: float,
                  near: float | None = None) -> float:
-    res = find_gap_eigenvalues(ch, matching, scan, half_width)
+    res = find_gap_eigenvalues(ch, matching, half_width=half_width)
     if len(res) == 0:
         raise ValueError("no gap eigenvalue in the scan window")
     if near is None:
@@ -349,8 +349,7 @@ def klein_convergence_study(profile: PotentialProfile,
                             eps_list: Sequence[float],
                             kappa: int = -1, m: float = 1.0, R: float = 1.0,
                             kind: str = "electrostatic",
-                            sub_panels: int = TRANSFER_PANELS,
-                            scan: tuple | None = None) -> KleinStudy:
+                            sub_panels: int = TRANSFER_PANELS) -> KleinStudy:
     """Track squeezed gap eigenvalues down an epsilon sequence.
 
     For each eps the squeezed well transfer replaces the shell matching
@@ -394,8 +393,8 @@ def klein_convergence_study(profile: PotentialProfile,
     else:
         lam_eff = 2.0 * math.tanh(0.5 * strength)
     lam_lin = strength
-    a_eff = _single_root(ch, shell_matching(lam_eff, kind), scan, 0.0)
-    a_lin = _single_root(ch, shell_matching(lam_lin, kind), scan, 0.0)
+    a_eff = _single_root(ch, shell_matching(lam_eff, kind), 0.0)
+    a_lin = _single_root(ch, shell_matching(lam_lin, kind), 0.0)
 
     rows = []
     for e in eps:
@@ -405,7 +404,7 @@ def klein_convergence_study(profile: PotentialProfile,
             trial = ChannelSystem(kappa, m, R, a)
             return transfer_through_squeezed(trial, fam, kind, sub_panels)
 
-        a_eps = _single_root(ch, squeezed, scan, e, near=a_eff)
+        a_eps = _single_root(ch, squeezed, e, near=a_eff)
         rows.append((e, a_eps, abs(a_eps - a_eff)))
 
     gaps = [gap for _, _, gap in rows]

@@ -77,8 +77,8 @@ def test_criterion_2_method_triangle():
         f = factorize(square_well(theta, 1.0))
         kv = build_kv(f, 128)
         direct = lambda_electrostatic(kv)
-        neu_e = lambda_neumann(kv, +1, 20).lambda_e
-        neu_s = lambda_neumann(kv, -1, 20).lambda_s
+        neu = lambda_neumann(kv, 20)
+        neu_e, neu_s = neu.lambda_e, neu.lambda_s
         ref_e, ref_s = closed_form_couplings(theta)
         for trip in ((direct.lambda_e, neu_e, ref_e),
                      (direct.lambda_s, neu_s, ref_s)):

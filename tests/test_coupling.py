@@ -106,9 +106,8 @@ def test_direct_matches_closed_form(theta):
 def test_neumann_zeroth_term_is_integral():
     f = factorize(square_well(1.3, 0.4))
     kv = build_kv(f, 64)
-    for sign in (+1, -1):
-        res = lambda_neumann(kv, sign, 0)
-        got = res.lambda_e if sign > 0 else res.lambda_s
+    res = lambda_neumann(kv, 0)
+    for got in (res.lambda_e, res.lambda_s):
         assert got == pytest.approx(1.3 * 0.4, abs=1e-13)
 
 
@@ -116,10 +115,9 @@ def test_neumann_agrees_with_direct():
     f = factorize(square_well(0.5, 1.0))
     kv = build_kv(f, 128)
     direct = lambda_electrostatic(kv)
-    neu_e = lambda_neumann(kv, +1, 20)
-    neu_s = lambda_neumann(kv, -1, 20)
-    assert abs(neu_e.lambda_e - direct.lambda_e) < 1e-12
-    assert abs(neu_s.lambda_s - direct.lambda_s) < 1e-12
+    neu = lambda_neumann(kv, 20)
+    assert abs(neu.lambda_e - direct.lambda_e) < 1e-12
+    assert abs(neu.lambda_s - direct.lambda_s) < 1e-12
 
 
 def test_neumann_error_bound_holds_on_random_profiles():
@@ -139,7 +137,7 @@ def test_neumann_error_bound_holds_on_random_profiles():
         kv = build_kv(f, 64)
         direct = lambda_electrostatic(kv)
         terms = int(rng.integers(1, 6))
-        neu = lambda_neumann(kv, +1, terms)
+        neu = lambda_neumann(kv, terms)
         actual = abs(neu.lambda_e - direct.lambda_e)
         assert actual <= neu.residuals["error_bound"] + 1e-14
 
@@ -149,7 +147,7 @@ def test_neumann_rejects_noncontractive():
     kv = build_kv(f, 64)
     assert kv.hs_norm == pytest.approx(1.25, abs=1e-10)
     with pytest.raises(NonContractive):
-        lambda_neumann(kv, +1, 5)
+        lambda_neumann(kv, 5)
 
 
 def test_direct_survives_hs_above_one():

@@ -17,7 +17,7 @@ from deltashell.dirac_algebra import (
     alpha_dot,
     phi_a,
 )
-from deltashell.geometry import build_mesh, sphere
+from deltashell.geometry import build_mesh, ellipsoid, sphere
 from deltashell.potential import factorize, is_delta_eta_small, square_well
 from deltashell.shell_ops import (
     DegenerateQuadrature,
@@ -25,7 +25,6 @@ from deltashell.shell_ops import (
     PointTooCloseToSurface,
     SingularBoundaryInverse,
     _check_shift_separation,
-    _coarea_det,
     _disk_moments,
     a_eps_apply,
     assemble_family,
@@ -65,10 +64,26 @@ def mesh1280():
     return build_mesh(sphere(1.0), 512)
 
 
+# triaxial: curvatures and coarea factors differ from node to node, which
+# a sphere cannot show
+ELLIPSOID = ellipsoid(1.3, 1.0, 0.8)
+
+
+@pytest.fixture(scope="module")
+def ellipsoid320():
+    return build_mesh(ELLIPSOID, 256)
+
+
 @pytest.fixture(scope="module")
 def grid_m3(mesh320):
     uv = factorize(square_well(0.4, 0.25))
     return make_operator_grid(mesh320, uv, m_nodes=3)
+
+
+@pytest.fixture(scope="module")
+def ellipsoid_grid_m3(ellipsoid320):
+    uv = factorize(square_well(0.4, 0.25))
+    return make_operator_grid(ellipsoid320, uv, m_nodes=3)
 
 
 @pytest.fixture(scope="module")
@@ -222,11 +237,14 @@ def test_trace_massless_pure_odd_blocks(mesh320):
     assert np.max(np.abs(blocks[:, :, 2:, 2:])) < 1e-14
 
 
-def test_trace_dense_matches_matrix_free(mesh320):
-    g = RNG.normal(size=(len(mesh320), 4)) + 1j * RNG.normal(
-        size=(len(mesh320), 4))
-    dense = cauchy_sigma(SP, mesh320).matrix @ g.ravel()
-    free = cauchy_sigma_apply(SP, mesh320, g)
+@pytest.mark.parametrize("mesh", ["sphere", "ellipsoid"])
+def test_trace_dense_matches_matrix_free(mesh, request):
+    mesh = request.getfixturevalue(
+        {"sphere": "mesh320", "ellipsoid": "ellipsoid320"}[mesh])
+    g = RNG.normal(size=(len(mesh), 4)) + 1j * RNG.normal(
+        size=(len(mesh), 4))
+    dense = cauchy_sigma(SP, mesh).matrix @ g.ravel()
+    free = cauchy_sigma_apply(SP, mesh, g)
     assert np.max(np.abs(dense.reshape(-1, 4) - free)) < 1e-12
 
 
@@ -307,7 +325,7 @@ def test_grid_total_weight_is_twice_area(grid_m3):
 
 
 def test_coarea_weights_on_unit_sphere(grid_m3):
-    det = _coarea_det(grid_m3, 0.3)
+    det = grid_m3.mesh.coarea(0.3 * grid_m3.t_nodes)
     expect = (1.0 + 0.3 * grid_m3.t_nodes[None, :]) ** 2
     assert np.max(np.abs(det - expect)) < 1e-13
 
@@ -320,11 +338,14 @@ def test_b_eps_zero_potential_gives_zero(mesh320):
     assert np.all(b_limit_apply(grid, SP, g) == 0.0)
 
 
-def test_b_eps_dense_matches_matrix_free(grid_m3):
-    g = RNG.normal(size=(grid_m3.n_nodes, 3, 4)) * (1.0 + 0.5j)
-    fam = assemble_family(grid_m3, SP, 0.05)
+@pytest.mark.parametrize("grid", ["sphere", "ellipsoid"])
+def test_b_eps_dense_matches_matrix_free(grid, request):
+    grid = request.getfixturevalue(
+        {"sphere": "grid_m3", "ellipsoid": "ellipsoid_grid_m3"}[grid])
+    g = RNG.normal(size=(grid.n_nodes, 3, 4)) * (1.0 + 0.5j)
+    fam = assemble_family(grid, SP, 0.05)
     dense = fam["B"].apply(g.ravel()).reshape(g.shape)
-    free = b_eps_apply(grid_m3, SP, 0.05, g)
+    free = b_eps_apply(grid, SP, 0.05, g)
     assert np.max(np.abs(dense - free)) < 1e-12
 
 
@@ -352,6 +373,25 @@ def test_b_eps_tends_to_limit(grid_m3):
     assert dists[0] > dists[1] > dists[2]
     assert dists[0] / dists[1] > 1.5
     assert dists[1] / dists[2] > 1.5
+
+
+def test_cell_moments_converge_on_ellipsoid(ellipsoid_grid_m3):
+    from deltashell.shell_ops import default_separable_density
+
+    # the cell moments use each node's own shifted curvatures and coarea
+    # factors, so only a non-uniform surface tests them
+    errs = []
+    for mesh in (ellipsoid_grid_m3.mesh, build_mesh(ELLIPSOID, 1024)):
+        rep = plemelj_check(SP, mesh, smooth_density(mesh), max_eval_nodes=128)
+        errs.append(rep.max_rel_error)
+    assert errs[1] < errs[0] < 5e-2
+    g = default_separable_density(ellipsoid_grid_m3)
+    ref = b_limit_apply(ellipsoid_grid_m3, SP, g)
+    dists = np.array([
+        grid_norm(ellipsoid_grid_m3,
+                  b_eps_apply(ellipsoid_grid_m3, SP, e, g) - ref)
+        for e in (0.1, 0.05, 0.025, 0.0125)])
+    assert np.all(dists[:-1] / dists[1:] >= 1.5)
 
 
 def test_b_eps_norm_bound_for_small_well(grid80_m8):
