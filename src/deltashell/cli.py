@@ -20,7 +20,7 @@ import sys
 import numpy as np
 import scipy
 
-from . import __version__
+from . import CheckFailed, __version__
 from .coupling import (
     NonContractive,
     build_kv,
@@ -158,7 +158,8 @@ def _jsonable(value):
     if isinstance(value, (np.integer, int)):
         return int(value)
     if isinstance(value, (np.floating, float)):
-        return float(value)
+        # RFC 8259 has no NaN or Infinity; a missing figure is null
+        return float(value) if np.isfinite(value) else None
     if isinstance(value, complex):
         return str(value)
     return value
@@ -381,7 +382,7 @@ def cmd_geometry_audit(ns, config, parser) -> int:
                          "diameter": growth.diameter, "c1": growth.c1,
                          "c2": growth.c2, "rows": [list(r) for r in growth.rows]}
         checks.append(True)
-    except ValueError as exc:
+    except CheckFailed as exc:
         doc["growth"] = {"error": str(exc)}
         checks.append(False)
 
@@ -435,6 +436,8 @@ def cmd_spectrum(ns, config, parser) -> int:
     if scan is not None:
         if len(scan) != 3:
             parser.error("--scan needs lo,hi,steps")
+        if not float(scan[2]).is_integer() or scan[2] < 2:
+            parser.error(f"--scan steps must be an integer >= 2, got {scan[2]:g}")
         scan = (float(scan[0]), float(scan[1]), int(scan[2]))
     matching = shell_matching(lam, params["kind"])
     lines = ["kappa,index,eigenvalue,residual,bracket_lo,bracket_hi"]

@@ -244,11 +244,3 @@ def closed_form_couplings(theta: float) -> tuple[float, float]:
     if abs(theta) >= np.pi:
         raise ValueError(f"tan closed form needs |int V| < pi, got {theta}")
     return 2.0 * np.tan(0.5 * theta), 2.0 * np.tanh(0.5 * theta)
-
-
-def oddness_residual(kv: KVOperator) -> float:
-    """|int v (1 - K^2)^{-1} K u| on the grid; zero in exact arithmetic."""
-    n = kv.matrix.shape[0]
-    ksq = kv.matrix @ kv.matrix
-    x = np.linalg.solve(np.eye(n) - ksq, kv.matrix @ kv.u_vals.astype(complex))
-    return float(abs(np.sum(kv.weights * kv.v_vals * x)))

@@ -1,17 +1,15 @@
-"""Dirac matrices, the fundamental solution of H - a, and its kernel split.
+"""Dirac matrices and the fundamental solution of H - a.
 
 The free Dirac operator in 3D is H = -i alpha . grad + m beta, acting on
 4-spinors. For a spectral parameter a with Re sqrt(m^2 - a^2) > 0 the operator
 H - a has an explicit matrix-valued fundamental solution phi_a with
-exponential decay; it splits into three pieces omega1 + omega2 + omega3 of
-which only omega3 (the scaled Riesz kernel times alpha) is genuinely singular
-under surface integration.
+exponential decay. Its odd part, of order |x|^-2, is the only piece that is
+genuinely singular under surface integration.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 import numpy.typing as npt
@@ -52,8 +50,8 @@ class SpectralParameter:
 
     Accepted parameters: a off the real axis, or real a strictly inside the
     gap (-m, m). The single degenerate boundary case a = 0, m = 0 is also
-    admitted (the kernel then reduces to the odd part omega3); every other
-    case with Re sqrt(m^2 - a^2) = 0 is rejected.
+    admitted (the kernel then reduces to its odd part i alpha.x / (4 pi |x|^3));
+    every other case with Re sqrt(m^2 - a^2) = 0 is rejected.
     """
 
     a: complex
@@ -79,9 +77,6 @@ class SpectralParameter:
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "branch", complex(w))
-
-    def conjugate(self) -> "SpectralParameter":
-        return SpectralParameter(np.conj(self.a), self.m)
 
 
 def _check_points(x) -> tuple[ArrayR, ArrayR, bool]:
@@ -118,51 +113,3 @@ def phi_a(sp: SpectralParameter, x) -> ArrayC:
     odd = odd_coef[:, None, None] * (1j * alpha_dot(pts))
     out = even + odd
     return out if batched else out[0]
-
-
-def riesz_kernel(x) -> ArrayR:
-    """The vector Riesz-type kernel k(x) = x / (4 pi |x|^3); odd in x."""
-    pts, r, batched = _check_points(x)
-    out = pts / (4.0 * np.pi * r[:, None] ** 3)
-    return out if batched else out[0]
-
-
-@dataclass(frozen=True)
-class KernelSplit:
-    """Three-term split of phi_a; omega1 + omega2 + omega3 = phi_a pointwise.
-
-    omega1(x) = e^{-w r}/(4 pi r) (a + m beta + w i alpha.x/r)
-    omega2(x) = (e^{-w r} - 1)/(4 pi) i alpha.x / r^3
-    omega3(x) = i alpha.x / (4 pi r^3)            (a-independent, odd)
-    """
-
-    sp: SpectralParameter
-    omega1: Callable
-    omega2: Callable
-    omega3: Callable
-
-
-def kernel_split(sp: SpectralParameter) -> KernelSplit:
-    w = sp.branch
-
-    def omega1(x) -> ArrayC:
-        pts, r, batched = _check_points(x)
-        pref = np.exp(-w * r) / (4.0 * np.pi * r)
-        even = np.multiply.outer(pref, sp.a * I4 + sp.m * BETA)
-        odd = (pref * w / r)[:, None, None] * (1j * alpha_dot(pts))
-        out = even + odd
-        return out if batched else out[0]
-
-    def omega2(x) -> ArrayC:
-        pts, r, batched = _check_points(x)
-        coef = (np.exp(-w * r) - 1.0) / (4.0 * np.pi * r**3)
-        out = coef[:, None, None] * (1j * alpha_dot(pts))
-        return out if batched else out[0]
-
-    def omega3(x) -> ArrayC:
-        pts, r, batched = _check_points(x)
-        coef = 1.0 / (4.0 * np.pi * r**3)
-        out = coef[:, None, None] * (1j * alpha_dot(pts))
-        return out if batched else out[0]
-
-    return KernelSplit(sp=sp, omega1=omega1, omega2=omega2, omega3=omega3)

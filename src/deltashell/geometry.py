@@ -15,9 +15,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.spatial import cKDTree
 from scipy.special import ellipeinc, ellipkinc
+
+from . import CheckFailed
 
 OFF_SURFACE_TOL = 1e-9
 #: empirical two-sided bounds for sigma_t(B_r)/r^2 on the sphere, where the
@@ -66,23 +67,6 @@ class Surface:
         # principal curvature extremes sit at the axis endpoints
         a = self.axes
         return max(a[i] / a[j] ** 2 for i in range(3) for j in range(3) if i != j)
-
-    def project(self, y) -> np.ndarray:
-        """Closest point on the surface; y must be reasonably near it."""
-        y = np.asarray(y, dtype=float)
-        if self.kind == "sphere":
-            return self.axes[0] * y / np.linalg.norm(y)
-        a2 = np.asarray(self.axes) ** 2
-
-        def g(mu):
-            return float(np.sum(a2 * y * y / (a2 + mu) ** 2) - 1.0)
-
-        lo = -0.9 * np.min(a2)
-        hi = max(1.0, np.linalg.norm(y)) * float(np.max(a2))
-        while g(hi) > 0:
-            hi *= 2.0
-        mu = brentq(g, lo, hi, xtol=1e-15)
-        return a2 * y / (a2 + mu)
 
 
 def sphere(radius: float) -> Surface:
@@ -201,15 +185,6 @@ class SurfaceMesh:
         return ((1.0 - np.multiply.outer(self.lam1, t))
                 * (1.0 - np.multiply.outer(self.lam2, t)))
 
-    def to_csv(self) -> str:
-        lines = ["x,y,z,nx,ny,nz,weight,lam1,lam2"]
-        for k in range(len(self.nodes)):
-            row = np.concatenate(
-                [self.nodes[k], self.normals[k], [self.weights[k], self.lam1[k], self.lam2[k]]]
-            )
-            lines.append(",".join(f"{v:.17g}" for v in row))
-        return "\n".join(lines) + "\n"
-
 
 def admissible_node_count(n: int) -> int:
     """Smallest 20 * 4^k that is >= n."""
@@ -271,13 +246,6 @@ class TubularMap:
         if abs(t) > self.eta:
             raise ValueError(f"|t|={abs(t)} exceeds eta={self.eta}")
 
-    def min_image_spacing(self, t: float) -> float:
-        pts = self.images(t)
-        if np.any(self.mesh.coarea(t) <= 0):
-            raise ValueError("det(1 - t W) not positive; tube degenerate")
-        d, _ = cKDTree(pts).query(pts, k=2)
-        return float(np.min(d[:, 1]))
-
 
 def tubular_map(mesh: SurfaceMesh, eta: float | None = None) -> TubularMap:
     """Default eta is a quarter of the curvature radius budget."""
@@ -323,8 +291,13 @@ def measure_growth_audit(
     reported but not held to the window (the lemma's bounds live below
     diameter scale). The window is the sphere's [c2, c1] widened by the
     surface's axis ratio, since eccentricity genuinely spreads the density
-    ratio. Violations raise.
+    ratio. A radius <= 0 or ``max_centers < 1`` raises ``ValueError``; a
+    window violation raises :class:`CheckFailed`.
     """
+    if max_centers < 1:
+        raise ValueError(f"max_centers must be >= 1, got {max_centers}")
+    if any(r <= 0 for r in radii):
+        raise ValueError(f"growth audit radii must be > 0, got {list(radii)}")
     axes = tm.mesh.surface.axes
     ecc = max(axes) / min(axes)
     c1, c2 = C1_GROWTH * ecc, C2_GROWTH / ecc
@@ -347,7 +320,7 @@ def measure_growth_audit(
         lo, hi = float(ratios.min()), float(ratios.max())
         rows.append((float(r), False, lo, hi))
         if r <= diameter and (hi > c1 or lo < c2):
-            raise ValueError(
+            raise CheckFailed(
                 f"measure growth outside [{c2:.3f}, {c1:.3f}] at r={r}: [{lo:.4f}, {hi:.4f}]"
             )
     return GrowthReport(

@@ -338,7 +338,7 @@ def layer_potential(sp: SpectralParameter, mesh: SurfaceMesh,
     ``g`` is a surface density of shape (N, 4); ``volume_values`` an
     ambient density sampled on ``volume``.  Either part may be omitted.
     Raises :class:`PointTooCloseToSurface` if an evaluation point is
-    closer to a surface node than half the mesh resolution.
+    closer to a surface node than the mesh resolution.
     """
     pts = np.asarray(x, dtype=float)
     single = pts.ndim == 1
@@ -458,10 +458,6 @@ class PlemeljReport:
     def max_rel_error(self) -> float:
         return max(self.max_rel_plus, self.max_rel_minus)
 
-    @property
-    def l2_rel_error(self) -> float:
-        return max(self.l2_rel_plus, self.l2_rel_minus)
-
 
 def _one_sided_values(sp: SpectralParameter, mesh: SurfaceMesh,
                       gv: np.ndarray, idx: np.ndarray,
@@ -512,6 +508,8 @@ def plemelj_check(sp: SpectralParameter, mesh: SurfaceMesh, g: np.ndarray,
     above the mesh resolution; the default set hugs the resolution
     floor, where the extrapolation is most accurate.
     """
+    if max_eval_nodes < 1:
+        raise ValueError(f"max_eval_nodes must be >= 1, got {max_eval_nodes}")
     n = len(mesh)
     res = _mesh_resolution(mesh)
     if offsets is None:
@@ -597,9 +595,6 @@ class OperatorGrid:
     @property
     def dofs(self) -> int:
         return 4 * self.n_nodes * self.n_transverse
-
-    def total_weight(self) -> float:
-        return float(np.sum(self.mesh.weights) * np.sum(self.t_weights))
 
     def scalar_weights(self) -> np.ndarray:
         """Quadrature weights per (node, t) pair, flattened."""
@@ -879,7 +874,9 @@ def shell_resolvent_apply(sp: SpectralParameter, mesh: SurfaceMesh,
 
     ``kind`` selects the electrostatic or the scalar (beta) shell.  The
     free part is the convolution with phi_a; the correction solves a
-    dense boundary system on the mesh nodes.  Raises
+    dense boundary system on the mesh nodes.  Both are evaluated by
+    :func:`layer_potential`, which raises :class:`PointTooCloseToSurface`
+    for a point closer to a mesh node than the mesh resolution.  Raises
     :class:`NearCriticalCoupling` for electrostatic couplings within
     ``CRITICAL_WINDOW`` of +-2 and :class:`SingularBoundaryInverse`
     when the boundary system condition number exceeds
@@ -889,9 +886,8 @@ def shell_resolvent_apply(sp: SpectralParameter, mesh: SurfaceMesh,
         raise ValueError("kind must be 'electrostatic' or 'scalar'")
     lam = float(lam)
     pts = np.atleast_2d(np.asarray(eval_points, dtype=float))
-    free = _KernelSum(sp, pts, volume.points, volume.weights).apply(f_vals)
     if lam == 0.0:
-        return free
+        return layer_potential(sp, mesh, pts, None, volume, f_vals)
     if kind == "electrostatic" and abs(abs(lam) - 2.0) <= CRITICAL_WINDOW:
         raise NearCriticalCoupling(
             f"electrostatic coupling {lam:g} within {CRITICAL_WINDOW} of +-2")
@@ -908,5 +904,4 @@ def shell_resolvent_apply(sp: SpectralParameter, mesh: SurfaceMesh,
         raise SingularBoundaryInverse(
             f"boundary system condition number {cond:.3e}")
     density = np.linalg.solve(system, trace_vals.ravel()).reshape(n, 4)
-    correction = _KernelSum(sp, pts, mesh.nodes, mesh.weights).apply(density)
-    return free - lam * correction
+    return layer_potential(sp, mesh, pts, -lam * density, volume, f_vals)

@@ -325,7 +325,9 @@ class KleinStudy:
         }
 
     def json_summary(self) -> str:
-        doc = self.summary()
+        """The summary as strict JSON: a non-finite figure becomes null."""
+        doc = {key: None if isinstance(value, float) and not math.isfinite(value)
+               else value for key, value in self.summary().items()}
         doc["kind"] = self.kind
         doc["epsilons"] = [eps for eps, _, _ in self.rows]
         doc["gaps"] = [gap for _, _, gap in self.rows]

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from deltashell import CheckFailed, geometry
 from deltashell.cli import (
     CONVERGE_DEFAULTS,
     COUPLING_DEFAULTS,
@@ -318,6 +319,63 @@ def test_geometry_audit_needs_axes_for_ellipsoid():
     with pytest.raises(SystemExit) as exc:
         main(["geometry-audit", "--surface", "ellipsoid"])
     assert exc.value.code == 2
+
+
+def test_geometry_audit_window_violation_exits_one(tmp_path, monkeypatch):
+    monkeypatch.setattr(geometry, "C1_GROWTH", 1.0)
+    tm = geometry.tubular_map(geometry.build_mesh(geometry.sphere(1.0), 320))
+    with pytest.raises(CheckFailed, match="measure growth outside"):
+        geometry.measure_growth_audit(tm, 0.0, [0.5])
+    code, doc = run_json(
+        ["geometry-audit", "--n", "320", "--radii", "0.5"], tmp_path)
+    assert code == 1
+    assert doc["passed"] is False
+    assert "measure growth outside" in doc["growth"]["error"]
+
+
+# ---------------------------------------------------------------------------
+# guards and strict output
+
+
+@pytest.mark.parametrize("args, names", [
+    (["geometry-audit", "--n", "80", "--max-centers", "0"], "max_centers"),
+    (["geometry-audit", "--n", "80", "--max-centers=-3"], "max_centers"),
+    (["geometry-audit", "--n", "80", "--t", "5"], "eta"),
+    (["geometry-audit", "--n", "80", "--radii=-1"], "radii"),
+    (["jump-check", "--n", "320", "--max-eval-nodes", "0"], "max_eval_nodes"),
+    (["spectrum", "--lam", "1.0", "--scan=-0.9,0.9,2.7"], "--scan"),
+    (["spectrum", "--lam", "1.0", "--scan=-0.9,0.9,1"], "--scan"),
+])
+def test_input_outside_a_limit_is_usage_error(capsys, args, names):
+    try:
+        code = main(args)
+    except SystemExit as exc:  # parser.error
+        code = exc.code
+    assert code == 2
+    assert names in capsys.readouterr().err
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_klein_json_out_is_strict_json(tmp_path):
+    # one width leaves the log-log slope undefined
+    jout = tmp_path / "summary.json"
+    code, _ = run_text(["klein", "--tau", "1.0", "--eta", "1.0", "--eps",
+                        "0.1", "--json-out", str(jout)], tmp_path)
+    assert code == 0
+    doc = json.loads(jout.read_text(), parse_constant=_reject_constant)
+    assert doc["slope"] is None
+
+
+def test_geometry_audit_flagged_row_is_strict_json(tmp_path):
+    out = tmp_path / "out.json"
+    code = main(["geometry-audit", "--n", "320", "--radii", "0.01,1.0",
+                 "--out", str(out)])
+    assert code == 0
+    doc = json.loads(out.read_text(), parse_constant=_reject_constant)
+    assert doc["growth"]["rows"][0] == [0.01, True, None, None]
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,7 @@ from deltashell.dirac_algebra import (
     I4,
     SpectralParameter,
     alpha_dot,
-    kernel_split,
     phi_a,
-    riesz_kernel,
 )
 
 RNG = np.random.default_rng(7)
@@ -66,38 +64,21 @@ def test_phi_solves_dirac_equation():
         assert np.max(np.abs(residual)) < 1e-6
 
 
-def test_kernel_split_sums_to_phi():
-    sp = SpectralParameter(0.3, 1.0)
-    ks = kernel_split(sp)
-    xs = RNG.normal(size=(20, 3))
-    total = ks.omega1(xs) + ks.omega2(xs) + ks.omega3(xs)
-    assert np.max(np.abs(total - phi_a(sp, xs))) < 1e-13
-
-
 def test_conjugation_symmetry():
     sp = SpectralParameter(0.5 + 0.3j, 1.0)
     xs = RNG.normal(size=(10, 3))
     lhs = np.conj(np.swapaxes(phi_a(sp, xs), -1, -2))
-    rhs = phi_a(sp.conjugate(), -xs)
+    rhs = phi_a(SpectralParameter(np.conj(sp.a), sp.m), -xs)
     assert np.max(np.abs(lhs - rhs)) < 1e-14
 
 
 def test_massless_threshold_kernel_is_odd():
     sp = SpectralParameter(0.0, 0.0)
-    ks = kernel_split(sp)
     xs = RNG.normal(size=(10, 3))
-    assert np.max(np.abs(phi_a(sp, xs) - ks.omega3(xs))) < 1e-15
-    assert np.max(np.abs(phi_a(sp, xs) + phi_a(sp, -xs))) < 1e-15
-
-
-def test_riesz_kernel_values_and_oddness():
-    x = np.array([0.0, 2.0, 0.0])
-    got = riesz_kernel(x)
-    assert np.allclose(got, [0.0, 1.0 / (16.0 * np.pi), 0.0])
-    xs = RNG.normal(size=(15, 3))
-    assert np.max(np.abs(riesz_kernel(xs) + riesz_kernel(-xs))) < 1e-16
     r = np.linalg.norm(xs, axis=1)
-    assert np.allclose(np.linalg.norm(riesz_kernel(xs), axis=1), 1.0 / (4 * np.pi * r**2))
+    odd = 1j * alpha_dot(xs) / (4.0 * np.pi * r[:, None, None] ** 3)
+    assert np.max(np.abs(phi_a(sp, xs) - odd)) < 1e-15
+    assert np.max(np.abs(phi_a(sp, xs) + phi_a(sp, -xs))) < 1e-15
 
 
 def test_singularity_guard():
@@ -105,8 +86,6 @@ def test_singularity_guard():
     for bad in (np.zeros(3), np.array([1e-13, 0, 0])):
         with pytest.raises(ValueError):
             phi_a(sp, bad)
-        with pytest.raises(ValueError):
-            riesz_kernel(bad)
 
 
 def test_exponential_decay_rate():
@@ -119,32 +98,6 @@ def test_exponential_decay_rate():
     scaled = ts * np.exp(w * ts) * norms
     assert np.all(scaled < 1.0)
     assert scaled.max() / scaled.min() < 1.5
-
-
-def test_odd_part_calderon_zygmund_bounds():
-    # |omega3| <= C/|x|^2 and |grad omega3| <= C/|x|^3 with a lazy C = 10
-    sp = SpectralParameter(0.2, 1.0)
-    om3 = kernel_split(sp).omega3
-    h = 1e-6
-    for _ in range(25):
-        x = RNG.normal(size=3)
-        x *= RNG.uniform(0.1, 5.0) / np.linalg.norm(x)
-        r = np.linalg.norm(x)
-        assert np.linalg.norm(om3(x), 2) <= 10.0 / r**2
-        for k in range(3):
-            e = np.zeros(3)
-            e[k] = h
-            d = np.linalg.norm((om3(x + e) - om3(x - e)) / (2 * h), 2)
-            assert d <= 10.0 / r**3
-
-
-def test_omega2_is_only_mildly_singular():
-    sp = SpectralParameter(0.5, 1.0)
-    om2 = kernel_split(sp).omega2
-    w = abs(sp.branch)
-    for r in (1e-2, 1e-3, 1e-4):
-        x = np.array([r, 0.0, 0.0])
-        assert np.linalg.norm(om2(x), 2) <= 1.01 * w / (4 * np.pi * r)
 
 
 def test_alpha_dot_square_is_norm():

@@ -12,7 +12,6 @@ from deltashell.sphere_spectral import (
     BOOST_GENERATOR,
     ChannelSystem,
     CriticalCoupling,
-    KleinStudy,
     TransmissionMatrix,
     find_gap_eigenvalues,
     inner_solution,
