@@ -258,8 +258,11 @@ def coarea_integrate(tm: TubularMap, f, eps: float, t_nodes: int = 16) -> float:
     """Integral of f over the collar {x + t nu : |t| < eps} by coarea.
 
     Gauss-Legendre in t, mesh sum with weight det(1 - t W) in space. f must
-    accept an (n, 3) array of points and return (n,) values.
+    accept an (n, 3) array of points and return (n,) values.  Raises
+    ``ValueError`` unless 0 < eps <= eta.
     """
+    if not eps > 0.0:
+        raise ValueError(f"eps={eps} must be positive")
     if eps > tm.eta:
         raise ValueError(f"eps={eps} exceeds eta={tm.eta}")
     xi, w = np.polynomial.legendre.leggauss(t_nodes)

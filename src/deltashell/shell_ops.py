@@ -17,15 +17,17 @@ apply are two readings of that one definition.  The singular cells use
 an analytically integrated flat-disk model: each surface node owns a
 disk of equal area, and the odd (Riesz) part of the kernel integrates
 to zero over the disk at zero offset, which is the principal-value
-convention.  ``_cell_moment`` gives that moment, with punctured far
-sums for the rest of the surface; it serves the trace diagonal, the
-one-sided limits and the same-node blocks of the squeezed family.
+convention.  ``_cell_block`` gives that cell, corrected by punctured
+far sums over the rest of the surface; it serves the trace diagonal
+and the same-node blocks of the squeezed family.  A cell need not sit
+under its own source points: the trace ``_trace_op`` can be read on
+any rows and at any height over them, and read at +-h it gives the
+one-sided limits of the Plemelj check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -128,8 +130,8 @@ def _kernel_blocks(sp: SpectralParameter, x: np.ndarray, y: np.ndarray,
 
     Calls ``use(lo, hi, blocks)`` with blocks of shape (hi - lo, ny, 4, 4)
     for the rows lo..hi of ``x``.  With ``owners = (x_owner, y_owner)``,
-    a pair whose owners match lies in one surface cell: its block stays
-    zero, for the caller to fill with the cell's closed form.
+    a pair whose owners match has x over the surface cell of y: its
+    block stays zero, for the caller to fill with the cell's closed form.
     Matrix-free callers contract the blocks, dense callers write them
     into the matrix; neither keeps them.  A chunk holds about 1.5e8
     bytes of blocks unless ``rows`` sets its height; a dense matrix with
@@ -152,13 +154,13 @@ class _KernelSum:
     """One shell operator: g -> row_i sum_j phi_a(x_i - y_j) col_j g_j.
 
     ``col`` holds the source weights and ``row`` (optional) a factor per
-    row.  With ``cells = (owner, blocks)``, ``x`` is ``y``, owner[i] is
-    the cell of point i and a cell's p points are consecutive; a pair
-    within one cell takes the cell's closed-form (p, p, 4, 4) block,
-    which carries its own column weights, in place of the kernel.
-    :meth:`apply` contracts the kernel blocks chunk by chunk and
-    :meth:`matrix` writes them into a dense matrix, so both paths read
-    this one definition.
+    row.  With ``cells = (owner, blocks)``, the points of ``x`` form
+    consecutive groups of p and those of ``y`` consecutive cells of p;
+    x group k lies over y cell owner[k].  Such a pair takes the
+    closed-form (p, p, 4, 4) block blocks[k], which carries its own
+    column weights, in place of the kernel.  :meth:`apply` contracts
+    the kernel blocks chunk by chunk and :meth:`matrix` writes them
+    into a dense matrix, so both paths read this one definition.
     """
 
     sp: SpectralParameter
@@ -168,22 +170,28 @@ class _KernelSum:
     row: np.ndarray | None = None
     cells: tuple | None = None
 
+    def _owners(self) -> tuple | None:
+        """Cell owner of each x point and of each y point, or None."""
+        if self.cells is None:
+            return None
+        owner, cell = self.cells
+        p = cell.shape[1]
+        return np.repeat(owner, p), np.arange(self.y.shape[0]) // p
+
     def apply(self, g: np.ndarray) -> np.ndarray:
         """The operator applied to a density of shape (ny, 4), as (nx, 4)."""
         gv = np.asarray(g, dtype=complex).reshape(-1, 4)
         out = np.zeros((self.x.shape[0], 4), dtype=complex)
-        owners = None
         if self.cells is not None:
             owner, cell = self.cells
             out += np.einsum("kpqab,kqb->kpa", cell, gv.reshape(
-                cell.shape[0], cell.shape[2], 4)).reshape(-1, 4)
-            owners = (owner, owner)
+                -1, cell.shape[2], 4)[owner]).reshape(-1, 4)
         coeff = gv * self.col[:, None]
 
         def add(lo: int, hi: int, blocks: np.ndarray) -> None:
             out[lo:hi] += np.einsum("ijab,jb->ia", blocks, coeff)
 
-        _kernel_blocks(self.sp, self.x, self.y, add, owners)
+        _kernel_blocks(self.sp, self.x, self.y, add, self._owners())
         return out if self.row is None else out * self.row[:, None]
 
     def matrix(self) -> np.ndarray:
@@ -191,19 +199,20 @@ class _KernelSum:
         mat = np.zeros((4 * self.x.shape[0], 4 * self.y.shape[0]),
                        dtype=complex)
         owner, cell = self.cells or (None, None)
+        p = 0 if cell is None else cell.shape[1]
 
         def write(lo: int, hi: int, blocks: np.ndarray) -> None:
             blocks *= self.col[None, :, None, None]
             if cell is not None:
-                blocks[:, lo:hi] = cell[owner[lo]]
+                # the chunk is x group lo // p, over y cell owner[lo // p]
+                c0 = p * owner[lo // p]
+                blocks[:, c0:c0 + p] = cell[lo // p]
             if self.row is not None:
                 blocks *= self.row[lo:hi, None, None, None]
             mat[4 * lo:4 * hi] = blocks.transpose(0, 2, 1, 3).reshape(
                 4 * (hi - lo), -1)
 
-        _kernel_blocks(self.sp, self.x, self.y, write,
-                       None if cell is None else (owner, owner),
-                       0 if cell is None else cell.shape[1])
+        _kernel_blocks(self.sp, self.x, self.y, write, self._owners(), p)
         return mat
 
 
@@ -228,20 +237,22 @@ def _disk_moments(w: complex, rho, delta) -> tuple:
     return (ewa - ews) / (2.0 * w), np.sign(d) * ewa - d * ews / s
 
 
-def _cell_moment(sp: SpectralParameter, mesh: SurfaceMesh, rows: np.ndarray,
-                 shift: float, height: float) -> tuple:
-    """Principal-value moment of the kernel over a parallel sheet.
+def _cell_block(sp: SpectralParameter, mesh: SurfaceMesh, rows: np.ndarray,
+                shift: float, height: float) -> np.ndarray:
+    """Principal-value cell blocks of the kernel over a parallel sheet.
 
     The sheet is the mesh moved by ``shift`` along its normals: a closed
     surface with the same normal field, weights w det(1 - shift W) and
     shifted principal curvatures, so the far sums and the Gauss anchor
     below apply on it verbatim.  Each row node sees it from signed
-    height ``height`` over its own cell.  Returns ``(s_far, layer, v,
-    d)``: the punctured Yukawa single layer, the cell's coarea-scaled
-    flat-disk layer, the odd moment (curvature-trace layer and normal-
-    projection parts, plus the solid-angle content) and the punctured
-    vector moment of the odd kernel.  The one-sided moment of the layer
-    potential is ``(s_far + layer) (a + m beta) + i alpha.v``.
+    height ``height`` over its own cell.  Returns the (rows, 4, 4)
+    blocks ``layer (a + m beta) + i alpha.(v - d)``: the cell's coarea-
+    scaled flat-disk layer, the odd moment v (curvature-trace layer and
+    normal-projection parts, plus the solid-angle content) and the
+    punctured vector moment d of the odd kernel.  Added to the kernel
+    summed over the other nodes, a block gives the one-sided moment of
+    the layer potential, ``(s_far + layer) (a + m beta) + i alpha.v``
+    with s_far the punctured Yukawa single layer.
 
     Why a moment at all: the punctured sum of the 1/r^2 odd kernel alone
     stalls on a mesh without local symmetry, since its spurious
@@ -276,7 +287,7 @@ def _cell_moment(sp: SpectralParameter, mesh: SurfaceMesh, rows: np.ndarray,
     parts = [_odd_far_chunk(sp, src, mesh.normals, mesh.weights * det, curv,
                             rows[lo:hi], pts[lo:hi])
              for lo, hi in _chunks(rows.size, len(mesh) * 160)]
-    s_far, v_far, d_far = (np.concatenate(sums) for sums in zip(*parts))
+    v_far, d_far = (np.concatenate(sums) for sums in zip(*parts))
     rho = np.sqrt(mesh.weights[rows] / np.pi)
     layer, axial = _disk_moments(sp.branch, rho, height)
     _, axial_flat = _disk_moments(0.0, rho, height)
@@ -284,13 +295,14 @@ def _cell_moment(sp: SpectralParameter, mesh: SurfaceMesh, rows: np.ndarray,
     anchor = 0.5 * (np.sign(height) - 1.0)
     v = v_far + (curv[rows] * layer + 0.5 * det[rows] * (axial - axial_flat)
                  + anchor)[:, None] * mesh.normals[rows]
-    return s_far, layer, v, d_far
+    return (layer[:, None, None] * (sp.a * I4 + sp.m * BETA)
+            + 1j * alpha_dot(v - d_far))
 
 
 def _odd_far_chunk(sp: SpectralParameter, nodes: np.ndarray,
                    normals: np.ndarray, wts: np.ndarray, curv: np.ndarray,
                    rows: np.ndarray, pts: np.ndarray) -> tuple:
-    """Far sums of :func:`_cell_moment`, one chunk; fields die on return.
+    """Far sums of :func:`_cell_block`, one chunk; fields die on return.
 
     Point pts[t] skips source node rows[t]; ``curv`` is div nu.
     """
@@ -308,7 +320,6 @@ def _odd_far_chunk(sp: SpectralParameter, nodes: np.ndarray,
     gw[ar, rows] = 0.0
     base[ar, rows] = 0.0
     fac[ar, rows] = 0.0
-    s_far = np.einsum("ij,j->i", gw, wts).astype(complex)
     # curvature layer and the (f - 1) correction carry nu(y)
     reg = curv[None, :] * gw + ndot * (fac - base)
     v_far = np.einsum("ij,jc,j->ic", reg, normals, wts).astype(complex)
@@ -317,12 +328,23 @@ def _odd_far_chunk(sp: SpectralParameter, nodes: np.ndarray,
     v_far += np.einsum("ij,jc->ic", q, normals)
     v_far -= np.sum(q, axis=1)[:, None] * normals[rows]
     d_far = np.einsum("ij,ijc,j->ic", fac, diff, wts)
-    return s_far, v_far, d_far
+    return v_far, d_far
 
 
 def _mesh_resolution(mesh: SurfaceMesh) -> float:
     """Mean cell diameter, the reliability scale for near-surface points."""
     return float(np.sqrt(np.sum(mesh.weights) / len(mesh)))
+
+
+def _check_clearance(mesh: SurfaceMesh, pts: np.ndarray) -> None:
+    """Raise PointTooCloseToSurface for a point within the mesh resolution."""
+    guard = _mesh_resolution(mesh)
+    dist, _ = cKDTree(mesh.nodes).query(pts)
+    if np.any(dist < guard):
+        worst = float(np.min(dist))
+        raise PointTooCloseToSurface(
+            f"evaluation point at distance {worst:.3e} from the mesh, "
+            f"guard is {guard:.3e}")
 
 
 # ---------------------------------------------------------------------------
@@ -343,13 +365,7 @@ def layer_potential(sp: SpectralParameter, mesh: SurfaceMesh,
     pts = np.asarray(x, dtype=float)
     single = pts.ndim == 1
     pts = np.atleast_2d(pts)
-    guard = _mesh_resolution(mesh)
-    dist, _ = cKDTree(mesh.nodes).query(pts)
-    if np.any(dist < guard):
-        worst = float(np.min(dist))
-        raise PointTooCloseToSurface(
-            f"evaluation point at distance {worst:.3e} from the mesh, "
-            f"guard is {guard:.3e}")
+    _check_clearance(mesh, pts)
     out = np.zeros((pts.shape[0], 4), dtype=complex)
     if g is not None:
         out += _KernelSum(sp, pts, mesh.nodes, mesh.weights).apply(g)
@@ -359,20 +375,23 @@ def layer_potential(sp: SpectralParameter, mesh: SurfaceMesh,
     return out[0] if single else out
 
 
-def _cell_block(sp: SpectralParameter, mesh: SurfaceMesh, rows: np.ndarray,
-                shift: float, height: float) -> np.ndarray:
-    """Cell blocks ``layer (a + m beta) + i alpha.(v - d)``, (rows, 4, 4)."""
-    _, layer, v, d = _cell_moment(sp, mesh, rows, shift, height)
-    return (layer[:, None, None] * (sp.a * I4 + sp.m * BETA)
-            + 1j * alpha_dot(v - d))
+def _trace_op(sp: SpectralParameter, mesh: SurfaceMesh,
+              rows: np.ndarray | None = None,
+              height: float = 0.0) -> _KernelSum:
+    """C_sigma on ``rows`` (all nodes by default), read at ``height``.
 
-
-def _trace_op(sp: SpectralParameter, mesh: SurfaceMesh) -> _KernelSum:
-    """C_sigma: kernel times node weights, each node's cell on the diagonal."""
-    own = np.arange(len(mesh))
-    diag = _cell_block(sp, mesh, own, 0.0, 0.0)
-    return _KernelSum(sp, mesh.nodes, mesh.nodes, mesh.weights,
-                      cells=(own, diag[:, None, None]))
+    Row i is the point x + height nu over node rows[i]: kernel times
+    node weights over the other nodes, plus that node's cell seen from
+    ``height``.  At height 0 these are rows of the trace; at +-h they
+    are the one-sided layer potential values whose h -> 0 limits the
+    Plemelj relations give.
+    """
+    if rows is None:
+        rows = np.arange(len(mesh))
+    cell = _cell_block(sp, mesh, rows, 0.0, height)
+    return _KernelSum(sp, mesh.nodes[rows] + height * mesh.normals[rows],
+                      mesh.nodes, mesh.weights,
+                      cells=(rows, cell[:, None, None]))
 
 
 def cauchy_sigma_apply(sp: SpectralParameter, mesh: SurfaceMesh,
@@ -459,54 +478,21 @@ class PlemeljReport:
         return max(self.max_rel_plus, self.max_rel_minus)
 
 
-def _one_sided_values(sp: SpectralParameter, mesh: SurfaceMesh,
-                      gv: np.ndarray, idx: np.ndarray,
-                      offs: np.ndarray) -> tuple:
-    """One-sided layer potential values at x +- h nu, subtracted form.
-
-    The density value at the target node is split off: the kernel acts
-    on g(y) - g(x) by punctured quadrature, while the split-off value
-    multiplies the one-sided moment of the kernel.  The moment is the
-    cell moment of the trace discretization at height +-h; the jump
-    carrier is the Gauss solid-angle identity (0 outside, -1 inside,
-    exact for a closed surface), so at h -> 0 the construction
-    reproduces the discrete trace plus or minus half the jump.
-    """
-    nodes, normals, wts = mesh.nodes, mesh.normals, mesh.weights
-    even = sp.a * I4 + sp.m * BETA
-    owners = (idx, np.arange(len(mesh)))
-
-    def subtracted(out, lo, hi, blocks):
-        # the kernel against g(y) - g(x), one coefficient set per row
-        coeff = ((gv[None, :, :] - gv[idx[lo:hi], None, :])
-                 * wts[None, :, None])
-        out[lo:hi] += np.einsum("ijab,ijb->ia", blocks, coeff)
-
-    plus_vals = np.zeros((offs.size, idx.size, 4), dtype=complex)
-    minus_vals = np.zeros_like(plus_vals)
-    for q, h in enumerate(offs):
-        for delta, out in ((h, plus_vals[q]), (-h, minus_vals[q])):
-            s_far, layer, v, _ = _cell_moment(sp, mesh, idx, 0.0, delta)
-            mom = (s_far + layer)[:, None, None] * even + 1j * alpha_dot(v)
-            out[:] = np.einsum("iab,ib->ia", mom, gv[idx])
-            _kernel_blocks(sp, nodes[idx] + delta * normals[idx], nodes,
-                           partial(subtracted, out), owners)
-    return plus_vals, minus_vals
-
-
 def plemelj_check(sp: SpectralParameter, mesh: SurfaceMesh, g: np.ndarray,
                   offsets: Sequence[float] | None = None,
                   eta: float = 0.3,
                   max_eval_nodes: int = 1024) -> PlemeljReport:
     """Verify the one-sided trace formulas C_pm = -/+ (i/2) alpha.nu + C_sigma.
 
-    The layer potential of ``g`` is evaluated at ``x +- h nu`` for each
-    offset ``h`` with the same cell quadrature that defines the trace
-    operator, then extrapolated to ``h -> 0`` by a least-squares
-    polynomial fit in ``h`` of degree ``min(3, len(offsets) - 1)``,
-    cubic for the five default offsets.  Offsets must stay inside the collar and
-    above the mesh resolution; the default set hugs the resolution
-    floor, where the extrapolation is most accurate.
+    The one-sided values of ``g`` are the trace rows of the evaluation
+    nodes read at heights ``+-h`` (:func:`_trace_op`), for each offset
+    ``h``: the layer potential at ``x +- h nu`` with the cell quadrature
+    that defines the trace.  They are extrapolated to ``h -> 0`` by a
+    least-squares polynomial fit in ``h`` of degree
+    ``min(3, len(offsets) - 1)``, cubic for the five default offsets.
+    Offsets must stay inside the collar and above the mesh resolution;
+    the default set hugs the resolution floor, where the extrapolation
+    is most accurate.
     """
     if max_eval_nodes < 1:
         raise ValueError(f"max_eval_nodes must be >= 1, got {max_eval_nodes}")
@@ -530,7 +516,10 @@ def plemelj_check(sp: SpectralParameter, mesh: SurfaceMesh, g: np.ndarray,
     else:
         idx = np.arange(n)
 
-    plus_vals, minus_vals = _one_sided_values(sp, mesh, gv, idx, offs)
+    plus_vals = np.array([_trace_op(sp, mesh, idx, h).apply(gv)
+                          for h in offs])
+    minus_vals = np.array([_trace_op(sp, mesh, idx, -h).apply(gv)
+                           for h in offs])
 
     deg = min(3, offs.size - 1)
     vand = np.vander(offs, deg + 1)
@@ -540,7 +529,7 @@ def plemelj_check(sp: SpectralParameter, mesh: SurfaceMesh, g: np.ndarray,
     minus0 = minus0.reshape(idx.size, 4)
 
     nus = mesh.normals[idx]
-    csg = _trace_op(sp, mesh).apply(gv)[idx]
+    csg = _trace_op(sp, mesh, idx).apply(gv)
     jump = np.einsum("kab,kb->ka", alpha_dot(nus), gv[idx])
     # outward limit (x + h nu) carries + (i/2) alpha.nu, inward the opposite
     ref_outside = 0.5j * jump + csg
@@ -688,7 +677,7 @@ def _b_eps_op(grid: OperatorGrid, sp: SpectralParameter,
             same[:, p, q] = (grid.v_vals[q] * grid.t_weights[q]) * _cell_block(
                 sp, grid.mesh, rows, eps * t[q], eps * (t[p] - t[q]))
     return _KernelSum(sp, pts, pts, _source_weights(grid, eps).ravel(),
-                      np.tile(grid.u_vals, n), (np.repeat(rows, m), same))
+                      np.tile(grid.u_vals, n), (rows, same))
 
 
 def _a_eps_op(grid: OperatorGrid, sp: SpectralParameter, eps: float,
@@ -875,17 +864,18 @@ def shell_resolvent_apply(sp: SpectralParameter, mesh: SurfaceMesh,
     ``kind`` selects the electrostatic or the scalar (beta) shell.  The
     free part is the convolution with phi_a; the correction solves a
     dense boundary system on the mesh nodes.  Both are evaluated by
-    :func:`layer_potential`, which raises :class:`PointTooCloseToSurface`
-    for a point closer to a mesh node than the mesh resolution.  Raises
-    :class:`NearCriticalCoupling` for electrostatic couplings within
-    ``CRITICAL_WINDOW`` of +-2 and :class:`SingularBoundaryInverse`
-    when the boundary system condition number exceeds
-    ``BOUNDARY_COND_LIMIT``.
+    :func:`layer_potential`.  A point closer to a mesh node than the
+    mesh resolution raises :class:`PointTooCloseToSurface` before the
+    boundary system is built.  Raises :class:`NearCriticalCoupling` for
+    electrostatic couplings within ``CRITICAL_WINDOW`` of +-2 and
+    :class:`SingularBoundaryInverse` when the boundary system condition
+    number exceeds ``BOUNDARY_COND_LIMIT``.
     """
     if kind not in ("electrostatic", "scalar"):
         raise ValueError("kind must be 'electrostatic' or 'scalar'")
     lam = float(lam)
     pts = np.atleast_2d(np.asarray(eval_points, dtype=float))
+    _check_clearance(mesh, pts)
     if lam == 0.0:
         return layer_potential(sp, mesh, pts, None, volume, f_vals)
     if kind == "electrostatic" and abs(abs(lam) - 2.0) <= CRITICAL_WINDOW:

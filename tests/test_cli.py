@@ -345,6 +345,8 @@ def test_geometry_audit_window_violation_exits_one(tmp_path, monkeypatch):
     (["jump-check", "--n", "320", "--max-eval-nodes", "0"], "max_eval_nodes"),
     (["spectrum", "--lam", "1.0", "--scan=-0.9,0.9,2.7"], "--scan"),
     (["spectrum", "--lam", "1.0", "--scan=-0.9,0.9,1"], "--scan"),
+    (["geometry-audit", "--n", "80", "--eps=-0.1"], "eps"),
+    (["geometry-audit", "--n", "80", "--eps", "0"], "eps"),
 ])
 def test_input_outside_a_limit_is_usage_error(capsys, args, names):
     try:

@@ -248,6 +248,32 @@ def test_trace_dense_matches_matrix_free(mesh, request):
     assert np.max(np.abs(dense.reshape(-1, 4) - free)) < 1e-12
 
 
+def test_trace_rows_read_at_height(ellipsoid320):
+    from deltashell.shell_ops import _cell_block, _mesh_resolution, _trace_op
+
+    mesh = ellipsoid320
+    n = len(mesh)
+    g = RNG.normal(size=(n, 4)) + 1j * RNG.normal(size=(n, 4))
+    idx = np.array([0, 57, 160, n - 1])
+    h = 1.5 * _mesh_resolution(mesh)
+    for height in (h, -h):
+        got = _trace_op(SP, mesh, idx, height).apply(g)
+        cell = _cell_block(SP, mesh, idx, 0.0, height)
+        for i, o in enumerate(idx):
+            # the kernel over the other nodes, plus node o's own cell
+            far = np.arange(n) != o
+            x = mesh.nodes[o] + height * mesh.normals[o]
+            want = np.einsum("jab,jb->a", phi_a(SP, x - mesh.nodes[far]),
+                             g[far] * mesh.weights[far, None])
+            want += cell[i] @ g[o]
+            assert np.max(np.abs(got[i] - want)) < 1e-12 * np.max(np.abs(want))
+    full, part = _trace_op(SP, mesh), _trace_op(SP, mesh, idx)
+    scale = np.max(np.abs(full.apply(g)))
+    assert np.max(np.abs(part.apply(g) - full.apply(g)[idx])) < 1e-12 * scale
+    rows = full.matrix().reshape(n, 4, -1)[idx].reshape(-1, 4 * n)
+    assert np.max(np.abs(part.matrix() - rows)) < 1e-12 * np.max(np.abs(rows))
+
+
 def test_trace_norm_is_reproducible(mesh320):
     # the svds behind norm() starts from a seeded vector, so repeated
     # calls agree to the bit
@@ -703,10 +729,17 @@ def test_resolvent_conditioning_guard(resolvent_setup, monkeypatch):
         shell_resolvent_apply(SP, mesh, 0.5, "electrostatic", vol, fv, pts)
 
 
-def test_resolvent_rejects_near_surface_point(resolvent_setup):
+def test_resolvent_rejects_near_surface_point(resolvent_setup, monkeypatch):
+    import deltashell.shell_ops as so
+
     mesh, vol, fv = resolvent_setup
     # one point clear of the shell, one just outside a mesh node
     pts = np.array([[1.4, 0.3, 0.1], 1.01 * mesh.nodes[0]])
+
+    def no_boundary_system(*args):
+        raise AssertionError("boundary system built before the point guard")
+
+    monkeypatch.setattr(so, "cauchy_sigma", no_boundary_system)
     for lam in (0.0, 0.5):
         with pytest.raises(PointTooCloseToSurface):
             shell_resolvent_apply(SP, mesh, lam, "electrostatic", vol, fv, pts)
