@@ -1,10 +1,13 @@
 """Command surface tying the modules into reproducible experiments.
 
 Every command resolves its parameters from flags, an optional JSON
-config file, and documented defaults; flags override the file.  The
-resolved values are echoed in a metadata block so a run can be
-reproduced from its own output, and all output is deterministic for a
-fixed configuration.
+config file, and documented defaults; flags override the file.
+``COMMANDS`` is the one declaration of each parameter: its flag, type
+or choices, default and help.  The parser, the defaults, the help text
+and the checks on config values are all read from it.  The resolved
+values are echoed in a metadata block so a run can be reproduced from
+its own output, and all output is deterministic for a fixed
+configuration.
 
 Exit codes: 0 on success, 1 when a computation ran but a check failed
 (method disagreement, tolerance exceeded, broken monotonicity), 2 when
@@ -98,32 +101,36 @@ def _load_config(path: str | None, parser: argparse.ArgumentParser) -> dict:
 
 
 def _config_value(value, kind):
-    """A config-file value converted by its flag's ``type``, or as text."""
+    """A config-file value converted or checked as its flag's would be."""
+    if isinstance(kind, tuple):
+        if value not in kind:
+            raise ValueError("choose from " + ", ".join(map(repr, kind)))
+        return value
     if (kind in (_float_list, _int_list)) != isinstance(value, list):
         raise TypeError("list flags take JSON lists, other flags single values")
-    return (kind or str)(value)
+    return kind(value)
 
 
-def _resolve(ns: argparse.Namespace, config: dict, defaults: dict,
+def _resolve(ns: argparse.Namespace, config: dict, command: str,
              parser: argparse.ArgumentParser) -> dict:
     """Flag > config file > default, with unknown config keys rejected.
 
-    Config values go through the same converters as their flags, so a
-    command sees one form whatever the source; a value that does not
-    convert is a usage error naming its key.
+    Config values go through the same converters and choices as their
+    flags, so a command sees one form whatever the source; a value that
+    does not convert is a usage error naming its key.
     """
-    types = {action.dest: action.type for action in parser._actions}
-    params = dict(defaults)
+    params = defaults(command)
+    kinds = {dest: kind for _, kind, _, _, dest in _rows(command)}
     for key, value in config.items():
-        if key not in defaults:
+        if key not in params:
             parser.error(f"unknown config key {key!r}")
         if value is None:  # null leaves the default, as an absent flag does
             continue
         try:
-            params[key] = _config_value(value, types[key])
+            params[key] = _config_value(value, kinds[key])
         except (argparse.ArgumentTypeError, TypeError, ValueError) as exc:
             parser.error(f"config key {key!r}: bad value {value!r} ({exc})")
-    for key in defaults:
+    for key in kinds:
         flag = getattr(ns, key)
         if flag is not None:
             params[key] = flag
@@ -206,28 +213,19 @@ def _make_profile(params: dict, parser: argparse.ArgumentParser):
         for key in ("amp", "sigma"):
             _require(params, key, parser)
         return truncated_gaussian(params["amp"], params["sigma"], params["eta"])
-    if kind == "table":
-        path = _require(params, "file", parser)
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                return profile_from_json(fh.read())
-        except OSError as exc:
-            parser.error(f"cannot read potential table {path}: {exc}")
-    parser.error(f"unknown potential {kind!r}")
+    path = _require(params, "file", parser)  # the "table" family
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return profile_from_json(fh.read())
+    except OSError as exc:
+        parser.error(f"cannot read potential table {path}: {exc}")
 
 
 # ---------------------------------------------------------------------------
 # coupling
 
 
-COUPLING_DEFAULTS = {
-    "potential": "square", "tau": 1.0, "eta": 1.0, "amp": None, "sigma": None,
-    "file": None, "n": 128, "terms": 20, "tol": COUPLING_TOL, "out": None,
-}
-
-
-def cmd_coupling(ns, config, parser) -> int:
-    params = _resolve(ns, config, COUPLING_DEFAULTS, parser)
+def cmd_coupling(params, parser) -> int:
     profile = _make_profile(params, parser)
     tol = params["tol"]
     terms = params["terms"]
@@ -273,13 +271,6 @@ def cmd_coupling(ns, config, parser) -> int:
 # jump-check
 
 
-JUMP_DEFAULTS = {
-    "n": 512, "a": "i", "m": 1.0, "radius": 1.0, "eta": 0.3,
-    "density": "plane-wave", "seed": 7, "offsets": None,
-    "max_eval_nodes": 1024, "tol": JUMP_TOL, "out": None,
-}
-
-
 def _jump_density(mesh, name: str, seed: int) -> np.ndarray:
     n = len(mesh)
     if name == "constant":
@@ -287,20 +278,17 @@ def _jump_density(mesh, name: str, seed: int) -> np.ndarray:
     elif name == "plane-wave":
         phase = np.exp(1j * mesh.nodes @ np.array([0.3, -0.2, 0.5]))
         g = phase[:, None] * np.array([1.0, 0.4, -0.2j, 0.1])
-    elif name == "random-wave":
+    else:  # random-wave
         rng = np.random.default_rng(seed)
         g = np.zeros((n, 4), dtype=complex)
         for _ in range(3):
             k = rng.normal(size=3)
             spinor = rng.normal(size=4) + 1j * rng.normal(size=4)
             g += np.exp(1j * mesh.nodes @ k)[:, None] * spinor
-    else:
-        raise ValueError(f"unknown density {name!r}")
     return g.ravel()
 
 
-def cmd_jump_check(ns, config, parser) -> int:
-    params = _resolve(ns, config, JUMP_DEFAULTS, parser)
+def cmd_jump_check(params, parser) -> int:
     sp = SpectralParameter(_as_complex(params["a"]), params["m"])
     mesh = build_mesh(sphere(params["radius"]), params["n"])
     g = _jump_density(mesh, params["density"], params["seed"])
@@ -332,25 +320,15 @@ def cmd_jump_check(ns, config, parser) -> int:
 # geometry-audit
 
 
-GEOMETRY_DEFAULTS = {
-    "surface": "sphere", "radius": 1.0, "axes": None, "n": 2048,
-    "eps": 0.1, "t_nodes": 16, "t": 0.0, "radii": [0.3, 0.5, 1.0],
-    "max_centers": 256, "tol": COAREA_TOL, "out": None,
-}
-
-
-def cmd_geometry_audit(ns, config, parser) -> int:
-    params = _resolve(ns, config, GEOMETRY_DEFAULTS, parser)
+def cmd_geometry_audit(params, parser) -> int:
     name = params["surface"]
     if name == "sphere":
         surf = sphere(params["radius"])
-    elif name == "ellipsoid":
+    else:  # ellipsoid
         axes = _require(params, "axes", parser)
         if len(axes) != 3:
             parser.error("--axes needs three comma-separated values")
         surf = ellipsoid(*axes)
-    else:
-        parser.error(f"unknown surface {name!r}")
     mesh = build_mesh(surf, params["n"])
     tm = tubular_map(mesh)
     eps = params["eps"]
@@ -399,14 +377,7 @@ def cmd_geometry_audit(ns, config, parser) -> int:
 # converge
 
 
-CONVERGE_DEFAULTS = {
-    "n": 256, "m_nodes": 8, "eps": None, "tau": 0.4, "eta": 0.25,
-    "a": "i", "m": 1.0, "out": None,
-}
-
-
-def cmd_converge(ns, config, parser) -> int:
-    params = _resolve(ns, config, CONVERGE_DEFAULTS, parser)
+def cmd_converge(params, parser) -> int:
     eps = _require(params, "eps", parser)
     sp = SpectralParameter(_as_complex(params["a"]), params["m"])
     mesh = build_mesh(sphere(1.0), params["n"])
@@ -423,14 +394,7 @@ def cmd_converge(ns, config, parser) -> int:
 # spectrum
 
 
-SPECTRUM_DEFAULTS = {
-    "kappa": [-1], "lam": None, "kind": "electrostatic", "m": 1.0, "R": 1.0,
-    "scan": None, "out": None,
-}
-
-
-def cmd_spectrum(ns, config, parser) -> int:
-    params = _resolve(ns, config, SPECTRUM_DEFAULTS, parser)
+def cmd_spectrum(params, parser) -> int:
     lam = _require(params, "lam", parser)
     scan = params["scan"]
     if scan is not None:
@@ -457,16 +421,7 @@ def cmd_spectrum(ns, config, parser) -> int:
 # klein
 
 
-KLEIN_DEFAULTS = {
-    "potential": "square", "tau": 1.0, "eta": 1.0, "amp": None, "sigma": None,
-    "file": None, "eps": None, "kappa": -1, "kind": "electrostatic",
-    "m": 1.0, "R": 1.0, "panels": TRANSFER_PANELS,
-    "out": None, "json_out": None,
-}
-
-
-def cmd_klein(ns, config, parser) -> int:
-    params = _resolve(ns, config, KLEIN_DEFAULTS, parser)
+def cmd_klein(params, parser) -> int:
     eps = _require(params, "eps", parser)
     profile = _make_profile(params, parser)
     study = klein_convergence_study(
@@ -483,124 +438,115 @@ def cmd_klein(ns, config, parser) -> int:
 # parser
 
 
+#: parameter rows ``(flag, type or choices, default, help[, dest])``; dest
+#: defaults to the flag's name, and a default other than None joins the help
+_OUT = ("--out", str, None, "write the result to a file instead of stdout")
+_PROFILE = [
+    ("--potential", ("square", "gaussian", "table"), "square", "profile family"),
+    ("--tau", float, 1.0, "square-well strength"),
+    ("--eta", float, 1.0, "support half-width"),
+    ("--amp", float, None, "gaussian amplitude"),
+    ("--sigma", float, None, "gaussian width"),
+    ("--file", str, None, "JSON potential table for --potential table"),
+]
+
+#: command name -> (function, summary, parameter rows after --out)
+COMMANDS = {
+    "coupling": (cmd_coupling,
+                 "nonlinear shell couplings of a squeezed potential, three ways", [
+        *_PROFILE,
+        ("--n", int, 128, "quadrature nodes"),
+        ("--terms", int, 20, "Neumann terms"),
+        ("--tol", float, COUPLING_TOL, "method agreement tolerance"),
+    ]),
+    "jump-check": (cmd_jump_check,
+                   "one-sided trace extrapolation against the jump formulas", [
+        ("--n", int, 512, "requested mesh nodes"),
+        ("--a", str, "i", "spectral point, e.g. 'i' or '0.5'"),
+        ("--m", float, 1.0, "mass"),
+        ("--radius", float, 1.0, "sphere radius"),
+        ("--eta", float, 0.3, "collar half-width"),
+        ("--density", ("constant", "plane-wave", "random-wave"),
+         "plane-wave", "trace density"),
+        ("--seed", int, 7, "seed for random-wave"),
+        ("--offsets", _float_list, None, "explicit offset heights, comma-separated"),
+        ("--max-eval-nodes", int, 1024, "evaluation node cap"),
+        ("--tol", float, JUMP_TOL, "max relative error bound"),
+    ]),
+    "geometry-audit": (cmd_geometry_audit,
+                       "coarea closed forms and measure growth on a shell", [
+        ("--surface", ("sphere", "ellipsoid"), "sphere", "surface family"),
+        ("--radius", float, 1.0, "sphere radius"),
+        ("--axes", _float_list, None, "ellipsoid semi-axes a,b,c"),
+        ("--n", int, 2048, "requested mesh nodes"),
+        ("--eps", float, 0.1, "shell half-width"),
+        ("--t-nodes", int, 16, "transverse Gauss nodes"),
+        ("--t", float, 0.0, "growth audit offset"),
+        ("--radii", _float_list, [0.3, 0.5, 1.0], "growth audit ball radii"),
+        ("--max-centers", int, 256, "growth audit center cap"),
+        ("--tol", float, COAREA_TOL, "closed-form tolerance"),
+    ]),
+    "converge": (cmd_converge,
+                 "strong-convergence table for the squeezed operator family", [
+        ("--N", int, 256, "requested mesh nodes", "n"),
+        ("--M", int, 8, "transverse nodes", "m_nodes"),
+        ("--eps", _float_list, None, "epsilon list, comma-separated"),
+        ("--tau", float, 0.4, "square-well strength"),
+        ("--eta", float, 0.25, "support half-width"),
+        ("--a", str, "i", "spectral point"),
+        ("--m", float, 1.0, "mass"),
+    ]),
+    "spectrum": (cmd_spectrum,
+                 "gap eigenvalues of the singular shell per channel", [
+        ("--kappa", _int_list, [-1], "channel indices, comma-separated"),
+        ("--lam", float, None, "shell coupling (required)"),
+        ("--kind", ("electrostatic", "scalar"), "electrostatic", "coupling kind"),
+        ("--m", float, 1.0, "mass"),
+        ("--R", float, 1.0, "shell radius"),
+        ("--scan", _float_list, None, "scan window lo,hi,steps"),
+    ]),
+    "klein": (cmd_klein,
+              "squeezed eigenvalues against the two candidate couplings", [
+        *_PROFILE,
+        ("--eps", _float_list, None, "strictly decreasing epsilon list, comma-separated"),
+        ("--kappa", int, -1, "channel index"),
+        ("--kind", ("electrostatic", "scalar"), "electrostatic", "coupling kind"),
+        ("--m", float, 1.0, "mass"),
+        ("--R", float, 1.0, "shell radius"),
+        ("--panels", int, TRANSFER_PANELS, "transfer sub-panels"),
+        ("--json-out", str, None, "also write the JSON summary to this file"),
+    ]),
+}
+
+
+def _rows(command: str) -> list:
+    """A command's rows as ``(flag, kind, default, help, dest)``, --out first."""
+    return [(flag, kind, default, text,
+             dest[0] if dest else flag[2:].replace("-", "_"))
+            for flag, kind, default, text, *dest in [_OUT, *COMMANDS[command][2]]]
+
+
+def defaults(command: str) -> dict:
+    """Each parameter of ``command`` at its default, keyed by destination."""
+    return {dest: default for _, _, default, _, dest in _rows(command)}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="deltashell",
         description="Reproducible experiments on Dirac delta-shell operators.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for command, (_, summary, _) in COMMANDS.items():
+        p = sub.add_parser(command, help=summary)
         p.add_argument("--config", help="JSON config file; flags override it")
-        p.add_argument("--out", help="write the result to a file instead of stdout")
-
-    def profile(p):
-        p.add_argument("--potential", choices=("square", "gaussian", "table"),
-                       help="profile family (default: square)")
-        p.add_argument("--tau", type=float, help="square-well strength (default: 1.0)")
-        p.add_argument("--eta", type=float, help="support half-width (default: 1.0)")
-        p.add_argument("--amp", type=float, help="gaussian amplitude")
-        p.add_argument("--sigma", type=float, help="gaussian width")
-        p.add_argument("--file", help="JSON potential table for --potential table")
-
-    p = sub.add_parser(
-        "coupling",
-        help="nonlinear shell couplings of a squeezed potential, three ways")
-    common(p)
-    profile(p)
-    p.add_argument("--n", type=int, help="quadrature nodes (default: 128)")
-    p.add_argument("--terms", type=int, help="Neumann terms (default: 20)")
-    p.add_argument("--tol", type=float,
-                   help=f"method agreement tolerance (default: {COUPLING_TOL:g})")
-    p.set_defaults(func=cmd_coupling, parser=p)
-
-    p = sub.add_parser(
-        "jump-check",
-        help="one-sided trace extrapolation against the jump formulas")
-    common(p)
-    p.add_argument("--n", type=int, help="requested mesh nodes (default: 512)")
-    p.add_argument("--a", help="spectral point, e.g. 'i' or '0.5' (default: i)")
-    p.add_argument("--m", type=float, help="mass (default: 1.0)")
-    p.add_argument("--radius", type=float, help="sphere radius (default: 1.0)")
-    p.add_argument("--eta", type=float, help="collar half-width (default: 0.3)")
-    p.add_argument("--density", choices=("constant", "plane-wave", "random-wave"),
-                   help="trace density (default: plane-wave)")
-    p.add_argument("--seed", type=int, help="seed for random-wave (default: 7)")
-    p.add_argument("--offsets", type=_float_list,
-                   help="explicit offset heights, comma-separated")
-    p.add_argument("--max-eval-nodes", dest="max_eval_nodes", type=int,
-                   help="evaluation node cap (default: 1024)")
-    p.add_argument("--tol", type=float,
-                   help=f"max relative error bound (default: {JUMP_TOL:g})")
-    p.set_defaults(func=cmd_jump_check, parser=p)
-
-    p = sub.add_parser(
-        "geometry-audit",
-        help="coarea closed forms and measure growth on a shell")
-    common(p)
-    p.add_argument("--surface", choices=("sphere", "ellipsoid"),
-                   help="surface family (default: sphere)")
-    p.add_argument("--radius", type=float, help="sphere radius (default: 1.0)")
-    p.add_argument("--axes", type=_float_list, help="ellipsoid semi-axes a,b,c")
-    p.add_argument("--n", type=int, help="requested mesh nodes (default: 2048)")
-    p.add_argument("--eps", type=float, help="shell half-width (default: 0.1)")
-    p.add_argument("--t-nodes", dest="t_nodes", type=int,
-                   help="transverse Gauss nodes (default: 16)")
-    p.add_argument("--t", type=float, help="growth audit offset (default: 0.0)")
-    p.add_argument("--radii", type=_float_list,
-                   help="growth audit ball radii (default: 0.3,0.5,1.0)")
-    p.add_argument("--max-centers", dest="max_centers", type=int,
-                   help="growth audit center cap (default: 256)")
-    p.add_argument("--tol", type=float,
-                   help=f"closed-form tolerance (default: {COAREA_TOL:g})")
-    p.set_defaults(func=cmd_geometry_audit, parser=p)
-
-    p = sub.add_parser(
-        "converge",
-        help="strong-convergence table for the squeezed operator family")
-    common(p)
-    p.add_argument("--N", dest="n", type=int,
-                   help="requested mesh nodes (default: 256)")
-    p.add_argument("--M", dest="m_nodes", type=int,
-                   help="transverse nodes (default: 8)")
-    p.add_argument("--eps", type=_float_list, help="epsilon list, comma-separated")
-    p.add_argument("--tau", type=float, help="square-well strength (default: 0.4)")
-    p.add_argument("--eta", type=float, help="support half-width (default: 0.25)")
-    p.add_argument("--a", help="spectral point (default: i)")
-    p.add_argument("--m", type=float, help="mass (default: 1.0)")
-    p.set_defaults(func=cmd_converge, parser=p)
-
-    p = sub.add_parser(
-        "spectrum",
-        help="gap eigenvalues of the singular shell per channel")
-    common(p)
-    p.add_argument("--kappa", type=_int_list,
-                   help="channel indices, comma-separated (default: -1)")
-    p.add_argument("--lam", type=float, help="shell coupling (required)")
-    p.add_argument("--kind", choices=("electrostatic", "scalar"),
-                   help="coupling kind (default: electrostatic)")
-    p.add_argument("--m", type=float, help="mass (default: 1.0)")
-    p.add_argument("--R", dest="R", type=float, help="shell radius (default: 1.0)")
-    p.add_argument("--scan", type=_float_list, help="scan window lo,hi,steps")
-    p.set_defaults(func=cmd_spectrum, parser=p)
-
-    p = sub.add_parser(
-        "klein",
-        help="squeezed eigenvalues against the two candidate couplings")
-    common(p)
-    profile(p)
-    p.add_argument("--eps", type=_float_list,
-                   help="strictly decreasing epsilon list, comma-separated")
-    p.add_argument("--kappa", type=int, help="channel index (default: -1)")
-    p.add_argument("--kind", choices=("electrostatic", "scalar"),
-                   help="coupling kind (default: electrostatic)")
-    p.add_argument("--m", type=float, help="mass (default: 1.0)")
-    p.add_argument("--R", dest="R", type=float, help="shell radius (default: 1.0)")
-    p.add_argument("--panels", type=int,
-                   help=f"transfer sub-panels (default: {TRANSFER_PANELS})")
-    p.add_argument("--json-out", dest="json_out",
-                   help="also write the JSON summary to this file")
-    p.set_defaults(func=cmd_klein, parser=p)
-
+        # default None means "flag not given", so a config value can fill it
+        for flag, kind, default, text, dest in _rows(command):
+            if default is not None:
+                text += f" (default: {_fmt(default)})"
+            choices = kind if isinstance(kind, tuple) else None
+            p.add_argument(flag, dest=dest, help=text, choices=choices,
+                           type=None if choices else kind)
+        p.set_defaults(parser=p)
     return parser
 
 
@@ -608,8 +554,9 @@ def main(argv=None) -> int:
     parser = _build_parser()
     ns = parser.parse_args(argv)
     config = _load_config(ns.config, parser)
+    params = _resolve(ns, config, ns.command, ns.parser)
     try:
-        return ns.func(ns, config, ns.parser)
+        return COMMANDS[ns.command][0](params, ns.parser)
     except (AssertionError, NonContractive) as exc:
         _emit_json({"error": {"type": type(exc).__name__,
                               "message": str(exc)}}, None)

@@ -68,6 +68,10 @@ class Surface:
         a = self.axes
         return max(a[i] / a[j] ** 2 for i in range(3) for j in range(3) if i != j)
 
+    def injectivity_budget(self) -> float:
+        """Largest collar half-width whose normal segments stay apart."""
+        return 0.4 / self.max_abs_curvature()
+
 
 def sphere(radius: float) -> Surface:
     if radius <= 0:
@@ -227,7 +231,7 @@ class TubularMap:
     eta: float
 
     def __post_init__(self):
-        bound = 0.4 / self.mesh.surface.max_abs_curvature()
+        bound = self.mesh.surface.injectivity_budget()
         if not 0 < self.eta <= bound:
             raise ValueError(
                 f"eta={self.eta} outside the injectivity budget (0, {bound:.6g}]"

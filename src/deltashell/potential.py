@@ -124,15 +124,28 @@ def from_table(ts, vs, eta: float | None = None) -> PotentialProfile:
 
 
 def profile_from_json(doc: str) -> PotentialProfile:
+    """The profile a ``to_json`` document describes.
+
+    Raises ``ValueError`` when the document is not a JSON object, lacks
+    a key its kind needs (the key is named), or names an unknown kind.
+    """
     d = json.loads(doc)
-    kind = d["kind"]
+    if not isinstance(d, dict):
+        raise ValueError("a potential profile must be a JSON object")
+
+    def get(key):
+        if key not in d:
+            raise ValueError(f"potential profile has no {key!r} key")
+        return d[key]
+
+    kind = get("kind")
     if kind == "square":
-        return square_well(d["tau"], d["eta"])
+        return square_well(get("tau"), get("eta"))
     if kind == "gaussian":
-        return truncated_gaussian(d["amp"], d["sigma"], d["eta"])
+        return truncated_gaussian(get("amp"), get("sigma"), get("eta"))
     # "pwlinear" is the older name of the same linearly interpolated table
     if kind in ("pwlinear", "table"):
-        return from_table(d["ts"], d["vs"], d["eta"])
+        return from_table(get("ts"), get("vs"), get("eta"))
     raise ValueError(f"unknown profile kind {kind!r}")
 
 

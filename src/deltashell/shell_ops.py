@@ -625,7 +625,16 @@ def default_volume_density(volume: VolumeGrid) -> np.ndarray:
 
 
 def _shifted_points(grid: OperatorGrid, eps: float) -> np.ndarray:
-    """Collar quadrature points x_k + eps t_q nu_k, shape (N M, 3)."""
+    """Collar quadrature points x_k + eps t_q nu_k, shape (N M, 3).
+
+    Raises ``ValueError`` when eps exceeds the surface's injectivity
+    budget, the bound :class:`TubularMap` also keeps, past which the
+    collar's normal segments can cross.
+    """
+    budget = grid.mesh.surface.injectivity_budget()
+    if eps > budget:
+        raise ValueError(
+            f"collar width eps={eps:g} exceeds the injectivity budget {budget:.6g}")
     return (grid.mesh.nodes[:, None, :] + eps * grid.t_nodes[None, :, None]
             * grid.mesh.normals[:, None, :]).reshape(-1, 3)
 
@@ -800,11 +809,15 @@ def strong_convergence_experiment(grid: OperatorGrid, sp: SpectralParameter,
     All three families act on fixed smooth densities; the table reports
     weighted norms of the differences per eps.  Norms must decrease
     monotonically until they hit the discretization floor (flagged);
-    an increase before the floor raises :class:`CheckFailed`.
+    an increase before the floor raises :class:`CheckFailed`.  A width
+    that is not positive, repeats, or exceeds the injectivity budget
+    raises ``ValueError``.
     """
     eps = sorted(float(e) for e in eps_list)[::-1]
     if any(e <= 0.0 for e in eps):
         raise ValueError("eps values must be positive")
+    if len(set(eps)) < len(eps):
+        raise ValueError(f"eps values must be distinct, got {list(eps_list)}")
     if g is None:
         g = default_separable_density(grid)
     if test_points is None:

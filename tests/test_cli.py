@@ -1,22 +1,17 @@
 import importlib.util
 import json
 import math
+import re
+import shlex
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from deltashell import CheckFailed, geometry
-from deltashell.cli import (
-    CONVERGE_DEFAULTS,
-    COUPLING_DEFAULTS,
-    GEOMETRY_DEFAULTS,
-    JUMP_DEFAULTS,
-    KLEIN_DEFAULTS,
-    SPECTRUM_DEFAULTS,
-    _build_parser,
-    main,
-)
+from deltashell import CheckFailed, cli, geometry
+from deltashell.cli import _build_parser, main
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_json(args, tmp_path, name="out.json"):
@@ -74,6 +69,14 @@ def test_coupling_table_matches_closed_form(tmp_path):
     # the table samples a square well with tau*eta = 0.1
     assert abs(doc["lambda_e"] - 2.0 * math.tan(0.05)) < 1e-4
     assert abs(doc["lambda_s"] - 2.0 * math.tanh(0.05)) < 1e-4
+
+
+def test_coupling_malformed_table_exits_two(tmp_path, capsys):
+    vfile = tmp_path / "v.json"
+    vfile.write_text(json.dumps({"x": [0.0, 1.0], "v": [1.0, 1.0]}))
+    code = main(["coupling", "--potential", "table", "--file", str(vfile)])
+    assert code == 2
+    assert "'kind'" in capsys.readouterr().err
 
 
 def test_coupling_disagreement_exits_one(tmp_path):
@@ -146,15 +149,12 @@ def test_config_value_of_wrong_shape_is_usage_error(tmp_path, capsys,
 
 
 @pytest.mark.parametrize("command, defaults", [
-    ("coupling", COUPLING_DEFAULTS), ("jump-check", JUMP_DEFAULTS),
-    ("geometry-audit", GEOMETRY_DEFAULTS), ("converge", CONVERGE_DEFAULTS),
-    ("spectrum", SPECTRUM_DEFAULTS), ("klein", KLEIN_DEFAULTS),
-])
+    (command, cli.defaults(command)) for command in cli.COMMANDS])
 def test_parser_destinations_are_the_defaults_keys(command, defaults):
     # _resolve reads "flag not given" from None, so a parser default
     # other than None would silently override the config file
     dests = vars(_build_parser().parse_args([command]))
-    for plumbing in ("command", "func", "parser", "config"):
+    for plumbing in ("command", "parser", "config"):
         dests.pop(plumbing)
     assert set(dests) == set(defaults)
     assert all(value is None for value in dests.values())
@@ -164,6 +164,19 @@ def test_missing_config_file_is_usage_error(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["coupling", "--config", str(tmp_path / "nope.json")])
     assert exc.value.code == 2
+
+
+def test_readme_examples_parse():
+    # a renamed or dropped flag fails here, not when the benchmark runs
+    # the examples; nothing is run
+    blocks = re.findall(r"^```\w*\n(.*?)^```", README.read_text(encoding="utf-8"),
+                        flags=re.M | re.S)
+    examples = [shlex.split(line)[1:] for block in blocks
+                for line in block.splitlines() if line.startswith("deltashell ")]
+    assert {argv[0] for argv in examples} == set(cli.COMMANDS)
+    parser = _build_parser()
+    for argv in examples:
+        assert parser.parse_args(argv).command == argv[0]
 
 
 # ---------------------------------------------------------------------------
@@ -289,8 +302,9 @@ def test_jump_check_coarse_mesh_passes(tmp_path):
 def test_jump_check_bad_density_from_config_exits_two(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"density": "sawtooth", "n": 320}))
-    code = main(["jump-check", "--config", str(cfg)])
-    assert code == 2
+    with pytest.raises(SystemExit) as exc:  # parser.error
+        main(["jump-check", "--config", str(cfg)])
+    assert exc.value.code == 2
     assert "density" in capsys.readouterr().err
 
 
@@ -347,6 +361,7 @@ def test_geometry_audit_window_violation_exits_one(tmp_path, monkeypatch):
     (["spectrum", "--lam", "1.0", "--scan=-0.9,0.9,1"], "--scan"),
     (["geometry-audit", "--n", "80", "--eps=-0.1"], "eps"),
     (["geometry-audit", "--n", "80", "--eps", "0"], "eps"),
+    (["converge", "--N", "80", "--M", "3", "--eps", "1.5,0.8"], "eps"),
 ])
 def test_input_outside_a_limit_is_usage_error(capsys, args, names):
     try:
@@ -387,7 +402,7 @@ def test_geometry_audit_flagged_row_is_strict_json(tmp_path):
 def test_benchmark_tracer_installs_and_uninstalls(tmp_path):
     # the traced benchmark rebinds program names from outside; a rename
     # or a changed signature must fail here, not at benchmark time
-    from deltashell import cli, coupling, shell_ops
+    from deltashell import coupling, shell_ops
 
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)

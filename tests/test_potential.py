@@ -132,6 +132,17 @@ def test_json_round_trip():
     assert profile_from_json(older) == tab
 
 
+@pytest.mark.parametrize("doc, named", [
+    ('{"x": [0.0, 1.0], "v": [1.0, 1.0]}', "'kind'"),
+    ('{"kind": "table", "ts": [-0.1, 0.1], "eta": 0.1}', "'vs'"),
+    ('{"kind": "pwlinear", "ts": [-0.1, 0.1], "vs": [1.0, 1.0]}', "'eta'"),
+    ("[1, 2]", "JSON object"),
+], ids=["no-kind", "no-vs", "no-eta", "list"])
+def test_malformed_json_profile_names_what_is_missing(doc, named):
+    with pytest.raises(ValueError, match=named):
+        profile_from_json(doc)
+
+
 def test_table_keeps_node_signs():
     tab = from_table((-1.0, -0.5, 0.0, 0.5, 1.0), (1.0, 0.0, -3.0, 0.0, 2.0), eta=1.0)
     f = factorize(tab)

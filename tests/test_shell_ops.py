@@ -616,6 +616,21 @@ def test_convergence_table_csv_format(grid_m3):
 def test_strong_convergence_rejects_bad_eps(grid_m3):
     with pytest.raises(ValueError):
         strong_convergence_experiment(grid_m3, SP, [0.1, -0.05])
+    with pytest.raises(ValueError, match="distinct"):
+        strong_convergence_experiment(grid_m3, SP, [0.1, 0.1])
+
+
+def test_collar_past_the_injectivity_budget_is_rejected(ellipsoid_grid_m3):
+    from deltashell.shell_ops import default_separable_density
+
+    # 0.4 / max|curvature| = 0.197 on the (1.3, 1, 0.8) ellipsoid
+    grid = ellipsoid_grid_m3
+    eps = 1.01 * grid.mesh.surface.injectivity_budget()
+    g = default_separable_density(grid)
+    with pytest.raises(ValueError, match="injectivity budget"):
+        b_eps_apply(grid, SP, eps, g)
+    with pytest.raises(ValueError, match="injectivity budget"):
+        assemble_family(grid, SP, eps)
 
 
 # run under ``python -O``, where a bare assert would be stripped
