@@ -63,14 +63,17 @@ COAREA_TOL = 1e-6
 
 
 def _list_type(item):
-    """Flag type for comma-separated text, or a JSON list, of ``item``s."""
+    """Flag type for comma-separated text, or a JSON list, of ``item``s.
+
+    A JSON item converts from its text, so ``1.5`` is no int here either.
+    """
     def convert(value) -> list:
         items = value if isinstance(value, list) else [
             s.strip() for s in value.split(",") if s.strip()]
         if not items:
             raise argparse.ArgumentTypeError("empty list")
         try:
-            return [item(s) for s in items]
+            return [item(str(s)) for s in items]
         except (TypeError, ValueError):
             raise argparse.ArgumentTypeError(
                 f"bad {item.__name__} list {value!r}")
@@ -101,14 +104,15 @@ def _load_config(path: str | None, parser: argparse.ArgumentParser) -> dict:
 
 
 def _config_value(value, kind):
-    """A config-file value converted or checked as its flag's would be."""
+    """A config-file value converted (from its text) or checked as its
+    flag's would be, so ``64.9`` is no int and ``true`` no float."""
     if isinstance(kind, tuple):
         if value not in kind:
             raise ValueError("choose from " + ", ".join(map(repr, kind)))
         return value
     if (kind in (_float_list, _int_list)) != isinstance(value, list):
         raise TypeError("list flags take JSON lists, other flags single values")
-    return kind(value)
+    return kind(value if isinstance(value, list) else str(value))
 
 
 def _resolve(ns: argparse.Namespace, config: dict, command: str,
@@ -427,10 +431,13 @@ def cmd_klein(params, parser) -> int:
     study = klein_convergence_study(
         profile, eps, kappa=params["kappa"], m=params["m"], R=params["R"],
         kind=params["kind"], sub_panels=params["panels"])
-    _emit(study.csv() + _meta_block("klein", params, study.summary()),
-          params["out"])
+    summary = study.summary()
+    _emit(study.csv() + _meta_block("klein", params, summary), params["out"])
     if params["json_out"] is not None:
-        _emit(study.json_summary() + "\n", params["json_out"])
+        _emit_json({**summary, "kind": study.kind,
+                    "epsilons": [eps for eps, _, _ in study.rows],
+                    "gaps": [gap for _, _, gap in study.rows]},
+                   params["json_out"])
     return 0
 
 

@@ -627,10 +627,12 @@ def default_volume_density(volume: VolumeGrid) -> np.ndarray:
 def _shifted_points(grid: OperatorGrid, eps: float) -> np.ndarray:
     """Collar quadrature points x_k + eps t_q nu_k, shape (N M, 3).
 
-    Raises ``ValueError`` when eps exceeds the surface's injectivity
-    budget, the bound :class:`TubularMap` also keeps, past which the
-    collar's normal segments can cross.
+    Raises ``ValueError`` when eps is negative, or exceeds the surface's
+    injectivity budget, the bound :class:`TubularMap` also keeps, past
+    which the collar's normal segments can cross.
     """
+    if eps < 0.0:
+        raise ValueError(f"collar width eps={eps:g} is negative")
     budget = grid.mesh.surface.injectivity_budget()
     if eps > budget:
         raise ValueError(
@@ -692,14 +694,14 @@ def _b_eps_op(grid: OperatorGrid, sp: SpectralParameter,
 def _a_eps_op(grid: OperatorGrid, sp: SpectralParameter, eps: float,
               test_points: np.ndarray) -> _KernelSum:
     """A_eps: the layer potential of a collar density at test points."""
-    pts = _shifted_points(grid, max(eps, 0.0))
+    pts = _shifted_points(grid, eps)
     return _KernelSum(sp, test_points, pts, _source_weights(grid, eps).ravel())
 
 
 def _c_eps_op(grid: OperatorGrid, sp: SpectralParameter, eps: float,
               volume: VolumeGrid) -> _KernelSum:
     """C_eps: u(t) times the volume potential on the collar grid."""
-    pts = _shifted_points(grid, max(eps, 0.0))
+    pts = _shifted_points(grid, eps)
     return _KernelSum(sp, pts, volume.points, volume.weights,
                       np.tile(grid.u_vals, grid.n_nodes))
 
@@ -814,10 +816,11 @@ def strong_convergence_experiment(grid: OperatorGrid, sp: SpectralParameter,
     raises ``ValueError``.
     """
     eps = sorted(float(e) for e in eps_list)[::-1]
-    if any(e <= 0.0 for e in eps):
-        raise ValueError("eps values must be positive")
+    if not eps or any(e <= 0.0 for e in eps):
+        raise ValueError(f"eps values must be positive, got {list(eps_list)}")
     if len(set(eps)) < len(eps):
         raise ValueError(f"eps values must be distinct, got {list(eps_list)}")
+    _shifted_points(grid, eps[0])  # the widest collar, before any limit
     if g is None:
         g = default_separable_density(grid)
     if test_points is None:

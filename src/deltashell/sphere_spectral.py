@@ -23,7 +23,6 @@ coupling 2 tan(strength/2) (electrostatic) or 2 tanh(strength/2)
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -38,7 +37,6 @@ from .potential import PotentialProfile, SqueezedFamily, squeeze
 __all__ = [
     "CriticalCoupling",
     "ChannelSystem",
-    "TransmissionMatrix",
     "SpectralResult",
     "KleinStudy",
     "rotation",
@@ -78,37 +76,17 @@ def _require_kind(kind: str) -> None:
 
 @dataclass(frozen=True)
 class ChannelSystem:
-    """One spin-orbit channel: kappa, mass, shell radius, trial energy."""
+    """One spin-orbit channel: kappa, mass, shell radius."""
 
     kappa: int
     m: float = 1.0
     R: float = 1.0
-    a: float | None = None
 
     def __post_init__(self) -> None:
         if int(self.kappa) != self.kappa or self.kappa == 0:
             raise ValueError(f"kappa must be a nonzero integer, got {self.kappa}")
         if self.m <= 0 or self.R <= 0:
             raise ValueError("mass and radius must be positive")
-        if self.a is not None and not -self.m < self.a < self.m:
-            raise ValueError(
-                f"trial energy {self.a} outside the spectral gap "
-                f"(-{self.m}, {self.m})")
-
-
-@dataclass(frozen=True)
-class TransmissionMatrix:
-    """2x2 link psi(R+) = matrix psi(R-) produced by a singular shell."""
-
-    matrix: np.ndarray
-    kind: str
-    lam: float
-
-    def __post_init__(self) -> None:
-        mat = np.asarray(self.matrix, dtype=float)
-        if mat.shape != (2, 2):
-            raise ValueError("transmission matrix must be 2x2")
-        object.__setattr__(self, "matrix", mat)
 
 
 def rotation(angle: float) -> np.ndarray:
@@ -117,8 +95,8 @@ def rotation(angle: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]])
 
 
-def shell_matching(lam: float, kind: str) -> TransmissionMatrix:
-    """Transmission matrix of the singular shell at coupling ``lam``.
+def shell_matching(lam: float, kind: str) -> np.ndarray:
+    """2x2 link psi(R+) = M psi(R-) of the singular shell at coupling ``lam``.
 
     Cayley form M = (I - (lam/2) J)^-1 (I + (lam/2) J).  The
     electrostatic generator squares to -I, so M is the rotation by
@@ -133,8 +111,7 @@ def shell_matching(lam: float, kind: str) -> TransmissionMatrix:
         raise CriticalCoupling(f"coupling {lam:g} is a critical value (+-2)")
     gen = ROTATION_GENERATOR if kind == "electrostatic" else BOOST_GENERATOR
     half = 0.5 * lam * gen
-    mat = np.linalg.solve(np.eye(2) - half, np.eye(2) + half)
-    return TransmissionMatrix(mat, kind, lam)
+    return np.linalg.solve(np.eye(2) - half, np.eye(2) + half)
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +126,8 @@ def _bessel_orders(kappa: int) -> tuple:
 
 def _gap_momentum(ch: ChannelSystem, a: float) -> float:
     if not -ch.m < a < ch.m:
-        raise ValueError(f"trial energy {a} outside the gap")
+        raise ValueError(
+            f"trial energy {a} outside the spectral gap (-{ch.m}, {ch.m})")
     return math.sqrt(ch.m * ch.m - a * a)
 
 
@@ -187,20 +165,18 @@ def _panel_expm(h: float, p: float, q: float, s: float) -> np.ndarray:
     return np.array([[c + sig * p, sig * q], [sig * s, c - sig * p]]).real
 
 
-def transfer_through_squeezed(ch: ChannelSystem, family: SqueezedFamily,
-                              kind: str,
+def transfer_through_squeezed(ch: ChannelSystem, a: float,
+                              family: SqueezedFamily, kind: str,
                               sub_panels: int = TRANSFER_PANELS) -> np.ndarray:
     """Transfer matrix psi(R+eps) = T psi(R-eps) through a squeezed well.
 
-    The radial system with the potential added to the channel
-    coefficients is integrated by exact exponentials of the panel
+    The radial system at energy ``a`` with the potential added to the
+    channel coefficients is integrated by exact exponentials of the panel
     matrices, coefficients frozen at panel midpoints.  For square wells
     the potential term is exact; the kappa/r variation contributes
     O(panel width^2).
     """
     _require_kind(kind)
-    if ch.a is None:
-        raise ValueError("channel needs a trial energy a")
     if sub_panels < 16:
         raise ValueError("at least 16 sub-panels required")
     w = family.epsilon
@@ -213,8 +189,8 @@ def transfer_through_squeezed(ch: ChannelSystem, family: SqueezedFamily,
     v = np.asarray(family(mids - ch.R), dtype=float)
     ve = v if kind == "electrostatic" else np.zeros_like(v)
     vs = v if kind == "scalar" else np.zeros_like(v)
-    cp = ch.a + ch.m + vs - ve
-    cm = ch.a - ch.m - vs - ve
+    cp = a + ch.m + vs - ve
+    cm = a - ch.m - vs - ve
     p = ch.kappa / mids
     out = np.eye(2)
     for j in range(sub_panels):
@@ -243,10 +219,10 @@ def find_gap_eigenvalues(ch: ChannelSystem, matching,
                          half_width: float = 0.0) -> SpectralResult:
     """Roots of det[psi_out(R+w), M psi_in(R-w)] inside the gap.
 
-    ``matching`` is a TransmissionMatrix or a callable mapping the trial
-    energy to a 2x2 matrix (used for squeezed transfers, which depend on
-    the energy).  ``scan`` is (a_min, a_max, steps); each sign change of
-    the determinant on the scan grid is refined by Brent's method
+    ``matching`` is a 2x2 matrix (the shell's) or a callable mapping the
+    trial energy to one (a squeezed transfer, which depends on it).
+    ``scan`` is (a_min, a_max, steps); each sign change of the
+    determinant on the scan grid is refined by Brent's method
     (``brentq``) to 1e-12.  An empty result is valid: no sign change
     means no eigenvalue in the window.
     """
@@ -259,13 +235,17 @@ def find_gap_eigenvalues(ch: ChannelSystem, matching,
                          f"(-{ch.m}, {ch.m})")
     if steps < 2:
         raise ValueError("scan needs at least 2 steps")
-    fixed = isinstance(matching, TransmissionMatrix)
+    fixed = None
+    if not callable(matching):
+        fixed = np.asarray(matching, dtype=float)
+        if fixed.shape != (2, 2):
+            raise ValueError(f"matching matrix must be 2x2, got {fixed.shape}")
     r_in, r_out = ch.R - half_width, ch.R + half_width
 
     def det(a: float) -> float:
         pin = inner_solution(ch, a, r_in)
         pout = outer_solution(ch, a, r_out)
-        mp = (matching.matrix if fixed else matching(a)) @ pin
+        mp = (matching(a) if fixed is None else fixed) @ pin
         return float(pout[0] * mp[1] - pout[1] * mp[0])
 
     grid = np.linspace(a_lo, a_hi, steps)
@@ -323,15 +303,6 @@ class KleinStudy:
             "monotone_path": self.monotone_path,
             "separation": abs(self.a_nonlinear - self.a_linear),
         }
-
-    def json_summary(self) -> str:
-        """The summary as strict JSON: a non-finite figure becomes null."""
-        doc = {key: None if isinstance(value, float) and not math.isfinite(value)
-               else value for key, value in self.summary().items()}
-        doc["kind"] = self.kind
-        doc["epsilons"] = [eps for eps, _, _ in self.rows]
-        doc["gaps"] = [gap for _, _, gap in self.rows]
-        return json.dumps(doc, sort_keys=True, indent=2)
 
 
 def _single_root(ch: ChannelSystem, matching, half_width: float,
@@ -403,8 +374,7 @@ def klein_convergence_study(profile: PotentialProfile,
         fam = squeeze(profile, e)
 
         def squeezed(a: float, fam=fam) -> np.ndarray:
-            trial = ChannelSystem(kappa, m, R, a)
-            return transfer_through_squeezed(trial, fam, kind, sub_panels)
+            return transfer_through_squeezed(ch, a, fam, kind, sub_panels)
 
         a_eps = _single_root(ch, squeezed, e, near=a_eff)
         rows.append((e, a_eps, abs(a_eps - a_eff)))

@@ -160,18 +160,18 @@ def test_criterion_6_transfer_matching_identity():
     t0 = time.perf_counter()
     eps_seq = (1e-1, 1e-2, 1e-3, 1e-4)
     worst_slope, worst_identity = np.inf, 0.0
+    ch = ChannelSystem(-1)
     for theta in (0.3, 0.8, 1.2):
         errs = []
         for eps in eps_seq:
-            ch = ChannelSystem(-1, a=0.0)
             fam = squeeze(square_well(theta, 1.0), eps)
-            t_mat = transfer_through_squeezed(ch, fam, "electrostatic")
+            t_mat = transfer_through_squeezed(ch, 0.0, fam, "electrostatic")
             errs.append(np.linalg.norm(t_mat - rotation(theta), 2))
         slope = float(np.polyfit(np.log(eps_seq), np.log(errs), 1)[0])
         worst_slope = min(worst_slope, slope)
         tm = shell_matching(2.0 * math.tan(0.5 * theta), "electrostatic")
         worst_identity = max(worst_identity,
-                             float(np.max(np.abs(tm.matrix - rotation(theta)))))
+                             float(np.max(np.abs(tm - rotation(theta)))))
     elapsed = time.perf_counter() - t0
     ok = worst_slope >= 0.8 and worst_identity <= 1e-12
     report(6, "transfer/matching identity", ok,

@@ -137,6 +137,9 @@ def test_unknown_config_key_is_usage_error(tmp_path):
     ("klein", {"eps": 0.1}),
     ("geometry-audit", {"radii": 0.5}),
     ("converge", {"eps": []}),
+    ("coupling", {"n": 64.9}),
+    ("coupling", {"eta": 0.1, "tau": True}),
+    ("spectrum", {"lam": 1.0, "kappa": [1.5]}),
 ])
 def test_config_value_of_wrong_shape_is_usage_error(tmp_path, capsys,
                                                     command, config):
@@ -179,6 +182,20 @@ def test_readme_examples_parse():
         assert parser.parse_args(argv).command == argv[0]
 
 
+def test_readme_session_runs(capsys):
+    # the library session runs as written and prints what its comments say
+    blocks = re.findall(r"^```python\n(.*?)^```",
+                        README.read_text(encoding="utf-8"), flags=re.M | re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})
+    couplings, roots = capsys.readouterr().out.splitlines()
+    lam, closed = (float(v) for v in couplings.split())
+    assert lam == pytest.approx(1.0926, abs=1e-4)
+    assert closed == pytest.approx(2.0 * math.tan(0.5), abs=1e-15)
+    assert lam == pytest.approx(closed, abs=1e-12)
+    assert roots.startswith("(-0.56488") and roots.endswith(",)")
+
+
 # ---------------------------------------------------------------------------
 # klein
 
@@ -205,8 +222,12 @@ def test_klein_json_summary_file(tmp_path):
          "--json-out", str(jout)], tmp_path)
     assert code == 0
     doc = json.loads(jout.read_text())
+    assert doc["kind"] == "electrostatic"
     assert doc["separation"] == pytest.approx(0.0877744711461932, abs=1e-9)
     assert doc["epsilons"] == [0.2, 0.1]
+    assert len(doc["gaps"]) == 2
+    assert doc["monotone_path"] is True
+    assert sorted(doc) == list(doc)
 
 
 def test_klein_empty_eps_is_usage_error():

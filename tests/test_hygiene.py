@@ -2,10 +2,12 @@
 
 Deleting a function often leaves behind an import that only it used.
 This scan parses every module in ``src/`` and ``tests/`` and fails on
-any imported name that the module never reads.  A second scan keeps
-one kernel evaluator in ``src/``: the kernel ``phi_a`` is summed only
-by ``_kernel_blocks``, and that only by ``_KernelSum``, so the dense
-and matrix-free readings of every operator share one route.
+any imported name that the module never reads.  It can also leave a
+stale ``__all__`` entry, which fails only under ``import *``; a second
+scan checks that each exported name is bound in its module.  A third
+scan keeps one kernel evaluator in ``src/``: the kernel ``phi_a`` is
+summed only by ``_kernel_blocks``, and that only by ``_KernelSum``, so
+the dense and matrix-free readings of every operator share one route.
 """
 
 import ast
@@ -43,6 +45,36 @@ def test_scan_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def unbound_exports(source: str) -> list:
+    """Names in a module's ``__all__`` that no top-level statement binds."""
+    bound, exported = set(), []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update(alias.asname or alias.name.split(".")[0]
+                         for alias in node.names)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                bound.update(n.id for n in ast.walk(target)
+                             if isinstance(n, ast.Name))
+                if getattr(target, "id", None) == "__all__":
+                    exported = ast.literal_eval(node.value)
+    return sorted(set(exported) - bound)
+
+
+def test_scan_finds_an_unbound_export():
+    source = ("from math import pi\n__all__ = ['pi', 'f', 'C', 'X', 'gone']\n"
+              "X: int = 1\ndef f():\n    gone = 2\nclass C:\n    pass\n")
+    assert unbound_exports(source) == ["gone"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_exports_are_bound(path):
+    assert unbound_exports(path.read_text(encoding="utf-8")) == []
 
 
 def callers(source: str, name: str) -> list:

@@ -578,6 +578,18 @@ def test_a_eps_far_field_first_order(grid_m3):
     assert slope >= 0.8
 
 
+def test_negative_collar_width_is_refused(grid_m3):
+    # eps = 0 is the limit; below it the points and the source weights
+    # would disagree on the width
+    g = RNG.normal(size=(grid_m3.n_nodes, 3, 4)) + 0j
+    vol = ball_grid(0.3, nr=4, ntheta=4, nphi=6)
+    fv = RNG.normal(size=(len(vol), 4)) + 0j
+    with pytest.raises(ValueError, match="negative"):
+        a_eps_apply(grid_m3, SP, -0.05, g, far_ring())
+    with pytest.raises(ValueError, match="negative"):
+        c_eps_apply(grid_m3, SP, -0.05, vol, fv)
+
+
 # ---------------------------------------------------------------------------
 # strong convergence experiment
 
@@ -616,8 +628,22 @@ def test_convergence_table_csv_format(grid_m3):
 def test_strong_convergence_rejects_bad_eps(grid_m3):
     with pytest.raises(ValueError):
         strong_convergence_experiment(grid_m3, SP, [0.1, -0.05])
+    with pytest.raises(ValueError, match="positive"):
+        strong_convergence_experiment(grid_m3, SP, [])
     with pytest.raises(ValueError, match="distinct"):
         strong_convergence_experiment(grid_m3, SP, [0.1, 0.1])
+
+
+def test_budget_is_checked_before_the_limits(grid_m3, monkeypatch):
+    from deltashell import shell_ops
+
+    def no_limit(*args):
+        raise AssertionError("an eps -> 0 limit was built before the budget check")
+
+    monkeypatch.setattr(shell_ops, "b_limit_apply", no_limit)
+    wide = 1.01 * grid_m3.mesh.surface.injectivity_budget()
+    with pytest.raises(ValueError, match="injectivity budget"):
+        strong_convergence_experiment(grid_m3, SP, [0.05, wide])
 
 
 def test_collar_past_the_injectivity_budget_is_rejected(ellipsoid_grid_m3):

@@ -7,12 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
+from deltashell.cli import main
 from deltashell.potential import square_well, squeeze, truncated_gaussian
 from deltashell.sphere_spectral import (
     BOOST_GENERATOR,
     ChannelSystem,
     CriticalCoupling,
-    TransmissionMatrix,
     find_gap_eigenvalues,
     inner_solution,
     klein_convergence_study,
@@ -46,9 +46,7 @@ SQUEEZED_ROOTS = {
 
 def test_zero_coupling_is_identity():
     for kind in ("electrostatic", "scalar"):
-        tm = shell_matching(0.0, kind)
-        assert np.array_equal(tm.matrix, np.eye(2))
-        assert tm.kind == kind and tm.lam == 0.0
+        assert np.array_equal(shell_matching(0.0, kind), np.eye(2))
 
 
 def test_electrostatic_matching_is_rotation():
@@ -56,8 +54,8 @@ def test_electrostatic_matching_is_rotation():
     tm = shell_matching(lam, "electrostatic")
     c, s = math.cos(0.8), math.sin(0.8)
     expected = np.array([[c, -s], [s, c]])
-    assert np.allclose(tm.matrix, expected, rtol=0.0, atol=1e-15)
-    assert np.allclose(tm.matrix, rotation(0.8), rtol=0.0, atol=1e-15)
+    assert np.allclose(tm, expected, rtol=0.0, atol=1e-15)
+    assert np.allclose(tm, rotation(0.8), rtol=0.0, atol=1e-15)
 
 
 def test_scalar_matching_is_boost():
@@ -65,14 +63,14 @@ def test_scalar_matching_is_boost():
     theta = 2.0 * math.atanh(lam / 2.0)
     ch, sh = math.cosh(theta), math.sinh(theta)
     tm = shell_matching(lam, "scalar")
-    assert tm.matrix == pytest.approx(np.array([[ch, sh], [sh, ch]]), abs=1e-14)
+    assert tm == pytest.approx(np.array([[ch, sh], [sh, ch]]), abs=1e-14)
 
 
 @settings(max_examples=60, deadline=None)
 @given(lam=st.floats(-1.9, 1.9), kind=st.sampled_from(["electrostatic", "scalar"]))
 def test_matching_is_unimodular_and_cayley_inverse(lam, kind):
-    m_pos = shell_matching(lam, kind).matrix
-    m_neg = shell_matching(-lam, kind).matrix
+    m_pos = shell_matching(lam, kind)
+    m_neg = shell_matching(-lam, kind)
     assert np.linalg.det(m_pos) == pytest.approx(1.0, abs=1e-12)
     assert np.allclose(m_neg @ m_pos, np.eye(2), atol=1e-12)
 
@@ -81,14 +79,14 @@ def test_unimodular_at_random_couplings():
     for lam in RNG.uniform(-1.99, 1.99, size=100):
         for kind in ("electrostatic", "scalar"):
             tm = shell_matching(float(lam), kind)
-            assert abs(np.linalg.det(tm.matrix) - 1.0) < 1e-12
+            assert abs(np.linalg.det(tm) - 1.0) < 1e-12
 
 
 def test_klein_angle_identity():
     # 2 tan(c/2) run through the Cayley form lands back on rotation(c)
     for c in (0.1, 0.5, 1.0, math.pi / 2 - 0.1):
         tm = shell_matching(2.0 * math.tan(0.5 * c), "electrostatic")
-        assert np.max(np.abs(tm.matrix - rotation(c))) < 1e-14
+        assert np.max(np.abs(tm - rotation(c))) < 1e-14
 
 
 def test_rotation_composes():
@@ -109,9 +107,11 @@ def test_kind_validation():
         shell_matching(1.0, "vector")
 
 
-def test_transmission_matrix_shape_guard():
-    with pytest.raises(ValueError):
-        TransmissionMatrix(np.eye(3), "scalar", 0.5)
+def test_matching_shape_guard():
+    ch = ChannelSystem(-1)
+    for bad in (np.eye(3), np.ones(2)):
+        with pytest.raises(ValueError, match="2x2"):
+            find_gap_eigenvalues(ch, bad, scan=(-0.5, 0.5, 3))
 
 
 def test_channel_validation():
@@ -121,9 +121,9 @@ def test_channel_validation():
         ChannelSystem(-1, m=0.0)
     with pytest.raises(ValueError):
         ChannelSystem(-1, R=-1.0)
-    with pytest.raises(ValueError):
-        ChannelSystem(-1, a=1.0)
-    ChannelSystem(2, m=0.5, R=2.0, a=-0.49)
+    ChannelSystem(2, m=0.5, R=2.0)
+    with pytest.raises(ValueError, match=r"outside the spectral gap \(-0.5, 0.5\)"):
+        inner_solution(ChannelSystem(2, m=0.5, R=2.0), 0.5, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +239,7 @@ def test_series_basis_reproduces_eigenvalue():
 
     def det(a):
         pin, pout = series_inner(ch, a, ch.R), series_outer(ch, a, ch.R)
-        mp = tm.matrix @ pin
+        mp = tm @ pin
         return pout[0] * mp[1] - pout[1] * mp[0]
 
     assert det(root - 1e-8) * det(root + 1e-8) < 0.0
@@ -310,9 +310,9 @@ def test_narrow_scan_still_brackets():
 
 
 def test_transfer_of_zero_well_is_free_propagation():
-    ch = ChannelSystem(-1, a=0.3)
+    ch = ChannelSystem(-1)
     t0 = transfer_through_squeezed(
-        ch, squeeze(square_well(0.0, 1.0), 0.3), "electrostatic")
+        ch, 0.3, squeeze(square_well(0.0, 1.0), 0.3), "electrostatic")
     prop = t0 @ inner_solution(ch, 0.3, 0.7)
     prop = prop / np.linalg.norm(prop)
     ref = inner_solution(ch, 0.3, 1.3)
@@ -320,10 +320,10 @@ def test_transfer_of_zero_well_is_free_propagation():
 
 
 def test_transfer_is_unimodular():
-    ch = ChannelSystem(-1, a=-0.4)
+    ch = ChannelSystem(-1)
     fam = squeeze(square_well(1.0, 1.0), 0.1)
     for kind in ("electrostatic", "scalar"):
-        t = transfer_through_squeezed(ch, fam, kind)
+        t = transfer_through_squeezed(ch, -0.4, fam, kind)
         assert np.linalg.det(t) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -332,10 +332,10 @@ def test_transfer_tends_to_the_klein_rotation():
     strength = 0.8
     eps_seq = (1e-1, 1e-2, 1e-3, 1e-4)
     errs = []
+    ch = ChannelSystem(-1)
     for eps in eps_seq:
-        ch = ChannelSystem(-1, a=0.0)
         fam = squeeze(square_well(strength, 1.0), eps)
-        t = transfer_through_squeezed(ch, fam, "electrostatic")
+        t = transfer_through_squeezed(ch, 0.0, fam, "electrostatic")
         errs.append(np.linalg.norm(t - rotation(strength), 2))
     slope = np.polyfit(np.log(eps_seq), np.log(errs), 1)[0]
     assert slope > 0.8
@@ -348,8 +348,7 @@ def test_transfer_panel_refinement_is_converged():
 
     def root(panels):
         def squeezed(a):
-            trial = ChannelSystem(-1, a=a)
-            return transfer_through_squeezed(trial, fam, "electrostatic", panels)
+            return transfer_through_squeezed(ch, a, fam, "electrostatic", panels)
         res = find_gap_eigenvalues(ch, squeezed, half_width=0.1)
         return res.eigenvalues[0]
 
@@ -359,14 +358,12 @@ def test_transfer_panel_refinement_is_converged():
 def test_transfer_guards():
     fam = squeeze(square_well(1.0, 1.0), 0.1)
     with pytest.raises(ValueError):
-        transfer_through_squeezed(ChannelSystem(-1), fam, "electrostatic")
-    with pytest.raises(ValueError):
         transfer_through_squeezed(
-            ChannelSystem(-1, a=0.0), fam, "electrostatic", sub_panels=8)
+            ChannelSystem(-1), 0.0, fam, "electrostatic", sub_panels=8)
     wide = squeeze(square_well(1.0, 1.0), 0.6)
     with pytest.raises(ValueError):
         transfer_through_squeezed(
-            ChannelSystem(-1, R=0.5, a=0.0), wide, "electrostatic")
+            ChannelSystem(-1, R=0.5), 0.0, wide, "electrostatic")
 
 
 # ---------------------------------------------------------------------------
@@ -418,13 +415,20 @@ def test_study_csv_shape(electro_study):
     assert float(first[1]) == pytest.approx(SQUEEZED_ROOTS[0.2], abs=1e-9)
 
 
-def test_study_json_summary(electro_study):
-    doc = json.loads(electro_study.json_summary())
+def test_study_json_summary(electro_study, tmp_path):
+    # klein --json-out writes the study's summary as one sorted document
+    jout = tmp_path / "summary.json"
+    assert main(["klein", "--tau", "1.0", "--eta", "1.0",
+                 "--eps", "0.2,0.1,0.05,0.025", "--out", str(tmp_path / "k.csv"),
+                 "--json-out", str(jout)]) == 0
+    doc = json.loads(jout.read_text())
     assert doc["kind"] == "electrostatic"
     assert doc["epsilons"] == [0.2, 0.1, 0.05, 0.025]
     assert doc["separation"] == pytest.approx(0.0877744711461932, abs=1e-9)
     assert doc["monotone_path"] is True
     assert sorted(doc) == list(doc)
+    assert doc["gaps"] == [gap for _, _, gap in electro_study.rows]
+    assert {k: doc[k] for k in electro_study.summary()} == electro_study.summary()
 
 
 def test_scalar_study_tracks_tanh_coupling():
