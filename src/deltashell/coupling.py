@@ -114,9 +114,6 @@ class KVOperator:
     u_vals: np.ndarray
     v_vals: np.ndarray
 
-    def apply(self, f_vals: np.ndarray) -> np.ndarray:
-        return self.matrix @ f_vals
-
 
 def build_kv(f: UVFactorization, n: int = DEFAULT_NODES) -> KVOperator:
     """Assemble the N x N Nystrom matrix of K_V on a composite panel grid.
@@ -162,7 +159,6 @@ def build_kv(f: UVFactorization, n: int = DEFAULT_NODES) -> KVOperator:
 class CouplingConstants:
     lambda_e: float
     lambda_s: float
-    method: str
     residuals: dict
 
 
@@ -193,10 +189,7 @@ def lambda_electrostatic(kv: KVOperator) -> CouplingConstants:
         raw = np.sum(kv.weights * kv.v_vals * x)
         residuals[f"imag_residue_{name}"] = float(abs(raw.imag))
         values[name] = _real_checked(raw, name)
-    return CouplingConstants(
-        lambda_e=values["lambda_e"], lambda_s=values["lambda_s"],
-        method="direct-solve", residuals=residuals,
-    )
+    return CouplingConstants(values["lambda_e"], values["lambda_s"], residuals)
 
 
 def lambda_neumann(kv: KVOperator, terms: int) -> CouplingConstants:
@@ -231,8 +224,7 @@ def lambda_neumann(kv: KVOperator, terms: int) -> CouplingConstants:
         "imag_residue": float(max(abs(total_e.imag), abs(total_s.imag))),
     }
     return CouplingConstants(_real_checked(total_e, "neumann sum"),
-                             _real_checked(total_s, "neumann sum"),
-                             "neumann", residuals)
+                             _real_checked(total_s, "neumann sum"), residuals)
 
 
 def closed_form_couplings(theta: float) -> tuple[float, float]:

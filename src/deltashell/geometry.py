@@ -113,12 +113,6 @@ def weingarten(s: Surface, x) -> np.ndarray:
     return W if x.ndim == 2 else W[0]
 
 
-def curvatures(s: Surface, x) -> tuple[float, float]:
-    """Principal curvatures (eigenvalues of W), ascending."""
-    lam = np.linalg.eigvalsh(weingarten(s, x))
-    return float(lam[0]), float(lam[1])
-
-
 @lru_cache(maxsize=None)
 def _icosphere_faces(level: int):
     """Unit icosphere after `level` midpoint subdivisions; face vertex triples."""
@@ -180,9 +174,6 @@ class SurfaceMesh:
 
     def __len__(self) -> int:
         return len(self.nodes)
-
-    def area(self) -> float:
-        return float(np.sum(self.weights))
 
     def coarea(self, t) -> np.ndarray:
         """det(1 - t W) per node, (N,); t of shape (M,) gives (N, M)."""

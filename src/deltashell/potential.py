@@ -1,16 +1,18 @@
 """1D potential profiles, their smallness class, u-v factorization, squeezing.
 
-A profile is a bounded real function V supported in [-eta, eta]. The
-factorization u(t) = |eta V(eta t)|^{1/2}, v(t) = sign(V(eta t)) u(t) lives on
-[-1, 1] and satisfies u v = eta V(eta .). Squeezing rescales the profile onto
-[-eps, eps] at fixed integral: V_eps(t) = (eta/eps) V(eta t / eps).
+A profile is a bounded real function V supported in [-eta, eta]: a
+truncated Gaussian, or a table linear between its nodes. A square well
+is the two-node table. The factorization u(t) = |eta V(eta t)|^{1/2},
+v(t) = sign(V(eta t)) u(t) lives on [-1, 1] and satisfies
+u v = eta V(eta .). Squeezing rescales the profile onto [-eps, eps] at
+fixed integral: V_eps(t) = (eta/eps) V(eta t / eps).
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Callable
+import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import erf
@@ -19,99 +21,76 @@ from scipy.special import erf
 SUP_GRID = 10_000
 
 
+def _require_finite(name: str, value: float) -> None:
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class PotentialProfile:
     """Real potential on [-eta, eta]; construct via the module helpers."""
 
     kind: str
     eta: float
-    tau: float = 0.0
     amp: float = 0.0
     sigma: float = 0.0
     ts: tuple = ()
     vs: tuple = ()
 
     def __post_init__(self):
+        _require_finite("eta", self.eta)
         if self.eta <= 0:
-            raise ValueError(f"support half-width must be positive, got {self.eta}")
-        if self.kind not in ("square", "gaussian", "table"):
-            raise ValueError(f"unknown profile kind {self.kind!r}")
-        if self.kind == "table":
+            raise ValueError(
+                f"support half-width eta must be positive, got {self.eta}")
+        if self.kind == "gaussian":
+            _require_finite("amp", self.amp)
+            _require_finite("sigma", self.sigma)
+            if self.sigma <= 0:
+                raise ValueError(f"sigma must be positive, got {self.sigma}")
+        elif self.kind == "table":
             ts = np.asarray(self.ts, dtype=float)
             vs = np.asarray(self.vs, dtype=float)
             if ts.size < 2 or ts.size != vs.size:
                 raise ValueError("tabulated profile needs matching ts/vs, len >= 2")
+            for name, values in (("ts", ts), ("vs", vs)):
+                if not np.all(np.isfinite(values)):
+                    raise ValueError(f"table {name} must be finite")
             if np.any(np.diff(ts) <= 0):
                 raise ValueError("table nodes must be strictly increasing")
             if ts[0] < -self.eta or ts[-1] > self.eta:
                 raise ValueError("table nodes must lie inside [-eta, eta]")
             object.__setattr__(self, "ts", tuple(float(t) for t in ts))
             object.__setattr__(self, "vs", tuple(float(v) for v in vs))
+        else:
+            raise ValueError(f"unknown profile kind {self.kind!r}")
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
-        inside = np.abs(t) <= self.eta
-        if self.kind == "square":
-            out = np.where(np.abs(t) < self.eta, 0.5 * self.tau, 0.0)
-        elif self.kind == "gaussian":
-            out = np.where(inside, self.amp * np.exp(-(t * t) / (2.0 * self.sigma**2)), 0.0)
+        if self.kind == "gaussian":
+            out = np.where(np.abs(t) <= self.eta,
+                           self.amp * np.exp(-(t * t) / (2.0 * self.sigma**2)), 0.0)
         else:
-            ts = np.asarray(self.ts)
-            vs = np.asarray(self.vs)
-            out = np.interp(t, ts, vs, left=0.0, right=0.0)
-            out = np.where((t < ts[0]) | (t > ts[-1]), 0.0, out)
+            out = np.interp(t, self.ts, self.vs, left=0.0, right=0.0)
         return out if out.ndim else float(out)
 
     def sup_norm(self) -> float:
-        """Analytic sup where the shape allows it, else the node/grid max."""
-        if self.kind == "square":
-            return 0.5 * abs(self.tau)
+        """Analytic sup where the shape allows it, else the node max."""
         if self.kind == "gaussian":
             return abs(self.amp)
         return float(np.max(np.abs(self.vs)))
 
     def integral(self) -> float:
-        if self.kind == "square":
-            return self.tau * self.eta
         if self.kind == "gaussian":
             return self.amp * self.sigma * np.sqrt(2.0 * np.pi) * erf(
                 self.eta / (np.sqrt(2.0) * self.sigma)
             )
         return float(np.trapezoid(self.vs, self.ts))
 
-    def l1_norm(self) -> float:
-        if self.kind == "square":
-            return abs(self.tau) * self.eta
-        if self.kind == "gaussian":
-            return abs(self.integral())
-        # exact |linear| integral per segment, handling interior sign changes
-        total = 0.0
-        ts, vs = np.asarray(self.ts), np.asarray(self.vs)
-        for (t0, t1, v0, v1) in zip(ts[:-1], ts[1:], vs[:-1], vs[1:]):
-            h = t1 - t0
-            if v0 * v1 >= 0:
-                total += 0.5 * h * (abs(v0) + abs(v1))
-            else:
-                tc = h * abs(v0) / (abs(v0) + abs(v1))
-                total += 0.5 * (tc * abs(v0) + (h - tc) * abs(v1))
-        return total
-
-    def to_json(self) -> str:
-        doc = {"kind": self.kind, "eta": self.eta}
-        if self.kind == "square":
-            doc["tau"] = self.tau
-        elif self.kind == "gaussian":
-            doc["amp"] = self.amp
-            doc["sigma"] = self.sigma
-        else:
-            doc["ts"] = list(self.ts)
-            doc["vs"] = list(self.vs)
-        return json.dumps(doc)
-
 
 def square_well(tau: float, eta: float) -> PotentialProfile:
-    """Height tau/2 on (-eta, eta); integral tau*eta."""
-    return PotentialProfile(kind="square", eta=eta, tau=tau)
+    """Height tau/2 on [-eta, eta], the two-node table; integral tau*eta."""
+    _require_finite("tau", tau)
+    return from_table((-eta, eta), (0.5 * tau, 0.5 * tau), eta)
 
 
 def truncated_gaussian(amp: float, sigma: float, eta: float) -> PotentialProfile:
@@ -124,10 +103,17 @@ def from_table(ts, vs, eta: float | None = None) -> PotentialProfile:
 
 
 def profile_from_json(doc: str) -> PotentialProfile:
-    """The profile a ``to_json`` document describes.
+    """The profile a JSON object describes, keyed by its ``kind``.
 
-    Raises ``ValueError`` when the document is not a JSON object, lacks
-    a key its kind needs (the key is named), or names an unknown kind.
+    - ``{"kind": "square", "tau": ..., "eta": ...}``: the square well;
+    - ``{"kind": "gaussian", "amp": ..., "sigma": ..., "eta": ...}``;
+    - ``{"kind": "table", "ts": [...], "vs": [...], "eta": ...}``, linear
+      between its nodes; ``"pwlinear"`` is an older name of the table.
+
+    Raises ``ValueError`` when the document is not a JSON object, names
+    an unknown kind, or lacks a key its kind needs or gives it a value
+    of the wrong type (the key is named): each value is a number, not a
+    bool, and ``ts`` and ``vs`` are lists of numbers.
     """
     d = json.loads(doc)
     if not isinstance(d, dict):
@@ -138,14 +124,30 @@ def profile_from_json(doc: str) -> PotentialProfile:
             raise ValueError(f"potential profile has no {key!r} key")
         return d[key]
 
+    def is_number(value) -> bool:
+        return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+    def number(key) -> float:
+        value = get(key)
+        if not is_number(value):
+            raise ValueError(
+                f"potential profile key {key!r} must be a number, got {value!r}")
+        return value
+
+    def numbers(key) -> list:
+        value = get(key)
+        if not (isinstance(value, list) and all(map(is_number, value))):
+            raise ValueError(f"potential profile key {key!r} must be a list "
+                             f"of numbers, got {value!r}")
+        return value
+
     kind = get("kind")
     if kind == "square":
-        return square_well(get("tau"), get("eta"))
+        return square_well(number("tau"), number("eta"))
     if kind == "gaussian":
-        return truncated_gaussian(get("amp"), get("sigma"), get("eta"))
-    # "pwlinear" is the older name of the same linearly interpolated table
+        return truncated_gaussian(number("amp"), number("sigma"), number("eta"))
     if kind in ("pwlinear", "table"):
-        return from_table(get("ts"), get("vs"), get("eta"))
+        return from_table(numbers("ts"), numbers("vs"), number("eta"))
     raise ValueError(f"unknown profile kind {kind!r}")
 
 
@@ -167,28 +169,21 @@ class UVFactorization:
     """u = |eta V(eta .)|^{1/2} and v = sign(V(eta .)) u, supported on [-1, 1]."""
 
     profile: PotentialProfile
-    u: Callable = field(init=False)
-    v: Callable = field(init=False)
 
-    def __post_init__(self):
-        p, eta = self.profile, self.profile.eta
+    def _sample(self, t) -> np.ndarray:
+        """eta V(eta t), zero outside [-1, 1]."""
+        t = np.asarray(t, dtype=float)
+        eta = self.profile.eta
+        return np.where(np.abs(t) <= 1.0, eta * self.profile(eta * t), 0.0)
 
-        def u(t):
-            t = np.asarray(t, dtype=float)
-            scaled = eta * p(eta * t)
-            out = np.sqrt(np.abs(scaled))
-            out = np.where(np.abs(t) <= 1.0, out, 0.0)
-            return out if out.ndim else float(out)
+    def u(self, t):
+        out = np.sqrt(np.abs(self._sample(t)))
+        return out if out.ndim else float(out)
 
-        def v(t):
-            t = np.asarray(t, dtype=float)
-            scaled = eta * p(eta * t)
-            out = np.sign(scaled) * np.sqrt(np.abs(scaled))
-            out = np.where(np.abs(t) <= 1.0, out, 0.0)
-            return out if out.ndim else float(out)
-
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "v", v)
+    def v(self, t):
+        scaled = self._sample(t)
+        out = np.sign(scaled) * np.sqrt(np.abs(scaled))
+        return out if out.ndim else float(out)
 
 
 def factorize(p: PotentialProfile) -> UVFactorization:
@@ -213,9 +208,6 @@ class SqueezedFamily:
         t = np.asarray(t, dtype=float)
         out = (eta / eps) * np.asarray(self.profile(eta * t / eps), dtype=float)
         return out if out.ndim else float(out)
-
-    def integral(self) -> float:
-        return self.profile.integral()
 
 
 def squeeze(p: PotentialProfile, epsilon: float) -> SqueezedFamily:

@@ -567,7 +567,6 @@ class OperatorGrid:
     """Tensor quadrature grid (surface mesh) x (transverse Gauss rule)."""
 
     mesh: SurfaceMesh
-    uv: UVFactorization
     t_nodes: np.ndarray
     t_weights: np.ndarray
     u_vals: np.ndarray
@@ -595,7 +594,7 @@ def make_operator_grid(mesh: SurfaceMesh, uv: UVFactorization,
     if m_nodes < 2:
         raise ValueError("need at least 2 transverse nodes")
     t, w = leggauss(m_nodes)
-    return OperatorGrid(mesh, uv, t, w, np.asarray(uv.u(t), dtype=float),
+    return OperatorGrid(mesh, t, w, np.asarray(uv.u(t), dtype=float),
                         np.asarray(uv.v(t), dtype=float))
 
 

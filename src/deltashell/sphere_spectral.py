@@ -107,6 +107,8 @@ def shell_matching(lam: float, kind: str) -> np.ndarray:
     """
     _require_kind(kind)
     lam = float(lam)
+    if not math.isfinite(lam):
+        raise ValueError(f"coupling lam must be finite, got {lam}")
     if abs(abs(lam) - 2.0) < COUPLING_SINGULARITY_TOL:
         raise CriticalCoupling(f"coupling {lam:g} is a critical value (+-2)")
     gen = ROTATION_GENERATOR if kind == "electrostatic" else BOOST_GENERATOR

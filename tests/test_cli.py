@@ -79,6 +79,14 @@ def test_coupling_malformed_table_exits_two(tmp_path, capsys):
     assert "'kind'" in capsys.readouterr().err
 
 
+def test_coupling_table_of_wrong_type_exits_two(tmp_path, capsys):
+    vfile = tmp_path / "v.json"
+    vfile.write_text(json.dumps({"kind": "square", "tau": 1.0, "eta": None}))
+    code = main(["coupling", "--potential", "table", "--file", str(vfile)])
+    assert code == 2
+    assert "'eta'" in capsys.readouterr().err
+
+
 def test_coupling_disagreement_exits_one(tmp_path):
     code, doc = run_json(
         ["coupling", "--tau", "2.8", "--eta", "1.0", "--n", "8",
@@ -383,6 +391,14 @@ def test_geometry_audit_window_violation_exits_one(tmp_path, monkeypatch):
     (["geometry-audit", "--n", "80", "--eps=-0.1"], "eps"),
     (["geometry-audit", "--n", "80", "--eps", "0"], "eps"),
     (["converge", "--N", "80", "--M", "3", "--eps", "1.5,0.8"], "eps"),
+    (["coupling", "--potential", "gaussian", "--amp", "1", "--sigma", "0"],
+     "sigma"),
+    (["coupling", "--potential", "gaussian", "--amp", "1", "--sigma=-0.5"],
+     "sigma"),
+    (["coupling", "--tau", "nan"], "tau"),
+    (["coupling", "--eta", "inf"], "eta"),
+    (["spectrum", "--lam", "nan"], "lam"),
+    (["spectrum", "--lam", "inf"], "lam"),
 ])
 def test_input_outside_a_limit_is_usage_error(capsys, args, names):
     try:

