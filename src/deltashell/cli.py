@@ -84,6 +84,15 @@ _float_list = _list_type(float)
 _int_list = _list_type(int)
 
 
+def _tolerance(value) -> float:
+    """Flag type for a tolerance: a positive finite float."""
+    tol = float(value)
+    if not 0.0 < tol < np.inf:
+        raise argparse.ArgumentTypeError(
+            f"tolerance must be positive and finite, got {value!r}")
+    return tol
+
+
 def _as_complex(value) -> complex:
     if isinstance(value, str):
         return complex(value.strip().replace("i", "j"))
@@ -464,7 +473,7 @@ COMMANDS = {
         *_PROFILE,
         ("--n", int, 128, "quadrature nodes"),
         ("--terms", int, 20, "Neumann terms"),
-        ("--tol", float, COUPLING_TOL, "method agreement tolerance"),
+        ("--tol", _tolerance, COUPLING_TOL, "method agreement tolerance"),
     ]),
     "jump-check": (cmd_jump_check,
                    "one-sided trace extrapolation against the jump formulas", [
@@ -478,7 +487,7 @@ COMMANDS = {
         ("--seed", int, 7, "seed for random-wave"),
         ("--offsets", _float_list, None, "explicit offset heights, comma-separated"),
         ("--max-eval-nodes", int, 1024, "evaluation node cap"),
-        ("--tol", float, JUMP_TOL, "max relative error bound"),
+        ("--tol", _tolerance, JUMP_TOL, "max relative error bound"),
     ]),
     "geometry-audit": (cmd_geometry_audit,
                        "coarea closed forms and measure growth on a shell", [
@@ -491,7 +500,7 @@ COMMANDS = {
         ("--t", float, 0.0, "growth audit offset"),
         ("--radii", _float_list, [0.3, 0.5, 1.0], "growth audit ball radii"),
         ("--max-centers", int, 256, "growth audit center cap"),
-        ("--tol", float, COAREA_TOL, "closed-form tolerance"),
+        ("--tol", _tolerance, COAREA_TOL, "closed-form tolerance"),
     ]),
     "converge": (cmd_converge,
                  "strong-convergence table for the squeezed operator family", [

@@ -15,7 +15,6 @@ import numpy as np
 import numpy.typing as npt
 
 ArrayC = npt.NDArray[np.complex128]
-ArrayR = npt.NDArray[np.float64]
 
 SIGMA1 = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 SIGMA2 = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
@@ -79,37 +78,44 @@ class SpectralParameter:
         object.__setattr__(self, "branch", complex(w))
 
 
-def _check_points(x) -> tuple[ArrayR, ArrayR, bool]:
-    """Validate kernel arguments; returns (points (n,3), radii (n,), batched)."""
-    x = np.asarray(x, dtype=np.float64)
-    batched = x.ndim > 1
-    pts = np.atleast_2d(x)
+def kernel_fields(sp: SpectralParameter, x) -> tuple:
+    """The two scalar fields of phi_a at points x of shape (..., 3).
+
+    phi_a(x) = pref(r) (a + m beta) + odd(r) i alpha.x with
+    pref = e^{-w r}/(4 pi r) and odd = pref (1 + w r)/r^2, r = |x| and
+    w = sqrt(m^2 - a^2), Re w > 0.  This is the one place the kernel's
+    formula lives: a sum over phi_a is two scalar sums times fixed 4x4
+    matrices.  Returns ``(pref, odd)``, each of shape ``x.shape[:-1]``
+    (``(1,)`` for a single point).  Raises ``ValueError`` for a point
+    within ``SINGULARITY_GUARD`` of the origin.
+    """
+    pts = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if pts.shape[-1] != 3:
-        raise ValueError(f"expected 3-vectors, got shape {x.shape}")
-    r = np.linalg.norm(pts, axis=-1)
+        raise ValueError(f"expected 3-vectors, got shape {np.shape(x)}")
+    r = np.sqrt(pts[..., 0] ** 2 + pts[..., 1] ** 2 + pts[..., 2] ** 2)
     if np.any(r < SINGULARITY_GUARD):
         raise ValueError("kernel evaluated at (or too close to) its singular point")
-    return pts, r, batched
+    w = sp.branch
+    pref = np.exp(-w * r) / (4.0 * np.pi * r)
+    return pref, pref * (1.0 + w * r) / (r * r)
 
 
 def phi_a(sp: SpectralParameter, x) -> ArrayC:
-    """Fundamental solution phi_a(x) of H - a.
+    """Fundamental solution phi_a(x) of H - a, from :func:`kernel_fields`.
 
     phi_a(x) = e^{-w|x|}/(4 pi |x|) (a + m beta + (1 + w|x|) i alpha.x / |x|^2)
     with w = sqrt(m^2 - a^2), Re w > 0.
 
     Parameters:
         sp: spectral parameter
-        x: 3-vector, or a batch of them with shape (n, 3)
+        x: 3-vector, or a batch of them with shape (..., 3)
 
     Returns:
-        4x4 complex matrix, or an (n, 4, 4) stack for batched input.
+        4x4 complex matrix, or a (..., 4, 4) stack for batched input.
     """
-    pts, r, batched = _check_points(x)
-    w = sp.branch
-    pref = np.exp(-w * r) / (4.0 * np.pi * r)
+    x = np.asarray(x, dtype=np.float64)
+    pref, odd_coef = kernel_fields(sp, x)
     even = np.multiply.outer(pref, sp.a * I4 + sp.m * BETA)
-    odd_coef = pref * (1.0 + w * r) / (r * r)
-    odd = odd_coef[:, None, None] * (1j * alpha_dot(pts))
+    odd = odd_coef[..., None, None] * (1j * alpha_dot(np.atleast_2d(x)))
     out = even + odd
-    return out if batched else out[0]
+    return out if x.ndim > 1 else out[0]

@@ -13,15 +13,17 @@ sense induced by the quadrature weights.
 
 Each operator is defined once, as a ``_KernelSum``: its points,
 weights and closed-form cells.  The dense matrix and the matrix-free
-apply are two readings of that one definition.  The singular cells use
-an analytically integrated flat-disk model: each surface node owns a
-disk of equal area, and the odd (Riesz) part of the kernel integrates
-to zero over the disk at zero offset, which is the principal-value
-convention.  ``_cell_block`` gives that cell, corrected by punctured
-far sums over the rest of the surface; it serves the trace diagonal
-and the same-node blocks of the squeezed family.  A cell need not sit
-under its own source points: the trace ``_trace_op`` can be read on
-any rows and at any height over them, and read at +-h it gives the
+apply are two readings of that one definition: the matrix writes the
+kernel's 4x4 blocks, the apply sums its two scalar fields by matmuls
+and never forms a block.  The singular cells use an analytically
+integrated flat-disk model: each surface node owns a disk of equal
+area, and the odd (Riesz) part of the kernel integrates to zero over
+the disk at zero offset, which is the principal-value convention.
+``_cell_block`` gives that cell, corrected by punctured far sums over
+the rest of the surface; it serves the trace diagonal and the
+same-node blocks of the squeezed family.  A cell need not sit under
+its own source points: the trace ``_trace_op`` can be read on any
+rows and at any height over them, and read at +-h it gives the
 one-sided limits of the Plemelj check.
 """
 
@@ -36,7 +38,8 @@ from scipy.sparse.linalg import svds
 from scipy.spatial import cKDTree
 
 from . import CheckFailed
-from .dirac_algebra import BETA, I4, SpectralParameter, alpha_dot, phi_a
+from .dirac_algebra import (ALPHA, BETA, I4, SpectralParameter, alpha_dot,
+                            kernel_fields, phi_a)
 from .geometry import SurfaceMesh
 from .potential import UVFactorization
 
@@ -116,37 +119,54 @@ def ball_grid(radius: float, nr: int = 8, ntheta: int = 8, nphi: int = 16,
 # kernel sums
 
 
+#: transient bytes per chunk of a kernel sum: small enough that a chunk's
+#: arrays stay in cache and reuse the memory the previous chunk freed
+CHUNK_BYTES = 4e6
+
+
 def _chunks(nx: int, row_bytes: int, rows: int = 0):
-    """Row ranges (lo, hi) of ``rows`` rows, or of about 1.5e8 bytes each."""
+    """Row ranges (lo, hi) of ``rows`` rows, or of about CHUNK_BYTES each."""
     if rows <= 0:
-        rows = max(1, int(1.5e8 // max(row_bytes, 1)))
+        rows = max(1, int(CHUNK_BYTES // max(row_bytes, 1)))
     for lo in range(0, nx, rows):
         yield lo, min(lo + rows, nx)
 
 
 def _kernel_blocks(sp: SpectralParameter, x: np.ndarray, y: np.ndarray,
-                   use, owners: tuple | None = None, rows: int = 0) -> None:
-    """Pass the kernel blocks phi_a(x_i - y_j) to ``use``, a chunk at a time.
+                   use, owners: tuple | None = None, rows: int = 0,
+                   dense: bool = False) -> None:
+    """Pass the kernel to ``use`` one block of rows of ``x`` at a time.
 
-    Calls ``use(lo, hi, blocks)`` with blocks of shape (hi - lo, ny, 4, 4)
-    for the rows lo..hi of ``x``.  With ``owners = (x_owner, y_owner)``,
-    a pair whose owners match has x over the surface cell of y: its
-    block stays zero, for the caller to fill with the cell's closed form.
-    Matrix-free callers contract the blocks, dense callers write them
-    into the matrix; neither keeps them.  A chunk holds about 1.5e8
-    bytes of blocks unless ``rows`` sets its height; a dense matrix with
-    cells passes one cell's rows, so its transient stays small.
+    Calls ``use(lo, hi, diff, kernel)`` for the rows lo..hi, with
+    ``diff[i, j] = x_i - y_j`` of shape (hi - lo, ny, 3).  The kernel is
+    evaluated once per block.  By default it is the pair of scalar
+    fields ``(pref, odd)`` of :func:`kernel_fields`, each (hi - lo, ny):
+    phi_a(x_i - y_j) = pref_ij (a + m beta) + odd_ij i alpha.diff_ij, so
+    a matrix-free caller sums scalar fields and never forms a 4x4
+    block.  With ``dense`` it is the blocks phi_a(x_i - y_j) themselves,
+    (hi - lo, ny, 4, 4), for a caller that writes a matrix.  With
+    ``owners = (x_owner, y_owner)``, a pair whose owners match has x
+    over the surface cell of y: its fields or block are zero, for the
+    caller to fill with the cell's closed form.  Callers keep nothing of
+    a block.  A block holds about ``CHUNK_BYTES`` of kernel (128 bytes
+    a pair for fields, 256 for 4x4 blocks) unless ``rows`` sets its
+    height; a dense matrix with cells passes one cell's rows.
     """
     ny = y.shape[0]
-    for lo, hi in _chunks(x.shape[0], ny * 256, rows):
-        diff = (x[lo:hi, None, :] - y[None, :, :]).reshape(-1, 3)
-        keep = slice(None) if owners is None else (
-            owners[0][lo:hi, None] != owners[1][None, :]).ravel()
-        # allocated before the kernel runs, so the previous chunk is freed
-        # first; zero pages take no memory until they are written
-        blocks = np.zeros((diff.shape[0], 4, 4), dtype=complex)
-        blocks[keep] = phi_a(sp, diff[keep])
-        use(lo, hi, blocks.reshape(hi - lo, ny, 4, 4))
+    for lo, hi in _chunks(x.shape[0], ny * (256 if dense else 128), rows):
+        diff = x[lo:hi, None, :] - y[None, :, :]
+        if owners is not None:
+            cell = owners[0][lo:hi, None] == owners[1][None, :]
+            diff[cell] = 1.0  # any point off the singularity: zeroed below
+        if dense:  # flat, as perfbench's tracer counts points by length
+            kernel = phi_a(sp, diff.reshape(-1, 3)).reshape(hi - lo, ny, 4, 4)
+        else:
+            kernel = kernel_fields(sp, diff)
+        if owners is not None:
+            for part in (kernel,) if dense else kernel:
+                part[cell] = 0.0
+        use(lo, hi, diff, kernel)
+        del diff, kernel  # freed before the next block is built
 
 
 @dataclass(frozen=True)
@@ -158,9 +178,15 @@ class _KernelSum:
     consecutive groups of p and those of ``y`` consecutive cells of p;
     x group k lies over y cell owner[k].  Such a pair takes the
     closed-form (p, p, 4, 4) block blocks[k], which carries its own
-    column weights, in place of the kernel.  :meth:`apply` contracts
-    the kernel blocks chunk by chunk and :meth:`matrix` writes them
-    into a dense matrix, so both paths read this one definition.
+    column weights, in place of the kernel.
+
+    Both readings go through :func:`_kernel_blocks`.  Since phi_a is
+    pref (a + m beta) + odd i alpha.x, :meth:`apply` forms no 4x4
+    block: per block of rows it sums the four scalar fields pref and
+    odd (x_i - y_j)_c against the weighted density, four (rows, ny) @
+    (ny, 4) matmuls, and multiplies the four sums by a + m beta and
+    i alpha_c once at the end.  :meth:`matrix` writes the blocks phi_a
+    into a dense matrix.
     """
 
     sp: SpectralParameter
@@ -181,17 +207,24 @@ class _KernelSum:
     def apply(self, g: np.ndarray) -> np.ndarray:
         """The operator applied to a density of shape (ny, 4), as (nx, 4)."""
         gv = np.asarray(g, dtype=complex).reshape(-1, 4)
-        out = np.zeros((self.x.shape[0], 4), dtype=complex)
+        coeff = gv * self.col[:, None]
+        # sums[0] pairs with a + m beta, sums[1 + c] with i alpha_c
+        sums = np.empty((4, self.x.shape[0], 4), dtype=complex)
+
+        def add(lo: int, hi: int, diff: np.ndarray, fields: tuple) -> None:
+            pref, odd = fields
+            sums[0, lo:hi] = pref @ coeff
+            for c in range(3):
+                sums[1 + c, lo:hi] = (odd * diff[..., c]) @ coeff
+
+        _kernel_blocks(self.sp, self.x, self.y, add, self._owners())
+        out = sums[0] @ (self.sp.a * I4 + self.sp.m * BETA).T
+        for c in range(3):
+            out += sums[1 + c] @ (1j * ALPHA[c]).T
         if self.cells is not None:
             owner, cell = self.cells
             out += np.einsum("kpqab,kqb->kpa", cell, gv.reshape(
                 -1, cell.shape[2], 4)[owner]).reshape(-1, 4)
-        coeff = gv * self.col[:, None]
-
-        def add(lo: int, hi: int, blocks: np.ndarray) -> None:
-            out[lo:hi] += np.einsum("ijab,jb->ia", blocks, coeff)
-
-        _kernel_blocks(self.sp, self.x, self.y, add, self._owners())
         return out if self.row is None else out * self.row[:, None]
 
     def matrix(self) -> np.ndarray:
@@ -201,7 +234,8 @@ class _KernelSum:
         owner, cell = self.cells or (None, None)
         p = 0 if cell is None else cell.shape[1]
 
-        def write(lo: int, hi: int, blocks: np.ndarray) -> None:
+        def write(lo: int, hi: int, diff: np.ndarray,
+                  blocks: np.ndarray) -> None:
             blocks *= self.col[None, :, None, None]
             if cell is not None:
                 # the chunk is x group lo // p, over y cell owner[lo // p]
@@ -212,7 +246,8 @@ class _KernelSum:
             mat[4 * lo:4 * hi] = blocks.transpose(0, 2, 1, 3).reshape(
                 4 * (hi - lo), -1)
 
-        _kernel_blocks(self.sp, self.x, self.y, write, self._owners(), p)
+        _kernel_blocks(self.sp, self.x, self.y, write, self._owners(), p,
+                       dense=True)
         return mat
 
 
@@ -277,7 +312,7 @@ def _cell_block(sp: SpectralParameter, mesh: SurfaceMesh, rows: np.ndarray,
     less that of the flat one, which the anchor already counts.  The
     even parts are exact on the disk, so as the height and shift go to
     0 every moment tends to the trace's.  The far sums go in chunks of
-    evaluation points of about 1.5e8 bytes of fields.
+    evaluation points of about ``CHUNK_BYTES`` of fields.
     """
     det = mesh.coarea(shift)
     src = mesh.nodes + shift * mesh.normals
@@ -304,30 +339,32 @@ def _odd_far_chunk(sp: SpectralParameter, nodes: np.ndarray,
                    rows: np.ndarray, pts: np.ndarray) -> tuple:
     """Far sums of :func:`_cell_block`, one chunk; fields die on return.
 
-    Point pts[t] skips source node rows[t]; ``curv`` is div nu.
+    Point pts[t] skips source node rows[t]; ``curv`` is div nu.  The
+    sums are scalar (chunk, n) fields against the (n, 3) node vectors,
+    so each is a matmul: (x - y).nu(y) is x.nu(y) - y.nu(y), and the
+    vector moment sum_j f_j (x - y_j) is x sum_j f_j - sum_j f_j y_j.
     """
     w = sp.branch
-    m = rows.size
-    ar = np.arange(m)
-    diff = pts[:, None, :] - nodes[None, :, :]
-    r = np.linalg.norm(diff, axis=2)
-    r[ar, rows] = 1.0
+    own = (np.arange(rows.size), rows)
+    r = np.sqrt(sum((pts[:, c, None] - nodes[None, :, c]) ** 2
+                    for c in range(3)))
+    r[own] = 1.0
     decay = np.exp(-w * r)
     gw = decay / (4.0 * np.pi * r)
     base = 1.0 / (4.0 * np.pi * r**3)
     fac = (1.0 + w * r) * decay * base
-    ndot = np.einsum("ijc,jc->ij", diff, normals)
-    gw[ar, rows] = 0.0
-    base[ar, rows] = 0.0
-    fac[ar, rows] = 0.0
+    ndot = pts @ normals.T - np.sum(nodes * normals, axis=1)
+    gw[own] = 0.0
+    base[own] = 0.0
+    fac[own] = 0.0
     # curvature layer and the (f - 1) correction carry nu(y)
-    reg = curv[None, :] * gw + ndot * (fac - base)
-    v_far = np.einsum("ij,jc,j->ic", reg, normals, wts).astype(complex)
+    reg = curv * gw + ndot * (fac - base)
+    v_far = reg @ (normals * wts[:, None])
     # (nu(y) - nu(x)) against the flat kernel
-    q = ndot * base * wts[None, :]
-    v_far += np.einsum("ij,jc->ic", q, normals)
-    v_far -= np.sum(q, axis=1)[:, None] * normals[rows]
-    d_far = np.einsum("ij,ijc,j->ic", fac, diff, wts)
+    q = ndot * base * wts
+    v_far += q @ normals - np.sum(q, axis=1)[:, None] * normals[rows]
+    fw = fac * wts
+    d_far = np.sum(fw, axis=1)[:, None] * pts - fw @ nodes
     return v_far, d_far
 
 

@@ -85,8 +85,10 @@ class ChannelSystem:
     def __post_init__(self) -> None:
         if int(self.kappa) != self.kappa or self.kappa == 0:
             raise ValueError(f"kappa must be a nonzero integer, got {self.kappa}")
-        if self.m <= 0 or self.R <= 0:
-            raise ValueError("mass and radius must be positive")
+        for name, value in (("m", self.m), ("R", self.R)):
+            if not 0.0 < value < math.inf:
+                raise ValueError(
+                    f"{name} must be positive and finite, got {value}")
 
 
 def rotation(angle: float) -> np.ndarray:

@@ -148,6 +148,10 @@ def test_unknown_config_key_is_usage_error(tmp_path):
     ("coupling", {"n": 64.9}),
     ("coupling", {"eta": 0.1, "tau": True}),
     ("spectrum", {"lam": 1.0, "kappa": [1.5]}),
+    # a tolerance must be positive and finite
+    ("coupling", {"tol": -1.0}),
+    ("jump-check", {"tol": 0.0}),
+    ("geometry-audit", {"tol": float("nan")}),
 ])
 def test_config_value_of_wrong_shape_is_usage_error(tmp_path, capsys,
                                                     command, config):
@@ -399,6 +403,12 @@ def test_geometry_audit_window_violation_exits_one(tmp_path, monkeypatch):
     (["coupling", "--eta", "inf"], "eta"),
     (["spectrum", "--lam", "nan"], "lam"),
     (["spectrum", "--lam", "inf"], "lam"),
+    (["coupling", "--tol=-1"], "--tol"),
+    (["coupling", "--tol", "0"], "--tol"),
+    (["coupling", "--tol", "nan"], "--tol"),
+    (["spectrum", "--lam", "1", "--m", "nan"], "m must be positive"),
+    (["klein", "--tau", "1", "--eps", "0.1", "--R", "nan"],
+     "R must be positive"),
 ])
 def test_input_outside_a_limit_is_usage_error(capsys, args, names):
     try:

@@ -1,3 +1,5 @@
+import cmath
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from deltashell.dirac_algebra import (
     I4,
     SpectralParameter,
     alpha_dot,
+    kernel_fields,
     phi_a,
 )
 
@@ -106,3 +109,40 @@ def test_alpha_dot_square_is_norm():
     sq = np.einsum("nij,njk->nik", ad, ad)
     r2 = np.sum(xs * xs, axis=1)
     assert np.max(np.abs(sq - r2[:, None, None] * I4)) < 1e-14
+
+
+@pytest.mark.parametrize("a, m", [(0.4 + 0.2j, 1.0), (1j, 1.0), (-0.5, 1.0),
+                                  (-3j, 0.0), (0.0, 0.0)])
+def test_fields_compose_the_closed_form(a, m):
+    # phi_a = pref (a + m beta) + odd i alpha.x, point by point with cmath
+    sp = SpectralParameter(a, m)
+    xs = RNG.normal(size=(12, 3)) * RNG.uniform(0.05, 3.0, size=(12, 1))
+    want = []
+    for x in xs:
+        r = float(np.sqrt(x @ x))
+        decay = cmath.exp(-sp.branch * r) / (4.0 * np.pi * r)
+        want.append(decay * (sp.a * I4 + sp.m * BETA + (1.0 + sp.branch * r)
+                             * 1j * sum(x[c] * ALPHA[c] for c in range(3))
+                             / r**2))
+    want = np.array(want)
+    pref, odd = kernel_fields(sp, xs)
+    composed = (pref[:, None, None] * (sp.a * I4 + sp.m * BETA)
+                + odd[:, None, None] * 1j * alpha_dot(xs))
+    scale = np.max(np.abs(want))
+    assert np.max(np.abs(composed - want)) <= 1e-14 * scale
+    assert np.max(np.abs(phi_a(sp, xs) - want)) <= 1e-14 * scale
+
+
+def test_fields_keep_the_batch_shape_and_the_guard():
+    sp = SpectralParameter(0.5, 1.0)
+    xs = RNG.normal(size=(2, 5, 3))
+    pref, odd = kernel_fields(sp, xs)
+    assert pref.shape == odd.shape == (2, 5)
+    assert np.array_equal(phi_a(sp, xs), phi_a(sp, xs.reshape(-1, 3)).reshape(
+        2, 5, 4, 4))
+    assert kernel_fields(sp, xs[0, 0])[0].shape == (1,)
+    for bad in (np.zeros((4, 3)), np.array([[1.0, 0.0, 0.0], [0.0, 1e-13, 0.0]])):
+        with pytest.raises(ValueError, match="singular point"):
+            kernel_fields(sp, bad)
+    with pytest.raises(ValueError, match="3-vectors"):
+        kernel_fields(sp, np.ones((4, 2)))

@@ -5,9 +5,11 @@ This scan parses every module in ``src/`` and ``tests/`` and fails on
 any imported name that the module never reads.  It can also leave a
 stale ``__all__`` entry, which fails only under ``import *``; a second
 scan checks that each exported name is bound in its module.  A third
-scan keeps one kernel evaluator in ``src/``: the kernel ``phi_a`` is
-summed only by ``_kernel_blocks``, and that only by ``_KernelSum``, so
-the dense and matrix-free readings of every operator share one route.
+scan keeps one kernel evaluator in ``src/``: the kernel's formula lives
+in ``kernel_fields`` alone, which only ``phi_a`` and the chunk loop
+``_kernel_blocks`` call; ``phi_a`` too is called only by that loop, and
+the loop only by ``_KernelSum``, so the dense and matrix-free readings
+of every operator share one route.
 A fourth scan fails on a function, class or method of ``src/`` that
 nothing in ``src/`` or ``perfbench/`` reads: code that only tests
 reach is not part of the program, unless it is kept on purpose, as an
@@ -109,12 +111,23 @@ def test_scan_finds_callers():
     assert callers(source, "g") == ["A", None, "h"]
 
 
-@pytest.mark.parametrize("name, owner", [
-    ("_kernel_blocks", "_KernelSum"), ("phi_a", "_kernel_blocks")])
-def test_kernel_has_one_caller(name, owner):
+@pytest.mark.parametrize("name, owners", [
+    ("_kernel_blocks", [("shell_ops.py", "_KernelSum")]),
+    ("phi_a", [("shell_ops.py", "_kernel_blocks")]),
+    ("kernel_fields", [("dirac_algebra.py", "phi_a"),
+                       ("shell_ops.py", "_kernel_blocks")])],
+    ids=lambda v: v if isinstance(v, str) else "-".join(c for _, c in v))
+def test_kernel_has_one_caller(name, owners):
     found = {(path.name, caller) for path in SOURCES
              for caller in callers(path.read_text(encoding="utf-8"), name)}
-    assert found == {("shell_ops.py", owner)}
+    assert found == set(owners)
+
+
+def test_kernel_formula_lives_in_kernel_fields():
+    # phi_a composes its blocks from the fields and evaluates nothing itself
+    source = (ROOT / "src" / "deltashell" / "dirac_algebra.py").read_text(
+        encoding="utf-8")
+    assert callers(source, "exp") == ["kernel_fields"]
 
 
 def _reads(tree) -> Counter:

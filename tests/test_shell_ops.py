@@ -188,6 +188,54 @@ def test_layer_potential_volume_part_matches_direct_sum(mesh320):
 
 
 # ---------------------------------------------------------------------------
+# kernel sums: the scalar-field contraction against explicit phi_a blocks
+
+
+def phi_block_sum(op, g):
+    """``op`` applied to ``g`` as an explicit sum of phi_a blocks."""
+    nx, ny = op.x.shape[0], op.y.shape[0]
+    diff = op.x[:, None, :] - op.y[None, :, :]
+    keep = np.ones((nx, ny), dtype=bool)
+    if op.cells is not None:
+        owner, cell = op.cells
+        p = cell.shape[1]
+        keep = np.repeat(owner, p)[:, None] != np.arange(ny)[None, :] // p
+    blocks = np.zeros((nx, ny, 4, 4), dtype=complex)
+    blocks[keep] = phi_a(op.sp, diff[keep])
+    out = np.einsum("ijab,jb->ia", blocks, g * op.col[:, None])
+    if op.cells is not None:
+        for k, c in enumerate(owner):
+            out[k * p:(k + 1) * p] += np.einsum(
+                "pqab,qb->pa", cell[k], g[c * p:(c + 1) * p])
+    return out if op.row is None else out * op.row[:, None]
+
+
+@pytest.mark.parametrize("chunk_bytes", [None, 2e4])
+@pytest.mark.parametrize("which", ["trace", "b_eps", "a_eps"])
+def test_kernel_sum_matches_phi_block_sum(which, chunk_bytes, grid80_m8,
+                                          ellipsoid320, monkeypatch):
+    from deltashell import shell_ops
+
+    if chunk_bytes is not None:  # many chunks, cut across cells
+        monkeypatch.setattr(shell_ops, "CHUNK_BYTES", chunk_bytes)
+    sp = SpectralParameter(0.3 + 0.4j, 1.0)
+    if which == "trace":  # cells read off the sheet, on a subset of rows
+        op = shell_ops._trace_op(sp, ellipsoid320, np.arange(3, 256, 5), 0.05)
+    elif which == "b_eps":  # cells and a row factor
+        op = shell_ops._b_eps_op(grid80_m8, sp, 0.05)
+    else:
+        op = shell_ops._a_eps_op(grid80_m8, sp, 0.05,
+                                 np.array([[0.2, 0.1, 0.0], [1.5, -1.0, 0.5]]))
+    g = RNG.normal(size=(op.y.shape[0], 4)) + 1j * RNG.normal(
+        size=(op.y.shape[0], 4))
+    want = phi_block_sum(op, g)
+    scale = np.max(np.abs(want))
+    assert np.max(np.abs(op.apply(g) - want)) <= 1e-12 * scale
+    dense = (op.matrix() @ g.ravel()).reshape(-1, 4)
+    assert np.max(np.abs(dense - want)) <= 1e-12 * scale
+
+
+# ---------------------------------------------------------------------------
 # boundary trace operator
 
 

@@ -121,6 +121,10 @@ def test_channel_validation():
         ChannelSystem(-1, m=0.0)
     with pytest.raises(ValueError):
         ChannelSystem(-1, R=-1.0)
+    with pytest.raises(ValueError, match="^m must be positive"):
+        ChannelSystem(-1, m=float("nan"))
+    with pytest.raises(ValueError, match="^R must be positive"):
+        ChannelSystem(-1, R=float("nan"))
     ChannelSystem(2, m=0.5, R=2.0)
     with pytest.raises(ValueError, match=r"outside the spectral gap \(-0.5, 0.5\)"):
         inner_solution(ChannelSystem(2, m=0.5, R=2.0), 0.5, 1.0)
