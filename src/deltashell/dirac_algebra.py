@@ -60,6 +60,10 @@ class SpectralParameter:
     def __post_init__(self):
         a = complex(self.a)
         m = float(self.m)
+        if not np.isfinite(a):
+            raise ValueError(f"spectral parameter a must be finite, got {a}")
+        if not np.isfinite(m):
+            raise ValueError(f"mass m must be finite, got {m}")
         if m < 0:
             raise ValueError(f"mass must be nonnegative, got {m}")
         degenerate = a == 0 and m == 0
@@ -86,8 +90,10 @@ def kernel_fields(sp: SpectralParameter, x) -> tuple:
     w = sqrt(m^2 - a^2), Re w > 0.  This is the one place the kernel's
     formula lives: a sum over phi_a is two scalar sums times fixed 4x4
     matrices.  Returns ``(pref, odd)``, each of shape ``x.shape[:-1]``
-    (``(1,)`` for a single point).  Raises ``ValueError`` for a point
-    within ``SINGULARITY_GUARD`` of the origin.
+    (``(1,)`` for a single point).  Where the branch w is real (a
+    imaginary or inside the gap) the fields are computed with the real
+    branch and are real arrays; otherwise they are complex.  Raises
+    ``ValueError`` for a point within ``SINGULARITY_GUARD`` of the origin.
     """
     pts = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if pts.shape[-1] != 3:
@@ -95,7 +101,7 @@ def kernel_fields(sp: SpectralParameter, x) -> tuple:
     r = np.sqrt(pts[..., 0] ** 2 + pts[..., 1] ** 2 + pts[..., 2] ** 2)
     if np.any(r < SINGULARITY_GUARD):
         raise ValueError("kernel evaluated at (or too close to) its singular point")
-    w = sp.branch
+    w = sp.branch.real if sp.branch.imag == 0 else sp.branch
     pref = np.exp(-w * r) / (4.0 * np.pi * r)
     return pref, pref * (1.0 + w * r) / (r * r)
 

@@ -74,14 +74,15 @@ class Surface:
 
 
 def sphere(radius: float) -> Surface:
-    if radius <= 0:
-        raise ValueError("radius must be positive")
+    if not 0.0 < radius < np.inf:
+        raise ValueError(f"radius must be positive and finite, got {radius}")
     return Surface(kind="sphere", axes=(radius, radius, radius))
 
 
 def ellipsoid(a: float, b: float, c: float) -> Surface:
-    if min(a, b, c) <= 0:
-        raise ValueError("semi-axes must be positive")
+    if not all(0.0 < x < np.inf for x in (a, b, c)):
+        raise ValueError(
+            f"semi-axes must be positive and finite, got {(a, b, c)}")
     return Surface(kind="ellipsoid", axes=(a, b, c))
 
 

@@ -15,16 +15,19 @@ Each operator is defined once, as a ``_KernelSum``: its points,
 weights and closed-form cells.  The dense matrix and the matrix-free
 apply are two readings of that one definition: the matrix writes the
 kernel's 4x4 blocks, the apply sums its two scalar fields by matmuls
-and never forms a block.  The singular cells use an analytically
-integrated flat-disk model: each surface node owns a disk of equal
-area, and the odd (Riesz) part of the kernel integrates to zero over
-the disk at zero offset, which is the principal-value convention.
-``_cell_block`` gives that cell, corrected by punctured far sums over
-the rest of the surface; it serves the trace diagonal and the
-same-node blocks of the squeezed family.  A cell need not sit under
-its own source points: the trace ``_trace_op`` can be read on any
-rows and at any height over them, and read at +-h it gives the
-one-sided limits of the Plemelj check.
+and never forms a block.  One chunk loop, ``_kernel_blocks``, evaluates
+the kernel for both, in blocks of rows of about ``CHUNK_BYTES``; the
+closed-form cells are added after it.  The singular cells use an
+analytically integrated flat-disk model: each surface node owns a disk
+of equal area, and the odd (Riesz) part of the kernel integrates to
+zero over the disk at zero offset, which is the principal-value
+convention.  ``_cell_block`` gives that cell, corrected by punctured
+far sums over the rest of the surface, which run through the same
+loop; it serves the trace diagonal and the same-node blocks of the
+squeezed family.  A cell need not sit under its own source points: the
+trace ``_trace_op`` can be read on any rows and at any height over
+them, and read at +-h it gives the one-sided limits of the Plemelj
+check.
 """
 
 from __future__ import annotations
@@ -124,16 +127,8 @@ def ball_grid(radius: float, nr: int = 8, ntheta: int = 8, nphi: int = 16,
 CHUNK_BYTES = 4e6
 
 
-def _chunks(nx: int, row_bytes: int, rows: int = 0):
-    """Row ranges (lo, hi) of ``rows`` rows, or of about CHUNK_BYTES each."""
-    if rows <= 0:
-        rows = max(1, int(CHUNK_BYTES // max(row_bytes, 1)))
-    for lo in range(0, nx, rows):
-        yield lo, min(lo + rows, nx)
-
-
 def _kernel_blocks(sp: SpectralParameter, x: np.ndarray, y: np.ndarray,
-                   use, owners: tuple | None = None, rows: int = 0,
+                   use, owners: tuple | None = None,
                    dense: bool = False) -> None:
     """Pass the kernel to ``use`` one block of rows of ``x`` at a time.
 
@@ -146,14 +141,16 @@ def _kernel_blocks(sp: SpectralParameter, x: np.ndarray, y: np.ndarray,
     block.  With ``dense`` it is the blocks phi_a(x_i - y_j) themselves,
     (hi - lo, ny, 4, 4), for a caller that writes a matrix.  With
     ``owners = (x_owner, y_owner)``, a pair whose owners match has x
-    over the surface cell of y: its fields or block are zero, for the
-    caller to fill with the cell's closed form.  Callers keep nothing of
-    a block.  A block holds about ``CHUNK_BYTES`` of kernel (128 bytes
-    a pair for fields, 256 for 4x4 blocks) unless ``rows`` sets its
-    height; a dense matrix with cells passes one cell's rows.
+    over the surface cell of y: its fields or block are zero and its
+    ``diff`` is arbitrary, for the caller to fill with the cell's closed
+    form.  Callers keep nothing of a block.  A block holds about
+    ``CHUNK_BYTES`` of kernel (128 bytes a pair for fields, 256 for 4x4
+    blocks).
     """
-    ny = y.shape[0]
-    for lo, hi in _chunks(x.shape[0], ny * (256 if dense else 128), rows):
+    nx, ny = x.shape[0], y.shape[0]
+    rows = max(1, int(CHUNK_BYTES // (max(ny, 1) * (256 if dense else 128))))
+    for lo in range(0, nx, rows):
+        hi = min(lo + rows, nx)
         diff = x[lo:hi, None, :] - y[None, :, :]
         if owners is not None:
             cell = owners[0][lo:hi, None] == owners[1][None, :]
@@ -186,7 +183,7 @@ class _KernelSum:
     odd (x_i - y_j)_c against the weighted density, four (rows, ny) @
     (ny, 4) matmuls, and multiplies the four sums by a + m beta and
     i alpha_c once at the end.  :meth:`matrix` writes the blocks phi_a
-    into a dense matrix.
+    into a dense matrix.  Both add the cells after the loop.
     """
 
     sp: SpectralParameter
@@ -213,9 +210,13 @@ class _KernelSum:
 
         def add(lo: int, hi: int, diff: np.ndarray, fields: tuple) -> None:
             pref, odd = fields
-            sums[0, lo:hi] = pref @ coeff
+            # real fields meet the real views: a real @ complex matmul
+            # would first copy the field to complex
+            dens, acc = ((coeff, sums) if np.iscomplexobj(pref)
+                         else (coeff.view(float), sums.view(float)))
+            acc[0, lo:hi] = pref @ dens
             for c in range(3):
-                sums[1 + c, lo:hi] = (odd * diff[..., c]) @ coeff
+                acc[1 + c, lo:hi] = (odd * diff[..., c]) @ dens
 
         _kernel_blocks(self.sp, self.x, self.y, add, self._owners())
         out = sums[0] @ (self.sp.a * I4 + self.sp.m * BETA).T
@@ -229,26 +230,25 @@ class _KernelSum:
 
     def matrix(self) -> np.ndarray:
         """The operator as a dense (4 nx, 4 ny) matrix."""
-        mat = np.zeros((4 * self.x.shape[0], 4 * self.y.shape[0]),
-                       dtype=complex)
-        owner, cell = self.cells or (None, None)
-        p = 0 if cell is None else cell.shape[1]
+        nx, ny = self.x.shape[0], self.y.shape[0]
+        mat = np.zeros((nx, 4, ny, 4), dtype=complex)
+        row = np.ones(nx) if self.row is None else self.row
 
         def write(lo: int, hi: int, diff: np.ndarray,
                   blocks: np.ndarray) -> None:
-            blocks *= self.col[None, :, None, None]
-            if cell is not None:
-                # the chunk is x group lo // p, over y cell owner[lo // p]
-                c0 = p * owner[lo // p]
-                blocks[:, c0:c0 + p] = cell[lo // p]
-            if self.row is not None:
-                blocks *= self.row[lo:hi, None, None, None]
-            mat[4 * lo:4 * hi] = blocks.transpose(0, 2, 1, 3).reshape(
-                4 * (hi - lo), -1)
+            blocks *= (row[lo:hi, None] * self.col)[:, :, None, None]
+            mat[lo:hi] = blocks.transpose(0, 2, 1, 3)
 
-        _kernel_blocks(self.sp, self.x, self.y, write, self._owners(), p,
+        _kernel_blocks(self.sp, self.x, self.y, write, self._owners(),
                        dense=True)
-        return mat
+        if self.cells is not None:
+            # x group k (points p k + i) over y cell owner[k] (p owner[k] + j)
+            owner, cell = self.cells
+            i = np.arange(cell.shape[1])
+            xs = (i.size * np.arange(owner.size)[:, None] + i)[:, :, None]
+            ys = (i.size * owner[:, None] + i)[:, None, :]
+            mat[xs, :, ys, :] = cell * row[xs][..., None, None]
+        return mat.reshape(4 * nx, 4 * ny)
 
 
 def _disk_moments(w: complex, rho, delta) -> tuple:
@@ -311,61 +311,49 @@ def _cell_block(sp: SpectralParameter, mesh: SurfaceMesh, rows: np.ndarray,
     off the sheet its odd part is the axial factor of the Yukawa kernel
     less that of the flat one, which the anchor already counts.  The
     even parts are exact on the disk, so as the height and shift go to
-    0 every moment tends to the trace's.  The far sums go in chunks of
-    evaluation points of about ``CHUNK_BYTES`` of fields.
+    0 every moment tends to the trace's.
+
+    The far sums read the fields of :func:`kernel_fields` through
+    :func:`_kernel_blocks`, with each point's own node as its cell, so
+    they are punctured exactly where the operators' sums are.  Each is
+    a matmul of scalar (rows, n) fields against (n, 3) node vectors:
+    (x - y).nu(y) is x.nu(y) - y.nu(y), and the vector moment
+    sum_j f_j (x - y_j) is x sum_j f_j - sum_j f_j y_j.  Only the flat
+    kernel 1/(4 pi r^3) of the solid-angle content is built here.
     """
     det = mesh.coarea(shift)
     src = mesh.nodes + shift * mesh.normals
+    wts = mesh.weights * det
+    nu = mesh.normals
     curv = (-mesh.lam1 / (1.0 - shift * mesh.lam1)
             - mesh.lam2 / (1.0 - shift * mesh.lam2))
-    pts = src[rows] + height * mesh.normals[rows]
-    parts = [_odd_far_chunk(sp, src, mesh.normals, mesh.weights * det, curv,
-                            rows[lo:hi], pts[lo:hi])
-             for lo, hi in _chunks(rows.size, len(mesh) * 160)]
-    v_far, d_far = (np.concatenate(sums) for sums in zip(*parts))
+    pts = src[rows] + height * nu[rows]
+    v_far = np.empty((rows.size, 3), dtype=complex)
+    d_far = np.empty((rows.size, 3), dtype=complex)
+
+    def add(lo: int, hi: int, diff: np.ndarray, fields: tuple) -> None:
+        pref, odd = fields
+        ndot = pts[lo:hi] @ nu.T - np.sum(src * nu, axis=1)  # (x - y).nu(y)
+        r = np.sqrt(diff[..., 0] ** 2 + diff[..., 1] ** 2 + diff[..., 2] ** 2)
+        base = 1.0 / (4.0 * np.pi * r**3)  # the flat (w = 0) odd kernel
+        base[np.arange(hi - lo), rows[lo:hi]] = 0.0
+        # curvature layer and the odd kernel carry nu(y) w; the flat
+        # kernel's normal flux carries nu(x)
+        v_far[lo:hi] = ((curv * pref + ndot * odd) @ (nu * wts[:, None])
+                        - ((ndot * base) @ wts)[:, None] * nu[rows[lo:hi]])
+        d_far[lo:hi] = ((odd @ wts)[:, None] * pts[lo:hi]
+                        - odd @ (src * wts[:, None]))
+
+    _kernel_blocks(sp, pts, src, add, (rows, np.arange(len(mesh))))
     rho = np.sqrt(mesh.weights[rows] / np.pi)
     layer, axial = _disk_moments(sp.branch, rho, height)
     _, axial_flat = _disk_moments(0.0, rho, height)
     layer = det[rows] * layer
     anchor = 0.5 * (np.sign(height) - 1.0)
     v = v_far + (curv[rows] * layer + 0.5 * det[rows] * (axial - axial_flat)
-                 + anchor)[:, None] * mesh.normals[rows]
+                 + anchor)[:, None] * nu[rows]
     return (layer[:, None, None] * (sp.a * I4 + sp.m * BETA)
             + 1j * alpha_dot(v - d_far))
-
-
-def _odd_far_chunk(sp: SpectralParameter, nodes: np.ndarray,
-                   normals: np.ndarray, wts: np.ndarray, curv: np.ndarray,
-                   rows: np.ndarray, pts: np.ndarray) -> tuple:
-    """Far sums of :func:`_cell_block`, one chunk; fields die on return.
-
-    Point pts[t] skips source node rows[t]; ``curv`` is div nu.  The
-    sums are scalar (chunk, n) fields against the (n, 3) node vectors,
-    so each is a matmul: (x - y).nu(y) is x.nu(y) - y.nu(y), and the
-    vector moment sum_j f_j (x - y_j) is x sum_j f_j - sum_j f_j y_j.
-    """
-    w = sp.branch
-    own = (np.arange(rows.size), rows)
-    r = np.sqrt(sum((pts[:, c, None] - nodes[None, :, c]) ** 2
-                    for c in range(3)))
-    r[own] = 1.0
-    decay = np.exp(-w * r)
-    gw = decay / (4.0 * np.pi * r)
-    base = 1.0 / (4.0 * np.pi * r**3)
-    fac = (1.0 + w * r) * decay * base
-    ndot = pts @ normals.T - np.sum(nodes * normals, axis=1)
-    gw[own] = 0.0
-    base[own] = 0.0
-    fac[own] = 0.0
-    # curvature layer and the (f - 1) correction carry nu(y)
-    reg = curv * gw + ndot * (fac - base)
-    v_far = reg @ (normals * wts[:, None])
-    # (nu(y) - nu(x)) against the flat kernel
-    q = ndot * base * wts
-    v_far += q @ normals - np.sum(q, axis=1)[:, None] * normals[rows]
-    fw = fac * wts
-    d_far = np.sum(fw, axis=1)[:, None] * pts - fw @ nodes
-    return v_far, d_far
 
 
 def _mesh_resolution(mesh: SurfaceMesh) -> float:
@@ -481,7 +469,7 @@ def _weighted_opnorm(matrix: np.ndarray, row_w: np.ndarray,
 
 
 def cauchy_sigma(sp: SpectralParameter, mesh: SurfaceMesh) -> ShellOperator:
-    """Dense boundary trace operator, one row node's rows at a time."""
+    """Dense boundary trace operator, the matrix of cauchy_sigma_apply."""
     n = len(mesh)
     if n < MIN_TRACE_NODES:
         raise ValueError(f"mesh must have at least {MIN_TRACE_NODES} nodes")
@@ -533,6 +521,8 @@ def plemelj_check(sp: SpectralParameter, mesh: SurfaceMesh, g: np.ndarray,
     """
     if max_eval_nodes < 1:
         raise ValueError(f"max_eval_nodes must be >= 1, got {max_eval_nodes}")
+    if not np.isfinite(eta):
+        raise ValueError(f"collar eta must be finite, got {eta}")
     n = len(mesh)
     res = _mesh_resolution(mesh)
     if offsets is None:
@@ -543,6 +533,8 @@ def plemelj_check(sp: SpectralParameter, mesh: SurfaceMesh, g: np.ndarray,
                 f"the mesh resolution {res:.3e}")
         offsets = np.linspace(1.05 * res, upper, 5)
     offs = np.asarray(sorted(offsets, reverse=True), dtype=float)
+    if not np.all(np.isfinite(offs)):
+        raise ValueError(f"offsets must be finite, got {list(offsets)}")
     if np.any(offs <= res) or np.any(offs > eta):
         raise ValueError(
             f"offsets must lie in (resolution, eta] = "
@@ -791,9 +783,8 @@ def assemble_family(grid: OperatorGrid, sp: SpectralParameter, eps: float,
 
     Returns a dict with key ``"B"`` always present and ``"A"`` / ``"C"``
     when ambient test points or a volume rule are supplied.  Each is
-    the matrix of its ``*_apply`` routine; ``"B"`` is filled one node's
-    M rows at a time.  The dense path is capped at ``DENSE_DOF_CAP``
-    dofs; use the ``*_apply`` routines beyond that.
+    the matrix of its ``*_apply`` routine.  The dense path is capped at
+    ``DENSE_DOF_CAP`` dofs; use the ``*_apply`` routines beyond that.
     """
     if grid.dofs > DENSE_DOF_CAP:
         raise ValueError(
@@ -881,23 +872,18 @@ def strong_convergence_experiment(grid: OperatorGrid, sp: SpectralParameter,
         dc = grid_norm(grid, c_eps_apply(grid, sp, e, volume, f_vals) - c_lim)
         rows.append([e, db, da, dc])
 
-    norms = np.array([[r[1], r[2], r[3]] for r in rows])
+    norms = np.array([r[1:] for r in rows])
     floors = np.zeros(len(rows), dtype=bool)
-    for j in range(3):
-        col = norms[:, j]
-        floor_level = max(1e-13 * np.max(col), 1e-15)
-        hit = col < floor_level
+    for j, col in enumerate(norms.T):
+        hit = col < max(1e-13 * np.max(col), 1e-15)
         floors |= hit
-        prev = None
-        for i, val in enumerate(col):
-            if hit[i] or (prev is not None and prev < floor_level):
-                prev = val
-                continue
-            if prev is not None and not val < prev:
-                raise CheckFailed(
-                    f"norm column {j} increased before the floor: "
-                    f"{prev:.3e} -> {val:.3e} at eps={rows[i][0]:g}")
-            prev = val
+        # a step between two norms above the floor must decrease
+        rises = np.flatnonzero(~hit[:-1] & ~hit[1:] & ~(col[1:] < col[:-1]))
+        if rises.size:
+            i = rises[0] + 1
+            raise CheckFailed(
+                f"norm column {j} increased before the floor: "
+                f"{col[i - 1]:.3e} -> {col[i]:.3e} at eps={eps[i]:g}")
     table = tuple(ConvergenceRow(r[0], r[1], r[2], r[3], bool(f))
                   for r, f in zip(rows, floors))
     return ConvergenceTable(table)

@@ -409,6 +409,17 @@ def test_geometry_audit_window_violation_exits_one(tmp_path, monkeypatch):
     (["spectrum", "--lam", "1", "--m", "nan"], "m must be positive"),
     (["klein", "--tau", "1", "--eps", "0.1", "--R", "nan"],
      "R must be positive"),
+    (["converge", "--N", "80", "--M", "2", "--eps", "0.1", "--m", "nan"],
+     "m must be finite"),
+    (["converge", "--N", "80", "--M", "2", "--eps", "0.1", "--a", "nan+1j"],
+     "a must be finite"),
+    (["jump-check", "--n", "320", "--m", "nan"], "m must be finite"),
+    (["jump-check", "--n", "320", "--eta", "nan"], "eta must be finite"),
+    (["jump-check", "--n", "320", "--offsets", "nan"], "offsets must be finite"),
+    (["jump-check", "--n", "80", "--radius", "nan"], "radius"),
+    (["geometry-audit", "--n", "80", "--radius", "nan"], "radius"),
+    (["geometry-audit", "--n", "80", "--surface", "ellipsoid",
+      "--axes", "1.3,nan,0.8"], "semi-axes"),
 ])
 def test_input_outside_a_limit_is_usage_error(capsys, args, names):
     try:

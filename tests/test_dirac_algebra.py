@@ -39,6 +39,13 @@ def test_branch_selection_and_rejections():
             SpectralParameter(bad_a, m)
     with pytest.raises(ValueError):
         SpectralParameter(0.5, -1.0)
+    # a non-finite a or m is refused by name, not carried into the kernel
+    for bad_a in (np.nan, complex(np.nan, 1.0), complex(0.0, np.inf)):
+        with pytest.raises(ValueError, match="a must be finite"):
+            SpectralParameter(bad_a, 1.0)
+    for bad_m in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="m must be finite"):
+            SpectralParameter(0.5j, bad_m)
 
 
 def test_phi_known_entry():

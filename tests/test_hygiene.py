@@ -8,8 +8,11 @@ scan checks that each exported name is bound in its module.  A third
 scan keeps one kernel evaluator in ``src/``: the kernel's formula lives
 in ``kernel_fields`` alone, which only ``phi_a`` and the chunk loop
 ``_kernel_blocks`` call; ``phi_a`` too is called only by that loop, and
-the loop only by ``_KernelSum``, so the dense and matrix-free readings
-of every operator share one route.
+the loop only by ``_KernelSum`` and the cell rule's far sums in
+``_cell_block``, so the dense and matrix-free readings of every operator
+and the punctured sums of its cells share one route.  In ``shell_ops``
+``exp`` serves only the closed-form disk moments and the smooth sample
+densities, never a second copy of the kernel.
 A fourth scan fails on a function, class or method of ``src/`` that
 nothing in ``src/`` or ``perfbench/`` reads: code that only tests
 reach is not part of the program, unless it is kept on purpose, as an
@@ -112,7 +115,8 @@ def test_scan_finds_callers():
 
 
 @pytest.mark.parametrize("name, owners", [
-    ("_kernel_blocks", [("shell_ops.py", "_KernelSum")]),
+    ("_kernel_blocks", [("shell_ops.py", "_KernelSum"),
+                        ("shell_ops.py", "_cell_block")]),
     ("phi_a", [("shell_ops.py", "_kernel_blocks")]),
     ("kernel_fields", [("dirac_algebra.py", "phi_a"),
                        ("shell_ops.py", "_kernel_blocks")])],
@@ -124,10 +128,15 @@ def test_kernel_has_one_caller(name, owners):
 
 
 def test_kernel_formula_lives_in_kernel_fields():
+    def exp_callers(module):
+        return callers((ROOT / "src" / "deltashell" / module).read_text(
+            encoding="utf-8"), "exp")
+
     # phi_a composes its blocks from the fields and evaluates nothing itself
-    source = (ROOT / "src" / "deltashell" / "dirac_algebra.py").read_text(
-        encoding="utf-8")
-    assert callers(source, "exp") == ["kernel_fields"]
+    assert exp_callers("dirac_algebra.py") == ["kernel_fields"]
+    # the cell rule reads its far sums from the fields too
+    assert exp_callers("shell_ops.py") == [
+        "_disk_moments", "default_separable_density", "default_volume_density"]
 
 
 def _reads(tree) -> Counter:
