@@ -217,7 +217,11 @@ def build_mesh(s: Surface, n: int) -> SurfaceMesh:
 
 @dataclass(frozen=True)
 class TubularMap:
-    """x + t nu(x) collar coordinates over a mesh, valid for |t| <= eta."""
+    """x + t nu(x) collar coordinates over a mesh, valid for |t| <= eta.
+
+    ``eta`` must lie in (0, injectivity budget]; a ``t`` outside
+    [-eta, eta], or NaN, raises ``ValueError``.
+    """
 
     mesh: SurfaceMesh
     eta: float
@@ -239,15 +243,13 @@ class TubularMap:
         return self.mesh.weights * self.mesh.coarea(t)
 
     def _check_t(self, t: float):
-        if abs(t) > self.eta:
+        if not abs(t) <= self.eta:
             raise ValueError(f"|t|={abs(t)} exceeds eta={self.eta}")
 
 
-def tubular_map(mesh: SurfaceMesh, eta: float | None = None) -> TubularMap:
-    """Default eta is a quarter of the curvature radius budget."""
-    if eta is None:
-        eta = 0.25 / mesh.surface.max_abs_curvature()
-    return TubularMap(mesh=mesh, eta=eta)
+def tubular_map(mesh: SurfaceMesh) -> TubularMap:
+    """The collar of the mesh with eta = 0.25 / max|curvature|."""
+    return TubularMap(mesh=mesh, eta=0.25 / mesh.surface.max_abs_curvature())
 
 
 def coarea_integrate(tm: TubularMap, f, eps: float, t_nodes: int = 16) -> float:
@@ -290,13 +292,15 @@ def measure_growth_audit(
     reported but not held to the window (the lemma's bounds live below
     diameter scale). The window is the sphere's [c2, c1] widened by the
     surface's axis ratio, since eccentricity genuinely spreads the density
-    ratio. A radius <= 0 or ``max_centers < 1`` raises ``ValueError``; a
-    window violation raises :class:`CheckFailed`.
+    ratio. A radius that is not positive and finite, or ``max_centers <
+    1``, raises ``ValueError``; a window violation raises
+    :class:`CheckFailed`.
     """
     if max_centers < 1:
         raise ValueError(f"max_centers must be >= 1, got {max_centers}")
-    if any(r <= 0 for r in radii):
-        raise ValueError(f"growth audit radii must be > 0, got {list(radii)}")
+    if not all(0 < r < np.inf for r in radii):
+        raise ValueError(
+            f"growth audit radii must be positive and finite, got {list(radii)}")
     axes = tm.mesh.surface.axes
     ecc = max(axes) / min(axes)
     c1, c2 = C1_GROWTH * ecc, C2_GROWTH / ecc

@@ -490,7 +490,6 @@ class PlemeljReport:
     """Extrapolated one-sided traces versus the jump formulas."""
 
     offsets: tuple
-    node_indices: np.ndarray
     max_rel_plus: float
     max_rel_minus: float
     l2_rel_plus: float
@@ -580,7 +579,7 @@ def plemelj_check(sp: SpectralParameter, mesh: SurfaceMesh, g: np.ndarray,
         return wnorm(a - b) / scale_l2
 
     return PlemeljReport(
-        tuple(offs), idx,
+        tuple(offs),
         sup_rel(plus0, ref_outside), sup_rel(minus0, ref_inside),
         l2_rel(plus0, ref_outside), l2_rel(minus0, ref_inside),
         sup_rel(plus0 - minus0, 1.0j * jump),
@@ -719,21 +718,6 @@ def _b_eps_op(grid: OperatorGrid, sp: SpectralParameter,
                       np.tile(grid.u_vals, n), (rows, same))
 
 
-def _a_eps_op(grid: OperatorGrid, sp: SpectralParameter, eps: float,
-              test_points: np.ndarray) -> _KernelSum:
-    """A_eps: the layer potential of a collar density at test points."""
-    pts = _shifted_points(grid, eps)
-    return _KernelSum(sp, test_points, pts, _source_weights(grid, eps).ravel())
-
-
-def _c_eps_op(grid: OperatorGrid, sp: SpectralParameter, eps: float,
-              volume: VolumeGrid) -> _KernelSum:
-    """C_eps: u(t) times the volume potential on the collar grid."""
-    pts = _shifted_points(grid, eps)
-    return _KernelSum(sp, pts, volume.points, volume.weights,
-                      np.tile(grid.u_vals, grid.n_nodes))
-
-
 def b_eps_apply(grid: OperatorGrid, sp: SpectralParameter, eps: float,
                 g: np.ndarray) -> np.ndarray:
     """Matrix-free action of the squeezed boundary operator B_eps."""
@@ -766,39 +750,31 @@ def bprime_apply(grid: OperatorGrid, g: np.ndarray) -> np.ndarray:
 def a_eps_apply(grid: OperatorGrid, sp: SpectralParameter, eps: float,
                 g: np.ndarray, test_points: np.ndarray) -> np.ndarray:
     """Layer potential of the squeezed density at ambient test points."""
-    return _a_eps_op(grid, sp, eps, np.atleast_2d(test_points)).apply(g)
+    return _KernelSum(sp, np.atleast_2d(test_points), _shifted_points(grid, eps),
+                      _source_weights(grid, eps).ravel()).apply(g)
 
 
 def c_eps_apply(grid: OperatorGrid, sp: SpectralParameter, eps: float,
                 volume: VolumeGrid, f_vals: np.ndarray) -> np.ndarray:
     """Evaluate u(t) Phi^a(F, 0) on the (shifted) collar grid."""
-    return _c_eps_op(grid, sp, eps, volume).apply(f_vals).reshape(
-        grid.n_nodes, grid.n_transverse, 4)
+    op = _KernelSum(sp, _shifted_points(grid, eps), volume.points,
+                    volume.weights, np.tile(grid.u_vals, grid.n_nodes))
+    return op.apply(f_vals).reshape(grid.n_nodes, grid.n_transverse, 4)
 
 
-def assemble_family(grid: OperatorGrid, sp: SpectralParameter, eps: float,
-                    test_points: np.ndarray | None = None,
-                    volume: VolumeGrid | None = None) -> dict:
-    """Dense squeezed operators at collar width eps.
+def assemble_family(grid: OperatorGrid, sp: SpectralParameter,
+                    eps: float) -> dict:
+    """Dense B_eps at collar width eps, as ``{"B": ShellOperator}``.
 
-    Returns a dict with key ``"B"`` always present and ``"A"`` / ``"C"``
-    when ambient test points or a volume rule are supplied.  Each is
-    the matrix of its ``*_apply`` routine.  The dense path is capped at
-    ``DENSE_DOF_CAP`` dofs; use the ``*_apply`` routines beyond that.
+    It is the matrix of :func:`b_eps_apply`, capped at ``DENSE_DOF_CAP``
+    dofs; use that routine beyond the cap.  A_eps and C_eps are read
+    matrix-free only.
     """
     if grid.dofs > DENSE_DOF_CAP:
         raise ValueError(
             f"grid has {grid.dofs} dofs, dense cap is {DENSE_DOF_CAP}")
     gw = grid.scalar_weights()
-    out = {"B": ShellOperator(_b_eps_op(grid, sp, eps).matrix(), gw, gw)}
-    if test_points is not None:
-        tp = np.atleast_2d(np.asarray(test_points, dtype=float))
-        out["A"] = ShellOperator(_a_eps_op(grid, sp, eps, tp).matrix(),
-                                 np.full(tp.shape[0], 1.0 / tp.shape[0]), gw)
-    if volume is not None:
-        out["C"] = ShellOperator(_c_eps_op(grid, sp, eps, volume).matrix(),
-                                 gw, volume.weights)
-    return out
+    return {"B": ShellOperator(_b_eps_op(grid, sp, eps).matrix(), gw, gw)}
 
 
 # ---------------------------------------------------------------------------
@@ -827,15 +803,13 @@ class ConvergenceTable:
 
 
 def strong_convergence_experiment(grid: OperatorGrid, sp: SpectralParameter,
-                                  eps_list: Sequence[float],
-                                  g: np.ndarray | None = None,
-                                  test_points: np.ndarray | None = None,
-                                  volume: VolumeGrid | None = None,
-                                  f_vals: np.ndarray | None = None
-                                  ) -> ConvergenceTable:
+                                  eps_list: Sequence[float]) -> ConvergenceTable:
     """Decay of (B_eps - B_0 - B')g, (A_eps - A_0)g and (C_eps - C_0)F.
 
-    All three families act on fixed smooth densities; the table reports
+    All three families act on fixed smooth densities: g is
+    :func:`default_separable_density` on the grid, A is read at a ring
+    of seven ambient points, and F is :func:`default_volume_density` on
+    ``ball_grid(0.5, nr=6, ntheta=6, nphi=10)``.  The table reports
     weighted norms of the differences per eps.  Norms must decrease
     monotonically until they hit the discretization floor (flagged);
     an increase before the floor raises :class:`CheckFailed`.  A width
@@ -848,27 +822,22 @@ def strong_convergence_experiment(grid: OperatorGrid, sp: SpectralParameter,
     if len(set(eps)) < len(eps):
         raise ValueError(f"eps values must be distinct, got {list(eps_list)}")
     _shifted_points(grid, eps[0])  # the widest collar, before any limit
-    if g is None:
-        g = default_separable_density(grid)
-    if test_points is None:
-        ring = np.array([[2.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 2.0],
-                         [-2.0, 0.0, 0.0], [1.2, 1.2, 1.2],
-                         [0.3, 0.0, 0.0], [0.0, -0.3, 0.1]])
-        test_points = ring
-    if volume is None:
-        volume = ball_grid(0.5, nr=6, ntheta=6, nphi=10)
-    if f_vals is None:
-        f_vals = default_volume_density(volume)
+    g = default_separable_density(grid)
+    ring = np.array([[2.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 2.0],
+                     [-2.0, 0.0, 0.0], [1.2, 1.2, 1.2],
+                     [0.3, 0.0, 0.0], [0.0, -0.3, 0.1]])
+    volume = ball_grid(0.5, nr=6, ntheta=6, nphi=10)
+    f_vals = default_volume_density(volume)
 
     b_lim = b_limit_apply(grid, sp, g)
-    a_lim = a_eps_apply(grid, sp, 0.0, g, test_points)
+    a_lim = a_eps_apply(grid, sp, 0.0, g, ring)
     c_lim = c_eps_apply(grid, sp, 0.0, volume, f_vals)
 
     rows = []
     for e in eps:
         db = grid_norm(grid, b_eps_apply(grid, sp, e, g) - b_lim)
         da = float(np.sqrt(np.mean(
-            np.abs(a_eps_apply(grid, sp, e, g, test_points) - a_lim) ** 2)))
+            np.abs(a_eps_apply(grid, sp, e, g, ring) - a_lim) ** 2)))
         dc = grid_norm(grid, c_eps_apply(grid, sp, e, volume, f_vals) - c_lim)
         rows.append([e, db, da, dc])
 
@@ -912,6 +881,8 @@ def shell_resolvent_apply(sp: SpectralParameter, mesh: SurfaceMesh,
     if kind not in ("electrostatic", "scalar"):
         raise ValueError("kind must be 'electrostatic' or 'scalar'")
     lam = float(lam)
+    if not np.isfinite(lam):
+        raise ValueError(f"coupling lam must be finite, got {lam}")
     pts = np.atleast_2d(np.asarray(eval_points, dtype=float))
     _check_clearance(mesh, pts)
     if lam == 0.0:
@@ -922,11 +893,9 @@ def shell_resolvent_apply(sp: SpectralParameter, mesh: SurfaceMesh,
     n = len(mesh)
     trace_vals = _KernelSum(sp, mesh.nodes, volume.points,
                             volume.weights).apply(f_vals)
-    cmat = cauchy_sigma(sp, mesh).matrix
-    if kind == "electrostatic":
-        system = np.eye(4 * n) + lam * cmat
-    else:
-        system = np.kron(np.eye(n), BETA) + lam * cmat
+    system = lam * cauchy_sigma(sp, mesh).matrix
+    system[np.diag_indices(4 * n)] += (
+        1.0 if kind == "electrostatic" else np.tile(np.diag(BETA), n))
     cond = np.linalg.cond(system)
     if cond > BOUNDARY_COND_LIMIT:
         raise SingularBoundaryInverse(

@@ -420,6 +420,9 @@ def test_geometry_audit_window_violation_exits_one(tmp_path, monkeypatch):
     (["geometry-audit", "--n", "80", "--radius", "nan"], "radius"),
     (["geometry-audit", "--n", "80", "--surface", "ellipsoid",
       "--axes", "1.3,nan,0.8"], "semi-axes"),
+    (["geometry-audit", "--n", "80", "--radii", "nan"], "radii"),
+    (["geometry-audit", "--n", "80", "--radii", "inf"], "radii"),
+    (["geometry-audit", "--n", "80", "--t", "nan"], "|t|=nan"),
 ])
 def test_input_outside_a_limit_is_usage_error(capsys, args, names):
     try:

@@ -3,6 +3,7 @@ import pytest
 
 from deltashell.geometry import (
     OffSurfaceError,
+    TubularMap,
     admissible_node_count,
     build_mesh,
     coarea_integrate,
@@ -88,7 +89,7 @@ def test_tubular_eta_budget():
     tm = tubular_map(m)
     assert tm.eta == pytest.approx(0.25)
     with pytest.raises(ValueError):
-        tubular_map(m, eta=0.5)  # exceeds 0.4 * curvature radius
+        TubularMap(m, 0.5)  # exceeds 0.4 * curvature radius
     with pytest.raises(ValueError):
         tm.images(0.3)
 

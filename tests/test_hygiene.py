@@ -17,6 +17,13 @@ A fourth scan fails on a function, class or method of ``src/`` that
 nothing in ``src/`` or ``perfbench/`` reads: code that only tests
 reach is not part of the program, unless it is kept on purpose, as an
 oracle or a hypothesis of the paper, in the scan's allow-list.
+A fifth scan holds arguments to the same rule: every defaulted parameter
+of a function, method or dataclass constructor in ``src/`` is passed,
+by keyword or by position, by some call in ``src/`` or ``perfbench/``;
+a knob that only tests turn is not part of the program either.  A
+``field(init=False)`` is no argument and is exempt.  A sixth scan
+fails on a dataclass field of ``src/`` that nothing in ``src/`` or
+``perfbench/`` reads as an attribute.
 """
 
 import ast
@@ -180,9 +187,136 @@ def test_scan_finds_an_unread_definition():
         ("lib", "A.unused"), ("lib", "recursive")]
 
 
-def test_every_definition_is_read_by_the_program():
+def _program() -> tuple:
+    """The sources of ``src/`` by path, and every program source."""
     sources = {path: path.read_text(encoding="utf-8") for path in PROGRAM}
     defining = {str(path.relative_to(ROOT)): sources[path] for path in SOURCES}
-    unread = unread_definitions(defining, list(sources.values()))
+    return defining, list(sources.values())
+
+
+def test_every_definition_is_read_by_the_program():
+    unread = unread_definitions(*_program())
     # a stale allow-list entry fails too: drop it once the program reads it
     assert sorted(name for _, name in unread) == sorted(TEST_ONLY_ALLOWED)
+
+
+def _is_dataclass(node) -> bool:
+    return any(getattr(d, "id", getattr(getattr(d, "func", None), "id", None))
+               == "dataclass" for d in node.decorator_list)
+
+
+def _fields(cls) -> list:
+    """(name, default) of a dataclass's init fields, in order."""
+    out = []
+    for node in cls.body:
+        if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            value = node.value
+            if (isinstance(value, ast.Call)
+                    and getattr(value.func, "id", None) == "field"
+                    and any(k.arg == "init" and getattr(k.value, "value", True)
+                            is False for k in value.keywords)):
+                continue  # field(init=False): not an argument
+            out.append((node.target.id, value))
+    return out
+
+
+def _defaulted(args, method: bool) -> list:
+    """(position or None, name) of each defaulted parameter of a signature."""
+    positional = (args.posonlyargs + args.args)[1 if method else 0:]
+    first = len(positional) - len(args.defaults)
+    out = [(i, a.arg) for i, a in enumerate(positional) if i >= first]
+    out += [(None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+            if d is not None]
+    return out
+
+
+def unset_parameters(defining: dict, reading: list) -> list:
+    """Defaulted parameters that no call in ``reading`` passes.
+
+    ``defining`` maps a label to the source whose top-level functions,
+    methods of top-level classes and dataclass constructors are checked;
+    ``reading`` holds the sources whose calls count.  A call is matched
+    to a definition by name alone, and passes a parameter by keyword or
+    by position; a ``*`` or ``**`` argument passes every parameter it
+    could reach.  Dunder methods are not checked.
+    """
+    calls = []  # (name, positional count, keywords)
+    for source in reading:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                star = any(isinstance(a, ast.Starred) for a in node.args)
+                calls.append((name, float("inf") if star else len(node.args),
+                              {k.arg for k in node.keywords}))
+    unset = []
+    for label, source in defining.items():
+        for top in ast.parse(source).body:
+            sigs = []
+            if isinstance(top, ast.FunctionDef):
+                sigs.append((top.name, top.name, _defaulted(top.args, False)))
+            elif isinstance(top, ast.ClassDef):
+                if _is_dataclass(top):
+                    sigs.append((top.name, top.name, [
+                        (i, name) for i, (name, value) in enumerate(_fields(top))
+                        if value is not None]))
+                sigs += [(f"{top.name}.{node.name}", node.name,
+                          _defaulted(node.args, True)) for node in top.body
+                         if isinstance(node, ast.FunctionDef)
+                         and not node.name.startswith("__")]
+            for label_name, name, params in sigs:
+                for pos, param in params:
+                    if not any(called == name and (
+                            param in kws or None in kws
+                            or (pos is not None and count > pos))
+                            for called, count, kws in calls):
+                        unset.append((label, f"{label_name}({param})"))
+    return sorted(unset)
+
+
+def test_scan_finds_an_unset_parameter():
+    lib = ("from dataclasses import dataclass, field\n"
+           "def f(a, b=1, *, c=2, d=3):\n    return a\n"
+           "class A:\n    def m(self, x=0, y=0):\n        return x\n"
+           "    def __eq__(self, other=None):\n        return True\n"
+           "@dataclass\nclass D:\n    p: int\n    q: int = 0\n"
+           "    r: int = field(init=False, default=0)\n    s: int = 1\n"
+           "def g(u=0, v=0, w=0):\n    return u\n")
+    app = "f(1, 2, d=4)\nA().m(5)\nD(1, 2)\ng(*range(2))\n"
+    assert unset_parameters({"lib": lib}, [lib, app]) == [
+        ("lib", "A.m(y)"), ("lib", "D(s)"), ("lib", "f(c)")]
+
+
+def test_every_parameter_is_set_by_the_program():
+    assert unset_parameters(*_program()) == []
+
+
+def unread_fields(defining: dict, reading: list) -> list:
+    """Dataclass fields that no source in ``reading`` reads as an attribute.
+
+    A read is an attribute load matched by name alone, so a write such
+    as ``object.__setattr__(self, "x", ...)`` does not count.
+    """
+    read = {node.attr for source in reading for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    return sorted((label, f"{top.name}.{node.target.id}")
+                  for label, source in defining.items()
+                  for top in ast.parse(source).body
+                  if isinstance(top, ast.ClassDef) and _is_dataclass(top)
+                  for node in top.body
+                  if isinstance(node, ast.AnnAssign)
+                  and isinstance(node.target, ast.Name)
+                  and node.target.id not in read)
+
+
+def test_scan_finds_an_unread_field():
+    lib = ("from dataclasses import dataclass\n"
+           "@dataclass(frozen=True)\nclass R:\n    x: float\n    y: float\n"
+           "    def __post_init__(self):\n"
+           "        object.__setattr__(self, 'y', self.x)\n"
+           "class Plain:\n    z: int = 0\n")
+    app = "print(R(1.0, 2.0).x)\n"
+    assert unread_fields({"lib": lib}, [lib, app]) == [("lib", "R.y")]
+
+
+def test_every_field_is_read_by_the_program():
+    assert unread_fields(*_program()) == []

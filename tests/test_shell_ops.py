@@ -224,8 +224,10 @@ def test_kernel_sum_matches_phi_block_sum(which, chunk_bytes, grid80_m8,
     elif which == "b_eps":  # cells and a row factor
         op = shell_ops._b_eps_op(grid80_m8, sp, 0.05)
     else:
-        op = shell_ops._a_eps_op(grid80_m8, sp, 0.05,
-                                 np.array([[0.2, 0.1, 0.0], [1.5, -1.0, 0.5]]))
+        op = shell_ops._KernelSum(
+            sp, np.array([[0.2, 0.1, 0.0], [1.5, -1.0, 0.5]]),
+            shell_ops._shifted_points(grid80_m8, 0.05),
+            shell_ops._source_weights(grid80_m8, 0.05).ravel())
     g = RNG.normal(size=(op.y.shape[0], 4)) + 1j * RNG.normal(
         size=(op.y.shape[0], 4))
     want = phi_block_sum(op, g)
@@ -595,24 +597,6 @@ def far_ring():
                      [-1.8, 0.4, 0.9]])
 
 
-def test_a_eps_dense_matches_apply(grid_m3):
-    g = RNG.normal(size=(grid_m3.n_nodes, 3, 4)) * (1.0 + 0.2j)
-    pts = far_ring()
-    fam = assemble_family(grid_m3, SP, 0.05, test_points=pts)
-    dense = fam["A"].apply(g.ravel()).reshape(len(pts), 4)
-    free = a_eps_apply(grid_m3, SP, 0.05, g, pts)
-    assert np.max(np.abs(dense - free)) < 1e-12
-
-
-def test_c_eps_dense_matches_apply(grid_m3):
-    vol = ball_grid(0.3, nr=4, ntheta=4, nphi=6)
-    fv = RNG.normal(size=(len(vol), 4)) * (1.0 - 0.4j)
-    fam = assemble_family(grid_m3, SP, 0.05, volume=vol)
-    dense = fam["C"].apply(fv.ravel()).reshape(grid_m3.n_nodes, 3, 4)
-    free = c_eps_apply(grid_m3, SP, 0.05, vol, fv)
-    assert np.max(np.abs(dense - free)) < 1e-12
-
-
 def test_a_eps_far_field_first_order(grid_m3):
     from deltashell.shell_ops import default_separable_density
 
@@ -642,11 +626,14 @@ def test_negative_collar_width_is_refused(grid_m3):
 # strong convergence experiment
 
 
-def test_strong_convergence_zero_density(grid_m3):
-    vol = ball_grid(0.3, nr=4, ntheta=4, nphi=6)
-    table = strong_convergence_experiment(
-        grid_m3, SP, [0.1, 0.05], g=np.zeros((grid_m3.n_nodes, 3, 4)),
-        volume=vol, f_vals=np.zeros((len(vol), 4)))
+def test_strong_convergence_zero_density(grid_m3, monkeypatch):
+    from deltashell import shell_ops
+
+    monkeypatch.setattr(shell_ops, "default_separable_density",
+                        lambda grid: np.zeros((grid.n_nodes, 3, 4)))
+    monkeypatch.setattr(shell_ops, "default_volume_density",
+                        lambda volume: np.zeros((len(volume), 4)))
+    table = strong_convergence_experiment(grid_m3, SP, [0.1, 0.05])
     for row in table.rows:
         assert row.norm_b == 0.0
         assert row.norm_a == 0.0
@@ -839,3 +826,20 @@ def test_resolvent_kind_validation(resolvent_setup):
     with pytest.raises(ValueError):
         shell_resolvent_apply(SP, mesh, 0.5, "magnetic", vol, fv,
                               np.array([[1.4, 0.3, 0.1]]))
+
+
+@pytest.mark.parametrize("lam", [np.nan, np.inf])
+def test_resolvent_refuses_a_non_finite_coupling(resolvent_setup, monkeypatch,
+                                                 lam):
+    import deltashell.shell_ops as so
+
+    mesh, vol, fv = resolvent_setup
+
+    def no_boundary_system(*args):
+        raise AssertionError("boundary system built before the coupling check")
+
+    monkeypatch.setattr(so, "cauchy_sigma", no_boundary_system)
+    for kind in ("electrostatic", "scalar"):
+        with pytest.raises(ValueError, match="lam must be finite"):
+            shell_resolvent_apply(SP, mesh, lam, kind, vol, fv,
+                                  np.array([[1.4, 0.3, 0.1]]))
