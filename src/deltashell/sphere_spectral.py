@@ -13,12 +13,15 @@ via a Cayley transform of the channel coupling generator; a squeezed
 potential of width 2 eps turns into an exact matrix-exponential
 transfer.  Gap eigenvalues a in (-m, m) are roots of the matching
 determinant between the regular inner solution and the decaying outer
-solution.  The free channel solutions are the modified spherical Bessel
-closed forms; an ODE-integrated power-series route lives in the tests
-as their oracle.  The Klein convergence study compares the squeezed
-eigenvalues against the shell eigenvalue at the nonlinear effective
-coupling 2 tan(strength/2) (electrostatic) or 2 tanh(strength/2)
-(scalar), and against the naive linear coupling.
+solution.  The channel solutions and the squeezed transfer take a
+scalar trial energy or an array of them, so the determinant is
+evaluated on a whole scan grid in one call.  The free channel
+solutions are the modified spherical Bessel closed forms; an
+ODE-integrated power-series route lives in the tests as their oracle.
+The Klein convergence study compares the squeezed eigenvalues against
+the shell eigenvalue at the nonlinear effective coupling
+2 tan(strength/2) (electrostatic) or 2 tanh(strength/2) (scalar), and
+against the naive linear coupling.
 """
 
 from __future__ import annotations
@@ -128,57 +131,97 @@ def _bessel_orders(kappa: int) -> tuple:
     return kappa - 1, kappa
 
 
-def _gap_momentum(ch: ChannelSystem, a: float) -> float:
-    if not -ch.m < a < ch.m:
+def _gap_momentum(ch: ChannelSystem, a) -> np.ndarray:
+    a = np.asarray(a, dtype=float)
+    outside = ~(np.abs(a) < ch.m)
+    if outside.any():
+        first = float(a[outside].flat[0])
         raise ValueError(
-            f"trial energy {a} outside the spectral gap (-{ch.m}, {ch.m})")
-    return math.sqrt(ch.m * ch.m - a * a)
+            f"trial energy {first} outside the spectral gap (-{ch.m}, {ch.m})")
+    return np.sqrt(ch.m * ch.m - a * a)
 
 
-def inner_solution(ch: ChannelSystem, a: float, r: float) -> np.ndarray:
-    """Regular-at-origin channel solution (G, F) at radius r, unit norm."""
+def _unit(g: np.ndarray, f: np.ndarray) -> np.ndarray:
+    psi = np.stack([g, f], axis=-1)
+    return psi / np.linalg.norm(psi, axis=-1, keepdims=True)
+
+
+def inner_solution(ch: ChannelSystem, a, r: float) -> np.ndarray:
+    """Regular-at-origin channel solution (G, F) at radius r, unit norm.
+
+    A scalar energy gives shape (2,); an array of energies gives
+    ``a.shape + (2,)``.
+    """
     k = _gap_momentum(ch, a)
     lg, lf = _bessel_orders(ch.kappa)
-    psi = np.array([r * spherical_in(lg, k * r),
-                    k * r * spherical_in(lf, k * r) / (a + ch.m)])
-    return psi / np.linalg.norm(psi)
+    return _unit(r * spherical_in(lg, k * r),
+                 k * r * spherical_in(lf, k * r) / (a + ch.m))
 
 
-def outer_solution(ch: ChannelSystem, a: float, r: float) -> np.ndarray:
-    """Decaying-at-infinity channel solution (G, F) at radius r, unit norm."""
+def outer_solution(ch: ChannelSystem, a, r: float) -> np.ndarray:
+    """Decaying-at-infinity channel solution (G, F) at radius r, unit norm.
+
+    Shapes as in ``inner_solution``.
+    """
     k = _gap_momentum(ch, a)
     lg, lf = _bessel_orders(ch.kappa)
-    psi = np.array([r * spherical_kn(lg, k * r),
-                    -k * r * spherical_kn(lf, k * r) / (a + ch.m)])
-    return psi / np.linalg.norm(psi)
+    return _unit(r * spherical_kn(lg, k * r),
+                 -k * r * spherical_kn(lf, k * r) / (a + ch.m))
 
 
 # ---------------------------------------------------------------------------
 # squeezed transfer matrices
 
 
-def _panel_expm(h: float, p: float, q: float, s: float) -> np.ndarray:
-    """exp(h [[p, q], [s, -p]]) of a traceless panel matrix, exactly."""
-    w = np.sqrt(complex(p * p + q * s))
-    hw = h * w
-    c = np.cosh(hw)
-    if abs(hw) < 1e-6:
-        sig = h * (1.0 + hw * hw / 6.0)
-    else:
-        sig = h * np.sinh(hw) / hw
-    return np.array([[c + sig * p, sig * q], [sig * s, c - sig * p]]).real
+def _panel_expm(h: float, p, q, s) -> np.ndarray:
+    """exp(h [[p, q], [s, -p]]) of traceless panel matrices, exactly.
+
+    ``p``, ``q`` and ``s`` broadcast against each other; the result has
+    their common shape + (2, 2).
+    """
+    hw = h * np.sqrt(np.asarray(p * p + q * s, dtype=complex))
+    c = np.cosh(hw).real
+    small = np.abs(hw) < 1e-6
+    # the series branch also covers hw = 0, so no 0/0 is ever formed
+    sig = np.where(small, h * (1.0 + hw * hw / 6.0),
+                   h * np.sinh(hw) / np.where(small, 1.0, hw)).real
+    return np.stack([c + sig * p, sig * q, sig * s, c - sig * p],
+                    axis=-1).reshape(hw.shape + (2, 2))
 
 
-def transfer_through_squeezed(ch: ChannelSystem, a: float,
+def _ordered_product(mats: np.ndarray) -> np.ndarray:
+    """M[n-1] @ ... @ M[1] @ M[0] over the axis -3, by a pairwise tree.
+
+    A level of odd length gets the identity as its last (leftmost) factor.
+    """
+    while mats.shape[-3] > 1:
+        if mats.shape[-3] % 2:
+            pad = np.broadcast_to(np.eye(2), mats.shape[:-3] + (1, 2, 2))
+            mats = np.concatenate([mats, pad], axis=-3)
+        mats = mats[..., 1::2, :, :] @ mats[..., 0::2, :, :]
+    return mats[..., 0, :, :]
+
+
+#: bytes of panel matrices (one 2x2 float64, 32 bytes, per panel and
+#: energy) built at once; energies are taken in blocks that fit, which
+#: keeps the peak memory of a whole scan grid near that of one energy
+_PANEL_BLOCK_BYTES = 1 << 17
+
+
+def transfer_through_squeezed(ch: ChannelSystem, a,
                               family: SqueezedFamily, kind: str,
                               sub_panels: int = TRANSFER_PANELS) -> np.ndarray:
     """Transfer matrix psi(R+eps) = T psi(R-eps) through a squeezed well.
 
     The radial system at energy ``a`` with the potential added to the
     channel coefficients is integrated by exact exponentials of the panel
-    matrices, coefficients frozen at panel midpoints.  For square wells
+    matrices, coefficients frozen at panel midpoints, and the panel
+    exponentials are multiplied by a pairwise tree.  For square wells
     the potential term is exact; the kappa/r variation contributes
     O(panel width^2).
+
+    ``a`` is a scalar, giving shape (2, 2), or an array of energies,
+    giving ``a.shape + (2, 2)``; energies are taken a block at a time.
     """
     _require_kind(kind)
     if sub_panels < 16:
@@ -193,13 +236,18 @@ def transfer_through_squeezed(ch: ChannelSystem, a: float,
     v = np.asarray(family(mids - ch.R), dtype=float)
     ve = v if kind == "electrostatic" else np.zeros_like(v)
     vs = v if kind == "scalar" else np.zeros_like(v)
-    cp = a + ch.m + vs - ve
-    cm = a - ch.m - vs - ve
     p = ch.kappa / mids
-    out = np.eye(2)
-    for j in range(sub_panels):
-        out = _panel_expm(h, p[j], cp[j], -cm[j]) @ out
-    return out
+    a = np.asarray(a, dtype=float)
+    energies = a.reshape(-1, 1)
+    out = np.empty((len(energies), 2, 2))
+    block = max(1, _PANEL_BLOCK_BYTES // (32 * sub_panels))
+    for start in range(0, len(energies), block):
+        e = energies[start:start + block]
+        cp = e + ch.m + vs - ve
+        cm = e - ch.m - vs - ve
+        out[start:start + block] = _ordered_product(
+            _panel_expm(h, p, cp, -cm))
+    return out.reshape(a.shape + (2, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -223,12 +271,15 @@ def find_gap_eigenvalues(ch: ChannelSystem, matching,
                          half_width: float = 0.0) -> SpectralResult:
     """Roots of det[psi_out(R+w), M psi_in(R-w)] inside the gap.
 
-    ``matching`` is a 2x2 matrix (the shell's) or a callable mapping the
-    trial energy to one (a squeezed transfer, which depends on it).
-    ``scan`` is (a_min, a_max, steps); each sign change of the
-    determinant on the scan grid is refined by Brent's method
-    (``brentq``) to 1e-12.  An empty result is valid: no sign change
-    means no eigenvalue in the window.
+    ``matching`` is a 2x2 matrix (the shell's), which broadcasts over
+    energies, or a callable (a squeezed transfer, which depends on the
+    energy) mapping an array of trial energies of any shape to an array
+    of that shape + (2, 2), and a scalar energy to one 2x2 matrix.
+    ``scan`` is (a_min, a_max, steps); the determinant is evaluated on
+    the whole scan grid in one call, and each sign change on it is
+    refined by Brent's method (``brentq``) to 1e-12 through the same
+    function at scalar energies.  An empty result is valid: no sign
+    change means no eigenvalue in the window.
     """
     if scan is None:
         edge = (1.0 - GAP_MARGIN) * ch.m
@@ -246,14 +297,24 @@ def find_gap_eigenvalues(ch: ChannelSystem, matching,
             raise ValueError(f"matching matrix must be 2x2, got {fixed.shape}")
     r_in, r_out = ch.R - half_width, ch.R + half_width
 
-    def det(a: float) -> float:
+    def det(a):
         pin = inner_solution(ch, a, r_in)
         pout = outer_solution(ch, a, r_out)
-        mp = (matching(a) if fixed is None else fixed) @ pin
-        return float(pout[0] * mp[1] - pout[1] * mp[0])
+        mat = fixed
+        if mat is None:
+            mat = np.asarray(matching(a), dtype=float)
+            if mat.shape != np.shape(a) + (2, 2):
+                raise ValueError(
+                    "matching callable must give one 2x2 matrix per energy: "
+                    f"shape {np.shape(a) + (2, 2)} expected, got {mat.shape}")
+        mp = (mat @ pin[..., None])[..., 0]
+        return pout[..., 0] * mp[..., 1] - pout[..., 1] * mp[..., 0]
+
+    def det_at(a: float) -> float:
+        return float(det(a))
 
     grid = np.linspace(a_lo, a_hi, steps)
-    vals = np.array([det(a) for a in grid])
+    vals = det(grid)
     eigs, resids, brackets = [], [], []
     for i in range(steps):
         lo = grid[i]
@@ -263,9 +324,9 @@ def find_gap_eigenvalues(ch: ChannelSystem, matching,
             brackets.append((float(lo), float(lo)))
         elif i + 1 < steps and vals[i] * vals[i + 1] < 0.0:
             hi = grid[i + 1]
-            root = brentq(det, lo, hi, xtol=1e-12, rtol=8.9e-16)
+            root = brentq(det_at, lo, hi, xtol=1e-12, rtol=8.9e-16)
             eigs.append(float(root))
-            resids.append(abs(det(root)))
+            resids.append(abs(det_at(root)))
             brackets.append((float(lo), float(hi)))
     return SpectralResult(tuple(eigs), tuple(resids), tuple(brackets))
 

@@ -1,11 +1,14 @@
+import cmath
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
+from scipy.optimize import brentq
 
 from deltashell.cli import main
 from deltashell.potential import square_well, squeeze, truncated_gaussian
@@ -13,6 +16,7 @@ from deltashell.sphere_spectral import (
     BOOST_GENERATOR,
     ChannelSystem,
     CriticalCoupling,
+    _panel_expm,
     find_gap_eigenvalues,
     inner_solution,
     klein_convergence_study,
@@ -112,6 +116,11 @@ def test_matching_shape_guard():
     for bad in (np.eye(3), np.ones(2)):
         with pytest.raises(ValueError, match="2x2"):
             find_gap_eigenvalues(ch, bad, scan=(-0.5, 0.5, 3))
+    # a callable must give one 2x2 matrix per energy of the grid
+    for bad in (lambda a: np.eye(3), lambda a: np.eye(2),
+                lambda a: np.ones(np.shape(a) + (2,))):
+        with pytest.raises(ValueError, match="2x2"):
+            find_gap_eigenvalues(ch, bad, scan=(-0.5, 0.5, 3))
 
 
 def test_channel_validation():
@@ -128,6 +137,17 @@ def test_channel_validation():
     ChannelSystem(2, m=0.5, R=2.0)
     with pytest.raises(ValueError, match=r"outside the spectral gap \(-0.5, 0.5\)"):
         inner_solution(ChannelSystem(2, m=0.5, R=2.0), 0.5, 1.0)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), 0.5, -0.75])
+@pytest.mark.parametrize("solution", [inner_solution, outer_solution])
+def test_gap_guard_names_the_bad_energy_of_an_array(solution, bad):
+    ch = ChannelSystem(2, m=0.5, R=2.0)
+    energies = np.array([[-0.2, 0.0, 0.1], [0.3, bad, 0.7]])
+    message = rf"trial energy {bad} outside the spectral gap \(-0.5, 0.5\)"
+    with pytest.raises(ValueError, match=message):
+        solution(ch, energies, 1.0)
+    assert solution(ch, energies[0], 1.0).shape == (3, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -309,6 +329,46 @@ def test_narrow_scan_still_brackets():
     assert res.eigenvalues[0] == pytest.approx(SHELL_ROOT_LIN, abs=1e-12)
 
 
+def energy_by_energy_scan(ch, matching, half_width):
+    """Oracle: the default scan, one scalar energy at a time."""
+    def det(a):
+        pin = inner_solution(ch, a, ch.R - half_width)
+        pout = outer_solution(ch, a, ch.R + half_width)
+        mp = matching(a) @ pin
+        return float(pout[0] * mp[1] - pout[1] * mp[0])
+
+    grid = np.linspace(-(1.0 - 1e-4) * ch.m, (1.0 - 1e-4) * ch.m, 241)
+    vals = [det(a) for a in grid]
+    brackets = [(lo, hi) for lo, hi, v_lo, v_hi
+                in zip(grid, grid[1:], vals, vals[1:]) if v_lo * v_hi < 0.0]
+    roots = [brentq(det, lo, hi, xtol=1e-12, rtol=8.9e-16)
+             for lo, hi in brackets]
+    return roots, brackets
+
+
+@pytest.mark.parametrize("case", ["shell", "squeezed"])
+def test_scan_matches_energy_by_energy_scan(case):
+    ch = ChannelSystem(-1)
+    if case == "shell":
+        tm = shell_matching(1.0, "electrostatic")
+        matching, oracle, half_width = tm, lambda a: tm, 0.0
+    else:
+        fam = squeeze(square_well(1.0, 1.0), 0.1)
+
+        def matching(a):
+            return transfer_through_squeezed(ch, a, fam, "electrostatic")
+
+        def oracle(a):
+            return sequential_transfer(ch, a, fam, "electrostatic", 400)
+
+        half_width = 0.1
+    res = find_gap_eigenvalues(ch, matching, half_width=half_width)
+    roots, brackets = energy_by_energy_scan(ch, oracle, half_width)
+    assert len(roots) == 1
+    assert res.brackets == tuple(brackets)
+    assert res.eigenvalues == pytest.approx(roots, rel=0.0, abs=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # squeezed transfer matrices
 
@@ -321,6 +381,64 @@ def test_transfer_of_zero_well_is_free_propagation():
     prop = prop / np.linalg.norm(prop)
     ref = inner_solution(ch, 0.3, 1.3)
     assert abs(prop[0] * ref[1] - prop[1] * ref[0]) < 1e-6
+
+
+def sequential_expm(h, p, q, s):
+    """Oracle: exp(h [[p, q], [s, -p]]) of one panel."""
+    hw = h * cmath.sqrt(p * p + q * s)
+    sig = h * (1.0 + hw * hw / 6.0) if abs(hw) < 1e-6 else h * cmath.sinh(hw) / hw
+    c = cmath.cosh(hw)
+    return np.array([[c + sig * p, sig * q], [sig * s, c - sig * p]]).real
+
+
+def sequential_transfer(ch, a, family, kind, sub_panels):
+    """Oracle: panel exponentials one at a time, multiplied in order."""
+    edges = np.linspace(ch.R - family.epsilon, ch.R + family.epsilon,
+                        sub_panels + 1)
+    mids = 0.5 * (edges[:-1] + edges[1:])
+    h = edges[1] - edges[0]
+    v = np.asarray(family(mids - ch.R), dtype=float)
+    ve = v if kind == "electrostatic" else np.zeros_like(v)
+    vs = v if kind == "scalar" else np.zeros_like(v)
+    out = np.eye(2)
+    for mid, v_e, v_s in zip(mids, ve, vs):
+        out = sequential_expm(h, ch.kappa / mid, a + ch.m + v_s - v_e,
+                              -(a - ch.m - v_s - v_e)) @ out
+    return out
+
+
+@pytest.mark.parametrize("kind", ["electrostatic", "scalar"])
+@pytest.mark.parametrize("panels", [16, 17, 400, 401])
+def test_batched_transfer_matches_sequential_product(kind, panels):
+    # odd panel counts pad a level of the product tree with the identity;
+    # 23 energies span three blocks at 400 panels
+    ch = ChannelSystem(-1)
+    fam = squeeze(square_well(1.0, 1.0), 0.1)
+    energies = np.random.default_rng(panels).uniform(-0.95, 0.95, size=23)
+    for a in (float(energies[0]), energies, energies[:18].reshape(3, 6)):
+        got = transfer_through_squeezed(ch, a, fam, kind, panels)
+        assert got.shape == np.shape(a) + (2, 2)
+        want = np.vectorize(
+            lambda e: sequential_transfer(ch, e, fam, kind, panels),
+            signature="()->(2,2)")(a)
+        err = (np.linalg.norm(got - want, axis=(-2, -1))
+               / np.linalg.norm(want, axis=(-2, -1)))
+        assert np.max(err) < 1e-13
+
+
+def test_panel_expm_of_a_zero_generator_is_exact():
+    # p^2 + q s = 0: the generator is nilpotent, exp(hA) = I + hA, and
+    # the small-argument branch must not form 0/0 on the way
+    p = np.array([0.0, 1.0, 2.0, 0.3])
+    q = np.array([0.0, 1.0, -4.0, 0.5])
+    s = np.array([0.0, -1.0, 1.0, 0.7])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = _panel_expm(0.01, p, q, s)
+    gens = np.stack([np.stack([p, q], -1), np.stack([s, -p], -1)], -2)
+    assert np.array_equal(got[:3], np.eye(2) + 0.01 * gens[:3])
+    assert np.allclose(got[3], sequential_expm(0.01, p[3], q[3], s[3]),
+                       rtol=0.0, atol=1e-15)
 
 
 def test_transfer_is_unimodular():
@@ -433,6 +551,17 @@ def test_study_json_summary(electro_study, tmp_path):
     assert sorted(doc) == list(doc)
     assert doc["gaps"] == [gap for _, _, gap in electro_study.rows]
     assert {k: doc[k] for k in electro_study.summary()} == electro_study.summary()
+
+
+def test_klein_runs_at_an_odd_panel_count(tmp_path):
+    # 17 panels pad every level of the product tree but the last
+    out = tmp_path / "k17.csv"
+    assert main(["klein", "--tau", "1.0", "--eta", "1.0", "--eps", "0.2,0.1",
+                 "--panels", "17", "--out", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:3]]
+    for (_, a_eps, *_), want in zip(rows, (SQUEEZED_ROOTS[0.2],
+                                             SQUEEZED_ROOTS[0.1])):
+        assert abs(float(a_eps) - want) < 1e-4
 
 
 def test_scalar_study_tracks_tanh_coupling():
