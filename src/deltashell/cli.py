@@ -38,7 +38,6 @@ from .geometry import (
     ellipsoid,
     measure_growth_audit,
     sphere,
-    tubular_map,
 )
 from .potential import factorize, profile_from_json, square_well, truncated_gaussian
 from .shell_ops import make_operator_grid, plemelj_check, strong_convergence_experiment
@@ -343,16 +342,15 @@ def cmd_geometry_audit(params, parser) -> int:
             parser.error("--axes needs three comma-separated values")
         surf = ellipsoid(*axes)
     mesh = build_mesh(surf, params["n"])
-    tm = tubular_map(mesh)
     eps = params["eps"]
     tol = params["tol"]
 
-    volume = coarea_integrate(tm, lambda pts: np.ones(len(pts)), eps,
+    volume = coarea_integrate(mesh, lambda pts: np.ones(len(pts)), eps,
                               params["t_nodes"])
-    moment = coarea_integrate(tm, lambda pts: np.sum(pts * pts, axis=1), eps,
+    moment = coarea_integrate(mesh, lambda pts: np.sum(pts * pts, axis=1), eps,
                               params["t_nodes"])
     doc = {"volume": volume, "radial_moment": moment,
-           "collar_eta": tm.eta, "nodes": len(mesh),
+           "collar_eta": surf.collar_eta(), "nodes": len(mesh),
            "metadata": _meta_dict("geometry-audit", params)}
     checks = []
     if name == "sphere":
@@ -367,7 +365,7 @@ def cmd_geometry_audit(params, parser) -> int:
                    doc["radial_moment_rel_error"] <= tol]
 
     try:
-        growth = measure_growth_audit(tm, params["t"], params["radii"],
+        growth = measure_growth_audit(mesh, params["t"], params["radii"],
                                       params["max_centers"])
         doc["growth"] = {"t": growth.t, "resolution": growth.resolution,
                          "diameter": growth.diameter, "c1": growth.c1,

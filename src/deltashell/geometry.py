@@ -7,6 +7,11 @@ of the offset surface. Meshes are geodesic icosahedral refinements (node =
 projected face centroid, weight = exact spherical triangle area, mapped with
 the linear-image Jacobian for ellipsoids), so admissible node counts are
 20 * 4^k; a requested count rounds up.
+
+Tubular coordinates x + t nu live in one place, ``SurfaceMesh.sheet(t)``,
+the parallel surface at offset t.  The surface carries both collar
+limits: ``collar_eta()`` (0.25 / max|kappa|) bounds the coarea audits,
+``injectivity_budget()`` (0.4 / max|kappa|) the squeezed operators.
 """
 
 from __future__ import annotations
@@ -71,6 +76,10 @@ class Surface:
     def injectivity_budget(self) -> float:
         """Largest collar half-width whose normal segments stay apart."""
         return 0.4 / self.max_abs_curvature()
+
+    def collar_eta(self) -> float:
+        """Half-width of the collar that the coarea audits integrate over."""
+        return 0.25 / self.max_abs_curvature()
 
 
 def sphere(radius: float) -> Surface:
@@ -181,6 +190,19 @@ class SurfaceMesh:
         return ((1.0 - np.multiply.outer(self.lam1, t))
                 * (1.0 - np.multiply.outer(self.lam2, t)))
 
+    def sheet(self, t) -> tuple:
+        """The parallel surface at normal offset t: points and weights.
+
+        Points are x + t nu and weights w det(1 - t W), the only place
+        the offset surface is built.  A scalar t gives (N, 3) and (N,);
+        an array of M offsets gives (N, M, 3) and (N, M).
+        """
+        t = np.asarray(t, dtype=float)
+        lead = (-1,) + (1,) * t.ndim
+        points = (self.nodes.reshape(lead + (3,))
+                  + t[..., None] * self.normals.reshape(lead + (3,)))
+        return points, self.weights.reshape(lead) * self.coarea(t)
+
 
 def admissible_node_count(n: int) -> int:
     """Smallest 20 * 4^k that is >= n."""
@@ -215,60 +237,26 @@ def build_mesh(s: Surface, n: int) -> SurfaceMesh:
     )
 
 
-@dataclass(frozen=True)
-class TubularMap:
-    """x + t nu(x) collar coordinates over a mesh, valid for |t| <= eta.
-
-    ``eta`` must lie in (0, injectivity budget]; a ``t`` outside
-    [-eta, eta], or NaN, raises ``ValueError``.
-    """
-
-    mesh: SurfaceMesh
-    eta: float
-
-    def __post_init__(self):
-        bound = self.mesh.surface.injectivity_budget()
-        if not 0 < self.eta <= bound:
-            raise ValueError(
-                f"eta={self.eta} outside the injectivity budget (0, {bound:.6g}]"
-            )
-
-    def images(self, t: float) -> np.ndarray:
-        self._check_t(t)
-        return self.mesh.nodes + t * self.mesh.normals
-
-    def weights_t(self, t: float) -> np.ndarray:
-        """Quadrature weights on the offset surface: w * det(1 - t W)."""
-        self._check_t(t)
-        return self.mesh.weights * self.mesh.coarea(t)
-
-    def _check_t(self, t: float):
-        if not abs(t) <= self.eta:
-            raise ValueError(f"|t|={abs(t)} exceeds eta={self.eta}")
-
-
-def tubular_map(mesh: SurfaceMesh) -> TubularMap:
-    """The collar of the mesh with eta = 0.25 / max|curvature|."""
-    return TubularMap(mesh=mesh, eta=0.25 / mesh.surface.max_abs_curvature())
-
-
-def coarea_integrate(tm: TubularMap, f, eps: float, t_nodes: int = 16) -> float:
+def coarea_integrate(mesh: SurfaceMesh, f, eps: float, t_nodes: int = 16) -> float:
     """Integral of f over the collar {x + t nu : |t| < eps} by coarea.
 
-    Gauss-Legendre in t, mesh sum with weight det(1 - t W) in space. f must
-    accept an (n, 3) array of points and return (n,) values.  Raises
-    ``ValueError`` unless 0 < eps <= eta.
+    Gauss-Legendre in t, the sheet at each t in space. f must accept an
+    (n, 3) array of points and return (n,) values.  Raises
+    ``ValueError`` unless 0 < eps <= collar eta and t_nodes >= 1.
     """
+    eta = mesh.surface.collar_eta()
     if not eps > 0.0:
         raise ValueError(f"eps={eps} must be positive")
-    if eps > tm.eta:
-        raise ValueError(f"eps={eps} exceeds eta={tm.eta}")
+    if eps > eta:
+        raise ValueError(f"eps={eps} exceeds eta={eta}")
+    if t_nodes < 1:
+        raise ValueError(f"t_nodes must be >= 1, got {t_nodes}")
     xi, w = np.polynomial.legendre.leggauss(t_nodes)
     total = 0.0
     for t_ref, wt in zip(xi, w):
-        t = eps * t_ref
-        vals = np.asarray(f(tm.images(t)), dtype=float)
-        total += eps * wt * float(np.sum(tm.weights_t(t) * vals))
+        pts, w_t = mesh.sheet(eps * t_ref)
+        vals = np.asarray(f(pts), dtype=float)
+        total += eps * wt * float(np.sum(w_t * vals))
     return total
 
 
@@ -283,7 +271,7 @@ class GrowthReport:
 
 
 def measure_growth_audit(
-    tm: TubularMap, t: float, radii, max_centers: int = 256
+    mesh: SurfaceMesh, t: float, radii, max_centers: int = 256
 ) -> GrowthReport:
     """Check sigma_t(B_r(x)) / r^2 stays inside the empirical [c2, c1] window.
 
@@ -292,20 +280,22 @@ def measure_growth_audit(
     reported but not held to the window (the lemma's bounds live below
     diameter scale). The window is the sphere's [c2, c1] widened by the
     surface's axis ratio, since eccentricity genuinely spreads the density
-    ratio. A radius that is not positive and finite, or ``max_centers <
-    1``, raises ``ValueError``; a window violation raises
-    :class:`CheckFailed`.
+    ratio. A ``|t|`` beyond the collar eta, a radius that is not
+    positive and finite, or ``max_centers < 1``, raises ``ValueError``; a
+    window violation raises :class:`CheckFailed`.
     """
     if max_centers < 1:
         raise ValueError(f"max_centers must be >= 1, got {max_centers}")
     if not all(0 < r < np.inf for r in radii):
         raise ValueError(
             f"growth audit radii must be positive and finite, got {list(radii)}")
-    axes = tm.mesh.surface.axes
+    axes = mesh.surface.axes
     ecc = max(axes) / min(axes)
     c1, c2 = C1_GROWTH * ecc, C2_GROWTH / ecc
-    pts = tm.images(t)
-    w_t = tm.weights_t(t)
+    eta = mesh.surface.collar_eta()
+    if not abs(t) <= eta:
+        raise ValueError(f"|t|={abs(t)} exceeds eta={eta}")
+    pts, w_t = mesh.sheet(t)
     resolution = 2.0 * float(np.sqrt(np.max(w_t)))
     diameter = 2.0 * float(np.max(np.linalg.norm(pts, axis=1)))
     stride = max(1, len(pts) // max_centers)

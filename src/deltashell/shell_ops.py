@@ -276,11 +276,11 @@ def _cell_block(sp: SpectralParameter, mesh: SurfaceMesh, rows: np.ndarray,
                 shift: float, height: float) -> np.ndarray:
     """Principal-value cell blocks of the kernel over a parallel sheet.
 
-    The sheet is the mesh moved by ``shift`` along its normals: a closed
-    surface with the same normal field, weights w det(1 - shift W) and
-    shifted principal curvatures, so the far sums and the Gauss anchor
-    below apply on it verbatim.  Each row node sees it from signed
-    height ``height`` over its own cell.  Returns the (rows, 4, 4)
+    The sheet is ``mesh.sheet(shift)``, the mesh moved by ``shift``
+    along its normals: a closed surface with the same normal field,
+    weights w det(1 - shift W) and shifted principal curvatures, so the
+    far sums and the Gauss anchor below apply on it verbatim.  Each row
+    node sees it from signed height ``height`` over its own cell.  Returns the (rows, 4, 4)
     blocks ``layer (a + m beta) + i alpha.(v - d)``: the cell's coarea-
     scaled flat-disk layer, the odd moment v (curvature-trace layer and
     normal-projection parts, plus the solid-angle content) and the
@@ -322,8 +322,7 @@ def _cell_block(sp: SpectralParameter, mesh: SurfaceMesh, rows: np.ndarray,
     kernel 1/(4 pi r^3) of the solid-angle content is built here.
     """
     det = mesh.coarea(shift)
-    src = mesh.nodes + shift * mesh.normals
-    wts = mesh.weights * det
+    src, wts = mesh.sheet(shift)
     nu = mesh.normals
     curv = (-mesh.lam1 / (1.0 - shift * mesh.lam1)
             - mesh.lam2 / (1.0 - shift * mesh.lam2))
@@ -414,9 +413,8 @@ def _trace_op(sp: SpectralParameter, mesh: SurfaceMesh,
     if rows is None:
         rows = np.arange(len(mesh))
     cell = _cell_block(sp, mesh, rows, 0.0, height)
-    return _KernelSum(sp, mesh.nodes[rows] + height * mesh.normals[rows],
-                      mesh.nodes, mesh.weights,
-                      cells=(rows, cell[:, None, None]))
+    return _KernelSum(sp, mesh.sheet(height)[0][rows], mesh.nodes,
+                      mesh.weights, cells=(rows, cell[:, None, None]))
 
 
 def cauchy_sigma_apply(sp: SpectralParameter, mesh: SurfaceMesh,
@@ -429,43 +427,27 @@ def cauchy_sigma_apply(sp: SpectralParameter, mesh: SurfaceMesh,
 
 @dataclass(frozen=True)
 class ShellOperator:
-    """Dense operator between weighted quadrature spaces.
+    """Dense square operator on a weighted quadrature space.
 
-    ``row_weights`` and ``col_weights`` are the scalar quadrature
-    weights per 4-spinor block; norms and singular values are computed
-    after the corresponding diagonal similarity.
+    ``weights`` are the scalar quadrature weights, one per 4-spinor
+    block, of both its rows and its columns; the norm is taken after
+    the diagonal similarity sqrt(w_i / w_j).
     """
 
     matrix: np.ndarray
-    row_weights: np.ndarray
-    col_weights: np.ndarray
+    weights: np.ndarray
 
     def apply(self, g: np.ndarray) -> np.ndarray:
         return self.matrix @ np.asarray(g, dtype=complex).ravel()
 
     def norm(self) -> float:
-        return _weighted_opnorm(self.matrix, self.row_weights, self.col_weights)
-
-
-def _expand_weights(w: np.ndarray, dofs: int) -> np.ndarray:
-    w = np.asarray(w, dtype=float).ravel()
-    rep = dofs // w.size
-    if w.size * rep != dofs:
-        raise ValueError("weight vector does not tile the dof count")
-    return np.repeat(w, rep)
-
-
-def _weighted_opnorm(matrix: np.ndarray, row_w: np.ndarray,
-                     col_w: np.ndarray) -> float:
-    rw = np.sqrt(_expand_weights(row_w, matrix.shape[0]))
-    cw = np.sqrt(_expand_weights(col_w, matrix.shape[1]))
-    scaled = matrix * (rw[:, None] / cw[None, :])
-    if min(scaled.shape) <= 2 or scaled.shape[0] * scaled.shape[1] <= 16384:
-        return float(np.linalg.norm(scaled, 2))
-    # a seeded start keeps repeated calls bit-identical
-    val = svds(scaled, k=1, return_singular_vectors=False, tol=1e-9,
-               rng=np.random.default_rng(0))
-    return float(val[0])
+        """Largest singular value in the weighted L2 sense."""
+        sw = np.sqrt(np.repeat(self.weights, 4))
+        scaled = self.matrix * (sw[:, None] / sw[None, :])
+        # a seeded start keeps repeated calls bit-identical
+        val = svds(scaled, k=1, return_singular_vectors=False, tol=1e-9,
+                   rng=np.random.default_rng(0))
+        return float(val[0])
 
 
 def cauchy_sigma(sp: SpectralParameter, mesh: SurfaceMesh) -> ShellOperator:
@@ -477,8 +459,7 @@ def cauchy_sigma(sp: SpectralParameter, mesh: SurfaceMesh) -> ShellOperator:
         raise ValueError(
             f"dense trace operator needs {4 * n} dofs, cap is {DENSE_DOF_CAP}; "
             "use cauchy_sigma_apply for large meshes")
-    return ShellOperator(_trace_op(sp, mesh).matrix(), mesh.weights,
-                         mesh.weights)
+    return ShellOperator(_trace_op(sp, mesh).matrix(), mesh.weights)
 
 
 # ---------------------------------------------------------------------------
@@ -654,9 +635,10 @@ def default_volume_density(volume: VolumeGrid) -> np.ndarray:
 def _shifted_points(grid: OperatorGrid, eps: float) -> np.ndarray:
     """Collar quadrature points x_k + eps t_q nu_k, shape (N M, 3).
 
-    Raises ``ValueError`` when eps is negative, or exceeds the surface's
-    injectivity budget, the bound :class:`TubularMap` also keeps, past
-    which the collar's normal segments can cross.
+    They are the mesh's sheets at the offsets eps t_q.  Raises
+    ``ValueError`` when eps is negative, or exceeds the surface's
+    injectivity budget, past which the collar's normal segments can
+    cross.
     """
     if eps < 0.0:
         raise ValueError(f"collar width eps={eps:g} is negative")
@@ -664,8 +646,7 @@ def _shifted_points(grid: OperatorGrid, eps: float) -> np.ndarray:
     if eps > budget:
         raise ValueError(
             f"collar width eps={eps:g} exceeds the injectivity budget {budget:.6g}")
-    return (grid.mesh.nodes[:, None, :] + eps * grid.t_nodes[None, :, None]
-            * grid.mesh.normals[:, None, :]).reshape(-1, 3)
+    return grid.mesh.sheet(eps * grid.t_nodes)[0].reshape(-1, 3)
 
 
 def _check_shift_separation(pts: np.ndarray) -> None:
@@ -773,8 +754,8 @@ def assemble_family(grid: OperatorGrid, sp: SpectralParameter,
     if grid.dofs > DENSE_DOF_CAP:
         raise ValueError(
             f"grid has {grid.dofs} dofs, dense cap is {DENSE_DOF_CAP}")
-    gw = grid.scalar_weights()
-    return {"B": ShellOperator(_b_eps_op(grid, sp, eps).matrix(), gw, gw)}
+    return {"B": ShellOperator(_b_eps_op(grid, sp, eps).matrix(),
+                               grid.scalar_weights())}
 
 
 # ---------------------------------------------------------------------------

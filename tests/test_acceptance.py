@@ -18,7 +18,7 @@ from deltashell.coupling import (
     lambda_neumann,
 )
 from deltashell.dirac_algebra import SpectralParameter
-from deltashell.geometry import build_mesh, coarea_integrate, sphere, tubular_map
+from deltashell.geometry import build_mesh, coarea_integrate, sphere
 from deltashell.potential import (
     factorize,
     from_table,
@@ -142,10 +142,10 @@ def test_criterion_4_plemelj_jump():
 
 def test_criterion_5_coarea_exactness():
     t0 = time.perf_counter()
-    tm = tubular_map(build_mesh(sphere(1.0), 2048))
+    mesh = build_mesh(sphere(1.0), 2048)
     eps = 0.1
-    vol = coarea_integrate(tm, lambda pts: np.ones(len(pts)), eps, 16)
-    mom = coarea_integrate(tm, lambda pts: np.sum(pts * pts, axis=1), eps, 16)
+    vol = coarea_integrate(mesh, lambda pts: np.ones(len(pts)), eps, 16)
+    mom = coarea_integrate(mesh, lambda pts: np.sum(pts * pts, axis=1), eps, 16)
     vol_exact = 4.0 * math.pi * (1.1 ** 3 - 0.9 ** 3) / 3.0
     mom_exact = 4.0 * math.pi * (1.1 ** 5 - 0.9 ** 5) / 5.0
     rel = max(abs(vol - vol_exact) / vol_exact, abs(mom - mom_exact) / mom_exact)

@@ -370,9 +370,9 @@ def test_geometry_audit_needs_axes_for_ellipsoid():
 
 def test_geometry_audit_window_violation_exits_one(tmp_path, monkeypatch):
     monkeypatch.setattr(geometry, "C1_GROWTH", 1.0)
-    tm = geometry.tubular_map(geometry.build_mesh(geometry.sphere(1.0), 320))
+    mesh = geometry.build_mesh(geometry.sphere(1.0), 320)
     with pytest.raises(CheckFailed, match="measure growth outside"):
-        geometry.measure_growth_audit(tm, 0.0, [0.5])
+        geometry.measure_growth_audit(mesh, 0.0, [0.5])
     code, doc = run_json(
         ["geometry-audit", "--n", "320", "--radii", "0.5"], tmp_path)
     assert code == 1
@@ -423,6 +423,8 @@ def test_geometry_audit_window_violation_exits_one(tmp_path, monkeypatch):
     (["geometry-audit", "--n", "80", "--radii", "nan"], "radii"),
     (["geometry-audit", "--n", "80", "--radii", "inf"], "radii"),
     (["geometry-audit", "--n", "80", "--t", "nan"], "|t|=nan"),
+    (["geometry-audit", "--n", "80", "--t-nodes", "0"], "t_nodes"),
+    (["geometry-audit", "--n", "80", "--t-nodes=-2"], "t_nodes"),
 ])
 def test_input_outside_a_limit_is_usage_error(capsys, args, names):
     try:

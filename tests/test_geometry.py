@@ -3,14 +3,12 @@ import pytest
 
 from deltashell.geometry import (
     OffSurfaceError,
-    TubularMap,
     admissible_node_count,
     build_mesh,
     coarea_integrate,
     ellipsoid,
     measure_growth_audit,
     sphere,
-    tubular_map,
     weingarten,
 )
 
@@ -86,31 +84,50 @@ def test_ellipsoid_mesh_area_converges():
 
 def test_tubular_eta_budget():
     m = build_mesh(sphere(1.0), 80)
-    tm = tubular_map(m)
-    assert tm.eta == pytest.approx(0.25)
-    with pytest.raises(ValueError):
-        TubularMap(m, 0.5)  # exceeds 0.4 * curvature radius
-    with pytest.raises(ValueError):
-        tm.images(0.3)
+    assert m.surface.collar_eta() == pytest.approx(0.25)
+    with pytest.raises(ValueError, match="exceeds eta"):
+        measure_growth_audit(m, 0.3, [0.5])
+
+
+@pytest.mark.parametrize("t", [-0.2, 0.05, 0.2])
+def test_sheet_matches_mesh_of_offset_sphere(t):
+    got_nodes, got_weights = build_mesh(sphere(1.0), 320).sheet(t)
+    fresh = build_mesh(sphere(1.0 + t), 320)
+    scale = np.max(np.abs(fresh.nodes))
+    assert np.max(np.abs(got_nodes - fresh.nodes)) <= 1e-13 * scale
+    assert np.max(np.abs(got_weights / fresh.weights - 1.0)) <= 1e-13
+
+
+def test_sheet_over_offsets_stacks_the_scalar_sheets():
+    m = build_mesh(ellipsoid(1.3, 1.0, 0.8), 80)
+    ts = np.array([-0.1, 0.0, 0.03, 0.2])
+    nodes, weights = m.sheet(ts)
+    assert nodes.shape == (len(m), ts.size, 3)
+    assert weights.shape == (len(m), ts.size)
+    for k, t in enumerate(ts):
+        one_nodes, one_weights = m.sheet(t)
+        assert one_nodes.shape == (len(m), 3) and one_weights.shape == (len(m),)
+        assert np.array_equal(nodes[:, k], one_nodes)
+        assert np.array_equal(weights[:, k], one_weights)
 
 
 def test_coarea_shell_volume():
-    tm = tubular_map(build_mesh(sphere(1.0), 2048))
-    got = coarea_integrate(tm, lambda x: np.ones(len(x)), 0.1, 16)
+    m = build_mesh(sphere(1.0), 2048)
+    got = coarea_integrate(m, lambda x: np.ones(len(x)), 0.1, 16)
     exact = 4.0 * np.pi / 3.0 * (1.1**3 - 0.9**3)
     assert got == pytest.approx(exact, rel=1e-6)
 
 
 def test_coarea_thin_shell_gives_area():
-    tm = tubular_map(build_mesh(sphere(1.0), 320))
+    m = build_mesh(sphere(1.0), 320)
     eps = 1e-4
-    got = coarea_integrate(tm, lambda x: np.ones(len(x)), eps, 4)
+    got = coarea_integrate(m, lambda x: np.ones(len(x)), eps, 4)
     assert got / (2 * eps) == pytest.approx(4.0 * np.pi, rel=1e-6)
 
 
 def test_coarea_radial_moment():
-    tm = tubular_map(build_mesh(sphere(1.0), 2048))
-    got = coarea_integrate(tm, lambda x: np.sum(x * x, axis=1), 0.1, 16)
+    m = build_mesh(sphere(1.0), 2048)
+    got = coarea_integrate(m, lambda x: np.sum(x * x, axis=1), 0.1, 16)
     exact = 4.0 * np.pi * (1.1**5 - 0.9**5) / 5.0
     assert got == pytest.approx(exact, rel=1e-6)
 
@@ -118,54 +135,55 @@ def test_coarea_radial_moment():
 def test_coarea_ellipsoid_collar_volume():
     # collar volume = 2 eps Area + (8 pi / 3) eps^3 by Gauss-Bonnet
     e = ellipsoid(2.0, 1.0, 1.0)
-    tm = tubular_map(build_mesh(e, 1280))
+    m = build_mesh(e, 1280)
     eps = 0.05
-    got = coarea_integrate(tm, lambda x: np.ones(len(x)), eps, 8)
+    got = coarea_integrate(m, lambda x: np.ones(len(x)), eps, 8)
     exact = 2.0 * eps * e.area() + (8.0 * np.pi / 3.0) * eps**3
     assert got == pytest.approx(exact, rel=1e-5)
 
 
 def test_coarea_rejects_eps_beyond_eta():
-    tm = tubular_map(build_mesh(sphere(1.0), 80))
+    m = build_mesh(sphere(1.0), 80)
     with pytest.raises(ValueError):
-        coarea_integrate(tm, lambda x: np.ones(len(x)), 0.3, 4)
+        coarea_integrate(m, lambda x: np.ones(len(x)), 0.3, 4)
 
 
 def test_sigma_t_matches_independent_mesh():
     # offset sphere integral vs a fresh mesh of the sphere with radius R + t
     t = 0.2
-    tm = tubular_map(build_mesh(sphere(1.0), 5120))
+    m = build_mesh(sphere(1.0), 5120)
 
     def f(x):
         return np.exp(x[:, 0]) * (1.0 + x[:, 1] ** 2)
 
-    via_tube = float(np.sum(tm.weights_t(t) * f(tm.images(t))))
+    pts, w_t = m.sheet(t)
+    via_tube = float(np.sum(w_t * f(pts)))
     fresh = build_mesh(sphere(1.2), 5120)
     via_fresh = float(np.sum(fresh.weights * f(fresh.nodes)))
     assert via_tube == pytest.approx(via_fresh, rel=1e-4)
 
 
 def test_measure_growth_sphere_window():
-    tm = tubular_map(build_mesh(sphere(1.0), 5120))
+    m = build_mesh(sphere(1.0), 5120)
     for t in (-0.25, 0.0, 0.25):
-        rep = measure_growth_audit(tm, t, [0.3, 0.5, 1.0])
+        rep = measure_growth_audit(m, t, [0.3, 0.5, 1.0])
         for r, flagged, lo, hi in rep.rows:
             assert not flagged
             assert 2.9 <= lo <= hi <= 3.3
 
 
 def test_measure_growth_flags_small_radius():
-    tm = tubular_map(build_mesh(sphere(1.0), 320))
-    rep = measure_growth_audit(tm, 0.0, [0.01, 1.0])
+    m = build_mesh(sphere(1.0), 320)
+    rep = measure_growth_audit(m, 0.0, [0.01, 1.0])
     assert rep.rows[0][1] is True
     assert rep.rows[1][1] is False
 
 
 def test_measure_growth_full_area_beyond_diameter():
-    tm = tubular_map(build_mesh(sphere(1.0), 1280))
+    m = build_mesh(sphere(1.0), 1280)
     t = 0.1
     r = 5.0  # beyond the diameter: every ball holds the full surface
-    rep = measure_growth_audit(tm, t, [r])
+    rep = measure_growth_audit(m, t, [r])
     _, flagged, lo, hi = rep.rows[0]
     assert not flagged
     area = 4.0 * np.pi * (1.0 + t) ** 2
@@ -174,18 +192,19 @@ def test_measure_growth_full_area_beyond_diameter():
 
 
 def test_measure_growth_stable_across_t():
-    tm = tubular_map(build_mesh(sphere(1.0), 5120))
+    m = build_mesh(sphere(1.0), 5120)
     mids = []
-    for t in (-tm.eta, 0.0, tm.eta):
-        rep = measure_growth_audit(tm, t, [0.5])
+    eta = m.surface.collar_eta()
+    for t in (-eta, 0.0, eta):
+        rep = measure_growth_audit(m, t, [0.5])
         _, _, lo, hi = rep.rows[0]
         mids.append(0.5 * (lo + hi))
     assert max(mids) / min(mids) < 1.2
 
 
 def test_measure_growth_ellipsoid_widened_window():
-    tm = tubular_map(build_mesh(ellipsoid(2.0, 1.0, 1.0), 1280))
-    rep = measure_growth_audit(tm, 0.0, [0.5, 1.0])
+    m = build_mesh(ellipsoid(2.0, 1.0, 1.0), 1280)
+    rep = measure_growth_audit(m, 0.0, [0.5, 1.0])
     assert rep.c1 == pytest.approx(6.6)
     assert rep.c2 == pytest.approx(1.45)
     for _, flagged, lo, hi in rep.rows:
