@@ -37,10 +37,12 @@ from typing import Sequence
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
+from scipy.linalg import lu_solve
 from scipy.sparse.linalg import svds
 from scipy.spatial import cKDTree
 
 from . import CheckFailed
+from .coupling import lu_cond1
 from .dirac_algebra import (ALPHA, BETA, I4, SpectralParameter, alpha_dot,
                             kernel_fields, phi_a)
 from .geometry import SurfaceMesh
@@ -495,9 +497,12 @@ def plemelj_check(sp: SpectralParameter, mesh: SurfaceMesh, g: np.ndarray,
     that defines the trace.  They are extrapolated to ``h -> 0`` by a
     least-squares polynomial fit in ``h`` of degree
     ``min(3, len(offsets) - 1)``, cubic for the five default offsets.
-    Offsets must stay inside the collar and above the mesh resolution;
-    the default set hugs the resolution floor, where the extrapolation
-    is most accurate.
+    Given offsets must lie above the mesh resolution and at most
+    ``min(eta, injectivity_budget())`` of the surface, so that the
+    normal segments stay apart; otherwise ``ValueError`` names both
+    limits.  The default set hugs the resolution floor, where the
+    extrapolation is most accurate, and is bounded by ``eta`` and
+    twice the resolution.
     """
     if max_eval_nodes < 1:
         raise ValueError(f"max_eval_nodes must be >= 1, got {max_eval_nodes}")
@@ -512,13 +517,16 @@ def plemelj_check(sp: SpectralParameter, mesh: SurfaceMesh, g: np.ndarray,
                 f"collar eta = {eta:.3e} leaves no offset window above "
                 f"the mesh resolution {res:.3e}")
         offsets = np.linspace(1.05 * res, upper, 5)
+    else:
+        limit = min(eta, mesh.surface.injectivity_budget())
+        given = np.asarray(offsets, dtype=float)
+        if not np.all(np.isfinite(given)):
+            raise ValueError(f"offsets must be finite, got {list(offsets)}")
+        if np.any(given <= res) or np.any(given > limit):
+            raise ValueError(
+                f"offsets {list(offsets)} must lie in (resolution, "
+                f"min(eta, injectivity_budget())] = ({res:.3e}, {limit:.3e}]")
     offs = np.asarray(sorted(offsets, reverse=True), dtype=float)
-    if not np.all(np.isfinite(offs)):
-        raise ValueError(f"offsets must be finite, got {list(offsets)}")
-    if np.any(offs <= res) or np.any(offs > eta):
-        raise ValueError(
-            f"offsets must lie in (resolution, eta] = "
-            f"({res:.3e}, {eta:.3e}]")
     gv = np.asarray(g, dtype=complex).reshape(n, 4)
     if n > max_eval_nodes:
         idx = np.linspace(0, n - 1, max_eval_nodes).astype(int)
@@ -851,13 +859,15 @@ def shell_resolvent_apply(sp: SpectralParameter, mesh: SurfaceMesh,
 
     ``kind`` selects the electrostatic or the scalar (beta) shell.  The
     free part is the convolution with phi_a; the correction solves a
-    dense boundary system on the mesh nodes.  Both are evaluated by
-    :func:`layer_potential`.  A point closer to a mesh node than the
-    mesh resolution raises :class:`PointTooCloseToSurface` before the
-    boundary system is built.  Raises :class:`NearCriticalCoupling` for
-    electrostatic couplings within ``CRITICAL_WINDOW`` of +-2 and
-    :class:`SingularBoundaryInverse` when the boundary system condition
-    number exceeds ``BOUNDARY_COND_LIMIT``.
+    dense boundary system on the mesh nodes, factored once by LU.  Both
+    are evaluated by :func:`layer_potential`.  A point closer to a mesh
+    node than the mesh resolution raises :class:`PointTooCloseToSurface`
+    before the boundary system is built.  Raises
+    :class:`NearCriticalCoupling` for electrostatic couplings within
+    ``CRITICAL_WINDOW`` of +-2 and :class:`SingularBoundaryInverse`,
+    before the solve, when the boundary system's 1-norm condition
+    estimate from the LU factors (:func:`lu_cond1`; infinite for an
+    exactly singular system) exceeds ``BOUNDARY_COND_LIMIT``.
     """
     if kind not in ("electrostatic", "scalar"):
         raise ValueError("kind must be 'electrostatic' or 'scalar'")
@@ -877,9 +887,10 @@ def shell_resolvent_apply(sp: SpectralParameter, mesh: SurfaceMesh,
     system = lam * cauchy_sigma(sp, mesh).matrix
     system[np.diag_indices(4 * n)] += (
         1.0 if kind == "electrostatic" else np.tile(np.diag(BETA), n))
-    cond = np.linalg.cond(system)
+    factors, cond = lu_cond1(system)
     if cond > BOUNDARY_COND_LIMIT:
         raise SingularBoundaryInverse(
-            f"boundary system condition number {cond:.3e}")
-    density = np.linalg.solve(system, trace_vals.ravel()).reshape(n, 4)
+            f"boundary system 1-norm condition estimate {cond:.3e} exceeds "
+            f"BOUNDARY_COND_LIMIT = {BOUNDARY_COND_LIMIT:.0e}")
+    density = lu_solve(factors, trace_vals.ravel()).reshape(n, 4)
     return layer_potential(sp, mesh, pts, -lam * density, volume, f_vals)

@@ -1,9 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from deltashell.coupling import (
+    KVOperator,
     NonContractive,
     build_kv,
     closed_form_couplings,
@@ -178,6 +181,43 @@ def test_direct_raises_at_near_singular_coupling():
     kv = build_kv(f, 128)
     with pytest.raises(NonContractive):
         lambda_electrostatic(kv)
+
+
+def test_direct_raises_on_exactly_singular_system():
+    # K = i I gives I + K^2 = 0: the LU has a zero pivot, the estimate
+    # reads infinite and the guard names it, with no LinAlgWarning
+    n = 16
+    ones = np.ones(n)
+    kv = KVOperator(nodes=np.linspace(-1.0, 1.0, n), weights=ones / 8.0,
+                    matrix=1j * np.eye(n), hs_norm=1.0, u_vals=ones,
+                    v_vals=ones)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonContractive,
+                           match=r"condition estimate inf > ILL_CONDITIONED"):
+            lambda_electrostatic(kv)
+
+
+def test_direct_refuses_kv_with_real_part():
+    kv = kv_for_square(1.0, 1.0, 64)
+    kv = KVOperator(kv.nodes, kv.weights, kv.matrix + 1e-3, kv.hs_norm,
+                    kv.u_vals, kv.v_vals)
+    with pytest.raises(ValueError, match="purely imaginary"):
+        lambda_electrostatic(kv)
+
+
+@pytest.mark.parametrize("tau", [1.0, 2.5])
+def test_direct_condition_estimate_and_values_match_complex_solve(tau):
+    kv = kv_for_square(tau, 1.0, 64)
+    res = lambda_electrostatic(kv)
+    ksq = kv.matrix @ kv.matrix
+    eye = np.eye(len(kv.nodes))
+    for name, op in (("lambda_e", eye - ksq), ("lambda_s", eye + ksq)):
+        exact = np.linalg.cond(op, 1)
+        assert exact / 10 <= res.residuals[f"cond1_{name}"] <= exact * (1 + 1e-12)
+        x = np.linalg.solve(op, kv.u_vals.astype(complex))
+        want = np.sum(kv.weights * kv.v_vals * x)
+        assert abs(getattr(res, name) - want) <= 1e-13
 
 
 def test_oddness_identity_all_profiles():

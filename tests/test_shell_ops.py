@@ -3,6 +3,7 @@ import io
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -803,6 +804,25 @@ def test_resolvent_conditioning_guard(resolvent_setup, monkeypatch):
     monkeypatch.setattr(so, "BOUNDARY_COND_LIMIT", 1.0)
     with pytest.raises(SingularBoundaryInverse):
         shell_resolvent_apply(SP, mesh, 0.5, "electrostatic", vol, fv, pts)
+
+
+def test_resolvent_exactly_singular_system_hits_guard(resolvent_setup,
+                                                       monkeypatch):
+    import deltashell.shell_ops as so
+
+    mesh, vol, fv = resolvent_setup
+    pts = np.array([[1.4, 0.3, 0.1]])
+
+    class MinusIdentity:
+        matrix = -np.eye(4 * len(mesh), dtype=complex)
+
+    # lam = 1 against C = -I: the system I + lam C is exactly 0
+    monkeypatch.setattr(so, "cauchy_sigma", lambda sp, mesh: MinusIdentity())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularBoundaryInverse,
+                           match="estimate inf exceeds BOUNDARY_COND_LIMIT"):
+            shell_resolvent_apply(SP, mesh, 1.0, "electrostatic", vol, fv, pts)
 
 
 def test_resolvent_rejects_near_surface_point(resolvent_setup, monkeypatch):
