@@ -11,21 +11,20 @@ Gauss node) x (spinor component) and are stored as complex arrays of
 shape ``(N, M, 4)``.  All operator norms are taken in the weighted L2
 sense induced by the quadrature weights.
 
-Each operator is defined once, as a ``_KernelSum``: its points,
-weights and closed-form cells.  The dense matrix and the matrix-free
-apply are two readings of that one definition: the matrix writes the
-kernel's 4x4 blocks, the apply sums its two scalar fields by matmuls
-and never forms a block.  One chunk loop, ``_kernel_blocks``, evaluates
-the kernel for both, in blocks of rows of about ``CHUNK_BYTES``; the
-closed-form cells are added after it.  The singular cells use an
-analytically integrated flat-disk model: each surface node owns a disk
-of equal area, and the odd (Riesz) part of the kernel integrates to
-zero over the disk at zero offset, which is the principal-value
-convention.  ``_cell_block`` gives that cell, corrected by punctured
-far sums over the rest of the surface, which run through the same
-loop; it serves the trace diagonal and the same-node blocks of the
-squeezed family.  A cell need not sit under its own source points: the
-trace ``_trace_op`` can be read on any rows and at any height over
+Each operator is defined once, as a ``_KernelSum``: its points, weights
+and closed-form cells.  The program reads it by the apply, which sums
+the kernel's two scalar fields by matmuls; the dense matrix of its 4x4
+blocks is only an oracle.  One chunk loop, ``_kernel_blocks``,
+evaluates the kernel for both, in blocks of rows of about
+``CHUNK_BYTES``; the closed-form cells are added after it.  The
+singular cells use an analytically integrated flat-disk model: each
+surface node owns a disk of equal area, and the odd (Riesz) part of the
+kernel integrates to zero over the disk at zero offset, which is the
+principal-value convention.  ``_cell_block`` gives that cell, corrected
+by punctured far sums over the rest of the surface, which run through
+the same loop; it serves the trace diagonal and the same-node blocks of
+the squeezed family.  A cell need not sit under its own source points:
+the trace ``_trace_op`` can be read on any rows and at any height over
 them, and read at +-h it gives the one-sided limits of the Plemelj
 check.
 """
@@ -37,19 +36,18 @@ from typing import Sequence
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.linalg import lu_solve
-from scipy.sparse.linalg import svds
+from scipy.sparse.linalg import LinearOperator, gmres, svds
 from scipy.spatial import cKDTree
 
 from . import CheckFailed
-from .coupling import lu_cond1
 from .dirac_algebra import (ALPHA, BETA, I4, SpectralParameter, alpha_dot,
                             kernel_fields, phi_a)
 from .geometry import SurfaceMesh
 from .potential import UVFactorization
 
 CRITICAL_WINDOW = 0.05
-BOUNDARY_COND_LIMIT = 1e10
+#: relative residual the shell resolvent's boundary solve must reach
+RESOLVENT_RTOL = 1e-12
 DENSE_DOF_CAP = 16384
 COINCIDENCE_TOL = 1e-10
 MIN_TRACE_NODES = 128
@@ -401,6 +399,12 @@ def layer_potential(sp: SpectralParameter, mesh: SurfaceMesh,
     return out[0] if single else out
 
 
+def _check_trace_nodes(mesh: SurfaceMesh) -> None:
+    """Raise ValueError for a mesh too coarse for the boundary trace."""
+    if len(mesh) < MIN_TRACE_NODES:
+        raise ValueError(f"mesh must have at least {MIN_TRACE_NODES} nodes")
+
+
 def _trace_op(sp: SpectralParameter, mesh: SurfaceMesh,
               rows: np.ndarray | None = None,
               height: float = 0.0) -> _KernelSum:
@@ -422,8 +426,7 @@ def _trace_op(sp: SpectralParameter, mesh: SurfaceMesh,
 def cauchy_sigma_apply(sp: SpectralParameter, mesh: SurfaceMesh,
                        g: np.ndarray) -> np.ndarray:
     """Apply the boundary trace operator to a surface density (N, 4)."""
-    if len(mesh) < MIN_TRACE_NODES:
-        raise ValueError(f"mesh must have at least {MIN_TRACE_NODES} nodes")
+    _check_trace_nodes(mesh)
     return _trace_op(sp, mesh).apply(g)
 
 
@@ -453,10 +456,9 @@ class ShellOperator:
 
 
 def cauchy_sigma(sp: SpectralParameter, mesh: SurfaceMesh) -> ShellOperator:
-    """Dense boundary trace operator, the matrix of cauchy_sigma_apply."""
+    """Dense boundary trace operator, the matrix of cauchy_sigma_apply (an oracle)."""
     n = len(mesh)
-    if n < MIN_TRACE_NODES:
-        raise ValueError(f"mesh must have at least {MIN_TRACE_NODES} nodes")
+    _check_trace_nodes(mesh)
     if 4 * n > DENSE_DOF_CAP:
         raise ValueError(
             f"dense trace operator needs {4 * n} dofs, cap is {DENSE_DOF_CAP}; "
@@ -497,12 +499,12 @@ def plemelj_check(sp: SpectralParameter, mesh: SurfaceMesh, g: np.ndarray,
     that defines the trace.  They are extrapolated to ``h -> 0`` by a
     least-squares polynomial fit in ``h`` of degree
     ``min(3, len(offsets) - 1)``, cubic for the five default offsets.
-    Given offsets must lie above the mesh resolution and at most
-    ``min(eta, injectivity_budget())`` of the surface, so that the
+    Offsets lie above the mesh resolution and at most
+    ``min(eta, injectivity_budget())`` off the surface, so that the
     normal segments stay apart; otherwise ``ValueError`` names both
     limits.  The default set hugs the resolution floor, where the
-    extrapolation is most accurate, and is bounded by ``eta`` and
-    twice the resolution.
+    extrapolation is most accurate, from 1.05 times the resolution up
+    to twice it or that limit.
     """
     if max_eval_nodes < 1:
         raise ValueError(f"max_eval_nodes must be >= 1, got {max_eval_nodes}")
@@ -510,15 +512,17 @@ def plemelj_check(sp: SpectralParameter, mesh: SurfaceMesh, g: np.ndarray,
         raise ValueError(f"collar eta must be finite, got {eta}")
     n = len(mesh)
     res = _mesh_resolution(mesh)
+    budget = mesh.surface.injectivity_budget()
+    limit = min(eta, budget)
     if offsets is None:
-        upper = min(2.0 * res, eta)
+        upper = min(2.0 * res, limit)
         if upper <= 1.05 * res:
             raise ValueError(
-                f"collar eta = {eta:.3e} leaves no offset window above "
-                f"the mesh resolution {res:.3e}")
+                f"collar eta = {eta:.3e} and injectivity budget "
+                f"{budget:.3e} leave no offset window above the mesh "
+                f"resolution {res:.3e}")
         offsets = np.linspace(1.05 * res, upper, 5)
     else:
-        limit = min(eta, mesh.surface.injectivity_budget())
         given = np.asarray(offsets, dtype=float)
         if not np.all(np.isfinite(given)):
             raise ValueError(f"offsets must be finite, got {list(offsets)}")
@@ -640,46 +644,33 @@ def default_volume_density(volume: VolumeGrid) -> np.ndarray:
 # squeezed operator family
 
 
-def _shifted_points(grid: OperatorGrid, eps: float) -> np.ndarray:
-    """Collar quadrature points x_k + eps t_q nu_k, shape (N M, 3).
+def _collar(grid: OperatorGrid, eps: float, squeezed: bool) -> tuple:
+    """Collar points x_k + eps t_q nu_k (N M, 3) and source weights (N M,).
 
-    They are the mesh's sheets at the offsets eps t_q.  Raises
-    ``ValueError`` when eps is negative, or exceeds the surface's
-    injectivity budget, past which the collar's normal segments can
-    cross.
+    One :meth:`SurfaceMesh.sheet` call gives the points and their sheet
+    weights w det(1 - eps t_q W), times v(t_q) and the Gauss weights.
+    ``ValueError`` when eps is negative or past the injectivity budget,
+    where the normal segments can cross.  B_eps (``squeezed``) sums the
+    kernel between the points, so it also needs eps > 0 and points
+    apart (:class:`DegenerateQuadrature`).
     """
+    if squeezed and not 0.0 < eps:
+        raise ValueError("eps must be positive")
     if eps < 0.0:
         raise ValueError(f"collar width eps={eps:g} is negative")
     budget = grid.mesh.surface.injectivity_budget()
     if eps > budget:
         raise ValueError(
             f"collar width eps={eps:g} exceeds the injectivity budget {budget:.6g}")
-    return grid.mesh.sheet(eps * grid.t_nodes)[0].reshape(-1, 3)
-
-
-def _check_shift_separation(pts: np.ndarray) -> None:
-    flat = pts.reshape(-1, 3)
-    dist, _ = cKDTree(flat).query(flat, k=2)
-    closest = float(np.min(dist[:, 1]))
-    if closest <= COINCIDENCE_TOL:
-        raise DegenerateQuadrature(
-            f"shifted quadrature points separated by {closest:.3e}")
-
-
-def _source_weights(grid: OperatorGrid, eps: float) -> np.ndarray:
-    """v(s) weights times coarea det times quadrature weights, (N, M)."""
-    det = grid.mesh.coarea(eps * grid.t_nodes)
-    return (grid.v_vals[None, :] * grid.t_weights[None, :] * det
-            * grid.mesh.weights[:, None])
-
-
-def _collar_points(grid: OperatorGrid, eps: float) -> np.ndarray:
-    """Shifted collar points as (N M, 3), checked for coincidences."""
-    if not 0.0 < eps:
-        raise ValueError("eps must be positive")
-    pts = _shifted_points(grid, eps)
-    _check_shift_separation(pts)
-    return pts
+    pts, wts = grid.mesh.sheet(eps * grid.t_nodes)
+    pts = pts.reshape(-1, 3)
+    if squeezed:
+        dist, _ = cKDTree(pts).query(pts, k=2)
+        closest = float(np.min(dist[:, 1]))
+        if closest <= COINCIDENCE_TOL:
+            raise DegenerateQuadrature(
+                f"shifted quadrature points separated by {closest:.3e}")
+    return pts, (wts * (grid.v_vals * grid.t_weights)).ravel()
 
 
 def _b_eps_op(grid: OperatorGrid, sp: SpectralParameter,
@@ -695,7 +686,7 @@ def _b_eps_op(grid: OperatorGrid, sp: SpectralParameter,
     term entry by entry, so the squeezed family has no discretization
     floor here.
     """
-    pts = _collar_points(grid, eps)
+    pts, wts = _collar(grid, eps, True)
     n, m, t = grid.n_nodes, grid.n_transverse, grid.t_nodes
     rows = np.arange(n)
     same = np.empty((n, m, m, 4, 4), dtype=complex)
@@ -703,8 +694,7 @@ def _b_eps_op(grid: OperatorGrid, sp: SpectralParameter,
         for q in range(m):
             same[:, p, q] = (grid.v_vals[q] * grid.t_weights[q]) * _cell_block(
                 sp, grid.mesh, rows, eps * t[q], eps * (t[p] - t[q]))
-    return _KernelSum(sp, pts, pts, _source_weights(grid, eps).ravel(),
-                      np.tile(grid.u_vals, n), (rows, same))
+    return _KernelSum(sp, pts, pts, wts, np.tile(grid.u_vals, n), (rows, same))
 
 
 def b_eps_apply(grid: OperatorGrid, sp: SpectralParameter, eps: float,
@@ -739,14 +729,14 @@ def bprime_apply(grid: OperatorGrid, g: np.ndarray) -> np.ndarray:
 def a_eps_apply(grid: OperatorGrid, sp: SpectralParameter, eps: float,
                 g: np.ndarray, test_points: np.ndarray) -> np.ndarray:
     """Layer potential of the squeezed density at ambient test points."""
-    return _KernelSum(sp, np.atleast_2d(test_points), _shifted_points(grid, eps),
-                      _source_weights(grid, eps).ravel()).apply(g)
+    return _KernelSum(sp, np.atleast_2d(test_points),
+                      *_collar(grid, eps, False)).apply(g)
 
 
 def c_eps_apply(grid: OperatorGrid, sp: SpectralParameter, eps: float,
                 volume: VolumeGrid, f_vals: np.ndarray) -> np.ndarray:
     """Evaluate u(t) Phi^a(F, 0) on the (shifted) collar grid."""
-    op = _KernelSum(sp, _shifted_points(grid, eps), volume.points,
+    op = _KernelSum(sp, _collar(grid, eps, False)[0], volume.points,
                     volume.weights, np.tile(grid.u_vals, grid.n_nodes))
     return op.apply(f_vals).reshape(grid.n_nodes, grid.n_transverse, 4)
 
@@ -810,7 +800,7 @@ def strong_convergence_experiment(grid: OperatorGrid, sp: SpectralParameter,
         raise ValueError(f"eps values must be positive, got {list(eps_list)}")
     if len(set(eps)) < len(eps):
         raise ValueError(f"eps values must be distinct, got {list(eps_list)}")
-    _shifted_points(grid, eps[0])  # the widest collar, before any limit
+    _collar(grid, eps[0], False)  # the widest collar, before any limit
     g = default_separable_density(grid)
     ring = np.array([[2.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 2.0],
                      [-2.0, 0.0, 0.0], [1.2, 1.2, 1.2],
@@ -857,17 +847,18 @@ def shell_resolvent_apply(sp: SpectralParameter, mesh: SurfaceMesh,
                           eval_points: np.ndarray) -> np.ndarray:
     """Apply (H + lam * delta_shell - a)^{-1} to an ambient density.
 
-    ``kind`` selects the electrostatic or the scalar (beta) shell.  The
-    free part is the convolution with phi_a; the correction solves a
-    dense boundary system on the mesh nodes, factored once by LU.  Both
-    are evaluated by :func:`layer_potential`.  A point closer to a mesh
-    node than the mesh resolution raises :class:`PointTooCloseToSurface`
-    before the boundary system is built.  Raises
-    :class:`NearCriticalCoupling` for electrostatic couplings within
-    ``CRITICAL_WINDOW`` of +-2 and :class:`SingularBoundaryInverse`,
-    before the solve, when the boundary system's 1-norm condition
-    estimate from the LU factors (:func:`lu_cond1`; infinite for an
-    exactly singular system) exceeds ``BOUNDARY_COND_LIMIT``.
+    ``kind`` selects the electrostatic or the scalar (beta) shell, with
+    carrier J = 1 or beta.  The result is ``free - lam Phi density``,
+    both parts by :func:`layer_potential`; the density solves the
+    second-kind boundary equation ``(J + lam C_sigma) density = free``
+    on the mesh nodes, matrix-free by unrestarted GMRES on the trace's
+    apply (Saad & Schultz, 1986): relative residual ``RESOLVENT_RTOL``,
+    ``atol`` 0, at most 200 steps.  A point closer to a mesh node than
+    the mesh resolution raises :class:`PointTooCloseToSurface` before
+    any boundary operator is built.  Raises :class:`NearCriticalCoupling`
+    for electrostatic couplings within ``CRITICAL_WINDOW`` of +-2, and
+    :class:`SingularBoundaryInverse`, naming the steps taken and the
+    relative residual reached, when GMRES stops short of its tolerance.
     """
     if kind not in ("electrostatic", "scalar"):
         raise ValueError("kind must be 'electrostatic' or 'scalar'")
@@ -881,16 +872,24 @@ def shell_resolvent_apply(sp: SpectralParameter, mesh: SurfaceMesh,
     if kind == "electrostatic" and abs(abs(lam) - 2.0) <= CRITICAL_WINDOW:
         raise NearCriticalCoupling(
             f"electrostatic coupling {lam:g} within {CRITICAL_WINDOW} of +-2")
+    _check_trace_nodes(mesh)
     n = len(mesh)
     trace_vals = _KernelSum(sp, mesh.nodes, volume.points,
-                            volume.weights).apply(f_vals)
-    system = lam * cauchy_sigma(sp, mesh).matrix
-    system[np.diag_indices(4 * n)] += (
-        1.0 if kind == "electrostatic" else np.tile(np.diag(BETA), n))
-    factors, cond = lu_cond1(system)
-    if cond > BOUNDARY_COND_LIMIT:
+                            volume.weights).apply(f_vals).ravel()
+    trace = _trace_op(sp, mesh)
+    carrier = 1.0 if kind == "electrostatic" else np.diag(BETA)
+    system = LinearOperator((4 * n, 4 * n), dtype=complex, matvec=lambda x: (
+        carrier * x.reshape(n, 4) + lam * trace.apply(x)).ravel())
+    steps = []
+    density, info = gmres(system, trace_vals, rtol=RESOLVENT_RTOL, atol=0.0,
+                          restart=200, maxiter=1, callback=steps.append,
+                          callback_type="pr_norm")
+    if info != 0:
+        reached = (np.linalg.norm(trace_vals - system.matvec(density))
+                   / np.linalg.norm(trace_vals))
         raise SingularBoundaryInverse(
-            f"boundary system 1-norm condition estimate {cond:.3e} exceeds "
-            f"BOUNDARY_COND_LIMIT = {BOUNDARY_COND_LIMIT:.0e}")
-    density = lu_solve(factors, trace_vals.ravel()).reshape(n, 4)
-    return layer_potential(sp, mesh, pts, -lam * density, volume, f_vals)
+            f"boundary system: GMRES stopped after {len(steps)} of 200 "
+            f"steps at relative residual {reached:.3e}, above its "
+            f"tolerance RESOLVENT_RTOL = {RESOLVENT_RTOL:.0e}")
+    return layer_potential(sp, mesh, pts, -lam * density.reshape(n, 4),
+                           volume, f_vals)

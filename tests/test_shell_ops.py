@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import os
 import subprocess
@@ -25,7 +26,6 @@ from deltashell.shell_ops import (
     NearCriticalCoupling,
     PointTooCloseToSurface,
     SingularBoundaryInverse,
-    _check_shift_separation,
     _disk_moments,
     a_eps_apply,
     assemble_family,
@@ -227,8 +227,7 @@ def test_kernel_sum_matches_phi_block_sum(which, chunk_bytes, grid80_m8,
     else:
         op = shell_ops._KernelSum(
             sp, np.array([[0.2, 0.1, 0.0], [1.5, -1.0, 0.5]]),
-            shell_ops._shifted_points(grid80_m8, 0.05),
-            shell_ops._source_weights(grid80_m8, 0.05).ravel())
+            *shell_ops._collar(grid80_m8, 0.05, False))
     g = RNG.normal(size=(op.y.shape[0], 4)) + 1j * RNG.normal(
         size=(op.y.shape[0], 4))
     want = phi_block_sum(op, g)
@@ -387,6 +386,21 @@ def test_plemelj_offset_window_guards(mesh320):
         plemelj_check(SP, mesh320, g, eta=1.01 * res)
 
 
+def test_plemelj_default_offsets_stay_within_injectivity_budget(ellipsoid320):
+    # the 320-node (1.3, 1, 0.8) ellipsoid: resolution 0.204 against a
+    # budget of 0.197, so no default offset lies in (1.05 res, budget]
+    budget = ELLIPSOID.injectivity_budget()
+    res = float(np.sqrt(np.sum(ellipsoid320.weights) / len(ellipsoid320)))
+    assert 1.05 * res > budget
+    with pytest.raises(ValueError, match=f"injectivity budget {budget:.3e}.*"
+                                         f"resolution {res:.3e}"):
+        plemelj_check(SP, ellipsoid320, smooth_density(ellipsoid320))
+    # a finer mesh finds its window below the budget
+    fine = build_mesh(ELLIPSOID, 1280)
+    rep = plemelj_check(SP, fine, smooth_density(fine), max_eval_nodes=16)
+    assert max(rep.offsets) <= budget
+
+
 # ---------------------------------------------------------------------------
 # collar grid and squeezed family
 
@@ -457,9 +471,12 @@ def test_cell_moments_converge_on_ellipsoid(ellipsoid_grid_m3):
     from deltashell.shell_ops import default_separable_density
 
     # the cell moments use each node's own shifted curvatures and coarea
-    # factors, so only a non-uniform surface tests them
+    # factors, so only a non-uniform surface tests them; the Plemelj half
+    # starts at 1,280 nodes, as at 320 the default offsets find no window
+    # inside the injectivity budget
     errs = []
-    for mesh in (ellipsoid_grid_m3.mesh, build_mesh(ELLIPSOID, 1024)):
+    for n in (1280, 5120):
+        mesh = build_mesh(ELLIPSOID, n)
         rep = plemelj_check(SP, mesh, smooth_density(mesh), max_eval_nodes=128)
         errs.append(rep.max_rel_error)
     assert errs[1] < errs[0] < 5e-2
@@ -496,11 +513,20 @@ def test_dense_dof_cap(mesh1280):
         assemble_family(grid, SP, 0.05)
 
 
-def test_degenerate_shift_guard():
-    pts = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0 + 5e-11],
-                    [1.0, 0.0, 0.0]])
-    with pytest.raises(DegenerateQuadrature):
-        _check_shift_separation(pts)
+def test_degenerate_shift_guard(grid80_m8):
+    # node 1 moved to 5e-11 from node 0, with node 0's normal: every
+    # collar point of node 1 then (nearly) coincides with one of node 0
+    mesh = grid80_m8.mesh
+    nodes, normals = mesh.nodes.copy(), mesh.normals.copy()
+    nodes[1] = nodes[0] + 5e-11 * normals[0]
+    normals[1] = normals[0]
+    grid = dataclasses.replace(grid80_m8, mesh=dataclasses.replace(
+        mesh, nodes=nodes, normals=normals))
+    g = np.zeros((grid.n_nodes, grid.n_transverse, 4))
+    with pytest.raises(DegenerateQuadrature, match="separated by"):
+        b_eps_apply(grid, SP, 0.05, g)
+    # the other collar readings sum no kernel between collar points
+    a_eps_apply(grid, SP, 0.05, g, np.array([[0.0, 0.0, 3.0]]))
 
 
 def test_disk_patch_odd_part_vanishes_on_surface():
@@ -796,13 +822,46 @@ def test_resolvent_near_critical_coupling(resolvent_setup):
     shell_resolvent_apply(SP, mesh, 1.96, "scalar", vol, fv, pts)
 
 
-def test_resolvent_conditioning_guard(resolvent_setup, monkeypatch):
+def phi_sum(sp, x, y, coeff):
+    """sum_j phi_a(x_i - y_j) coeff_j by explicit 4x4 blocks, 32 rows at a time."""
+    return np.concatenate([np.einsum("ijab,jb->ia", phi_a(
+        sp, (x[lo:lo + 32, None] - y[None]).reshape(-1, 3)).reshape(
+            -1, len(y), 4, 4), coeff) for lo in range(0, len(x), 32)])
+
+
+@pytest.mark.parametrize("kind", ["electrostatic", "scalar"])
+def test_resolvent_matches_dense_oracle(resolvent_setup, kind):
+    # the oracle: the dense trace matrix solved directly, and every sum
+    # over phi_a blocks; the resolvent solves by GMRES on the apply
+    lam = {"electrostatic": 2.0 * np.tan(0.5), "scalar": 2.0 * np.tanh(-0.5)}[kind]
+    mesh, vol, fv = resolvent_setup
+    n = len(mesh)
+    pts = np.array([[0.55, 0.1, -0.2], [1.4, 0.3, 0.1], [0.0, -1.6, 0.5]])
+    coeff = fv * vol.weights[:, None]
+    trace = phi_sum(SP, mesh.nodes, vol.points, coeff)
+    carrier = (np.eye(4 * n) if kind == "electrostatic"
+               else np.kron(np.eye(n), BETA))
+    density = np.linalg.solve(carrier + lam * cauchy_sigma(SP, mesh).matrix,
+                              trace.ravel()).reshape(n, 4)
+    want = (phi_sum(SP, pts, vol.points, coeff) - lam * phi_sum(
+        SP, pts, mesh.nodes, density * mesh.weights[:, None]))
+    got = shell_resolvent_apply(SP, mesh, lam, kind, vol, fv, pts)
+    assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+
+def test_resolvent_unreachable_tolerance_hits_guard(resolvent_setup,
+                                                    monkeypatch):
     import deltashell.shell_ops as so
 
     mesh, vol, fv = resolvent_setup
     pts = np.array([[1.4, 0.3, 0.1]])
-    monkeypatch.setattr(so, "BOUNDARY_COND_LIMIT", 1.0)
-    with pytest.raises(SingularBoundaryInverse):
+    # no residual in double precision reaches 1e-30: GMRES takes every
+    # step it is allowed and stops short
+    monkeypatch.setattr(so, "RESOLVENT_RTOL", 1e-30)
+    with pytest.raises(SingularBoundaryInverse,
+                       match=r"after 200 of 200 steps at relative residual "
+                             r"\d\.\d{3}e-\d+, above its tolerance "
+                             r"RESOLVENT_RTOL = 1e-30"):
         shell_resolvent_apply(SP, mesh, 0.5, "electrostatic", vol, fv, pts)
 
 
@@ -814,14 +873,16 @@ def test_resolvent_exactly_singular_system_hits_guard(resolvent_setup,
     pts = np.array([[1.4, 0.3, 0.1]])
 
     class MinusIdentity:
-        matrix = -np.eye(4 * len(mesh), dtype=complex)
+        def apply(self, g):
+            return -np.asarray(g, dtype=complex).reshape(-1, 4)
 
     # lam = 1 against C = -I: the system I + lam C is exactly 0
-    monkeypatch.setattr(so, "cauchy_sigma", lambda sp, mesh: MinusIdentity())
+    monkeypatch.setattr(so, "_trace_op", lambda sp, mesh: MinusIdentity())
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(SingularBoundaryInverse,
-                           match="estimate inf exceeds BOUNDARY_COND_LIMIT"):
+                           match="after 1 of 200 steps at relative residual "
+                                 "1.000e[+]00"):
             shell_resolvent_apply(SP, mesh, 1.0, "electrostatic", vol, fv, pts)
 
 
@@ -835,7 +896,7 @@ def test_resolvent_rejects_near_surface_point(resolvent_setup, monkeypatch):
     def no_boundary_system(*args):
         raise AssertionError("boundary system built before the point guard")
 
-    monkeypatch.setattr(so, "cauchy_sigma", no_boundary_system)
+    monkeypatch.setattr(so, "_trace_op", no_boundary_system)
     for lam in (0.0, 0.5):
         with pytest.raises(PointTooCloseToSurface):
             shell_resolvent_apply(SP, mesh, lam, "electrostatic", vol, fv, pts)
@@ -858,7 +919,7 @@ def test_resolvent_refuses_a_non_finite_coupling(resolvent_setup, monkeypatch,
     def no_boundary_system(*args):
         raise AssertionError("boundary system built before the coupling check")
 
-    monkeypatch.setattr(so, "cauchy_sigma", no_boundary_system)
+    monkeypatch.setattr(so, "_trace_op", no_boundary_system)
     for kind in ("electrostatic", "scalar"):
         with pytest.raises(ValueError, match="lam must be finite"):
             shell_resolvent_apply(SP, mesh, lam, kind, vol, fv,
