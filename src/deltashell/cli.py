@@ -241,6 +241,8 @@ def cmd_coupling(params, parser) -> int:
     profile = _make_profile(params, parser)
     tol = params["tol"]
     terms = params["terms"]
+    if terms < 0:
+        parser.error(f"--terms must be nonnegative, got {terms}")
     kv = build_kv(factorize(profile), params["n"])
     direct = lambda_electrostatic(kv)
     methods = {"direct": {"lambda_e": direct.lambda_e,

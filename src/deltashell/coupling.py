@@ -2,15 +2,16 @@
 
 Discretizes the 1D integral operator
 
-    K_V f(t) = (i/2) u(t) int sign(t-s) v(s) f(s) ds
+    K_V f(t) = (i/2) u(t) int sign(t-s) v(s) f(s) ds  =  i J f(t)
 
-on (-1, 1) and evaluates the effective shell couplings
+on (-1, 1), where J is real, and evaluates the effective shell couplings
 
-    lambda_e = int v (1 - K_V^2)^{-1} u     (electrostatic)
-    lambda_s = int v (1 + K_V^2)^{-1} u     (Lorentz scalar)
+    lambda_e = int v (1 - K_V^2)^{-1} u = int v (1 + J^2)^{-1} u  (electrostatic)
+    lambda_s = int v (1 + K_V^2)^{-1} u = int v (1 - J^2)^{-1} u  (scalar)
 
-by direct solve, by Neumann series, and against the closed forms
-2 tan(s / 2) and 2 tanh(s / 2) of the integrated strength s = int V.
+in real arithmetic, by direct solve, by Neumann series, and against the
+closed forms 2 tan(s / 2) and 2 tanh(s / 2) of the integrated strength
+s = int V.
 
 Quadrature is composite Gauss-Legendre on panels of about equal length, with
 an edge wherever the profile is not smooth (the ends of a table and its nodes
@@ -20,7 +21,7 @@ spectrally accurate there. Inside a panel the kernel flips sign; those blocks
 use exact interpolatory weights int sign(t_i - s) l_j(s) ds built from
 antiderivatives of the Lagrange basis. A side effect worth keeping: the
 weighted block is exactly antisymmetric, which makes identities like
-int v (1-K^2)^{-1} K u = 0 hold at machine precision on the grid.
+int v (1+J^2)^{-1} J u = 0 hold at machine precision on the grid.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from scipy.linalg import get_lapack_funcs, lu_solve
 from .potential import PotentialProfile, UVFactorization
 
 DEFAULT_NODES = 128
-IMAG_RESIDUE_TOL = 1e-10
 ILL_CONDITIONED = 1e12
 
 
@@ -106,7 +106,7 @@ def _panel_layout(n: int, breaks: np.ndarray):
 
 @dataclass(frozen=True)
 class KVOperator:
-    """Nystrom discretization of K_V; `matrix` already includes the weights."""
+    """Nystrom discretization of K_V = iJ; `matrix` is the real J, weighted."""
 
     nodes: np.ndarray
     weights: np.ndarray
@@ -117,10 +117,10 @@ class KVOperator:
 
 
 def build_kv(f: UVFactorization, n: int = DEFAULT_NODES) -> KVOperator:
-    """Assemble the N x N Nystrom matrix of K_V on a composite panel grid.
+    """Assemble the real Nystrom matrix of J = -i K_V on a composite grid.
 
     Applying the result to the constant function reproduces the analytic
-    K_V[1] for square wells to machine precision.  Raises ``ValueError``
+    J[1] for square wells to machine precision.  Raises ``ValueError``
     when ``n`` cannot give every smooth piece of the profile 8 nodes.
     """
     edges, orders = _panel_layout(n, _smooth_breaks(f.profile))
@@ -146,7 +146,7 @@ def build_kv(f: UVFactorization, n: int = DEFAULT_NODES) -> KVOperator:
 
     u_vals = np.asarray(f.u(t), dtype=float)
     v_vals = np.asarray(f.v(t), dtype=float)
-    matrix = 0.5j * u_vals[:, None] * sign_w * v_vals[None, :]
+    matrix = 0.5 * u_vals[:, None] * sign_w * v_vals[None, :]
 
     # HS norm of the kernel under the same quadrature; sign^2 = 1 a.e.
     hs = 0.5 * np.sqrt(np.sum(w * u_vals**2) * np.sum(w * v_vals**2))
@@ -161,12 +161,6 @@ class CouplingConstants:
     lambda_e: float
     lambda_s: float
     residuals: dict
-
-
-def _real_checked(value: complex, what: str) -> float:
-    if abs(value.imag) > IMAG_RESIDUE_TOL:
-        raise ValueError(f"{what} has imaginary residue {value.imag:.3e}")
-    return float(value.real)
 
 
 def lu_cond1(a: np.ndarray):
@@ -190,19 +184,17 @@ def lu_cond1(a: np.ndarray):
 
 
 def lambda_electrostatic(kv: KVOperator) -> CouplingConstants:
-    """lambda_e and lambda_s by direct solves of (I -+ K^2) x = u.
+    """lambda_e and lambda_s by direct solves of (I +- J^2) x = u.
 
-    K_V = iJ is purely imaginary, so both systems are real:
-    I -+ K^2 = I +- J^2, solved in real arithmetic.  Each is factored
-    once (:func:`lu_cond1`), and its 1-norm condition estimate from
-    the LU factors is reported as ``cond1_lambda_e`` / ``cond1_lambda_s``.
+    These are the systems (I -+ K_V^2) x = u, as K_V = iJ.  Each is
+    factored once (:func:`lu_cond1`), and its 1-norm condition estimate
+    from the LU factors is reported as ``cond1_lambda_e`` /
+    ``cond1_lambda_s``.
     When the HS bound is >= 1, an estimate above ``ILL_CONDITIONED``
     (an exactly singular system reads infinite) raises
     :class:`NonContractive`.
     """
-    if np.any(kv.matrix.real):
-        raise ValueError("K_V must be purely imaginary")
-    jsq = kv.matrix.imag @ kv.matrix.imag
+    jsq = kv.matrix @ kv.matrix
     residuals = {"hs_norm": kv.hs_norm}
     values = {}
     for name, sign in (("lambda_e", 1.0), ("lambda_s", -1.0)):
@@ -223,12 +215,13 @@ def lambda_electrostatic(kv: KVOperator) -> CouplingConstants:
 
 
 def lambda_neumann(kv: KVOperator, terms: int) -> CouplingConstants:
-    """Partial Neumann sums sum_{n<=terms} (+-1)^n int v K^{2n} u.
+    """Partial Neumann sums of t_n = int v J^{2n} u over n <= terms.
 
-    One pass over the powers K^{2n} u gives both couplings: lambda_e
-    sums them as a geometric series of K^2, lambda_s with alternating
-    signs.  The reported error bound is the geometric tail
-    hs^{2(terms+1)} / (1 - hs^2) * ||u|| ||v||, shared by both.
+    One pass over the powers J^{2n} u gives both couplings: lambda_s
+    sums the t_n as a geometric series of J^2, lambda_e with alternating
+    signs (1 + J^2 = 1 - K_V^2).  The reported error bound is the
+    geometric tail hs^{2(terms+1)} / (1 - hs^2) * ||u|| ||v||, shared
+    by both.
     """
     if terms < 0:
         raise ValueError("terms must be nonnegative")
@@ -238,23 +231,17 @@ def lambda_neumann(kv: KVOperator, terms: int) -> CouplingConstants:
 
     u_norm = np.sqrt(np.sum(kv.weights * kv.u_vals**2))
     v_norm = np.sqrt(np.sum(kv.weights * kv.v_vals**2))
-    y = kv.u_vals.astype(complex)
+    y = kv.u_vals
     total_e = total_s = np.sum(kv.weights * kv.v_vals * y)
     for k in range(1, terms + 1):
         y = kv.matrix @ (kv.matrix @ y)
         term = np.sum(kv.weights * kv.v_vals * y)
-        total_e += term
-        total_s += (-1) ** k * term
+        total_e += (-1) ** k * term
+        total_s += term
     bound = hs ** (2 * (terms + 1)) / (1.0 - hs**2) * u_norm * v_norm
 
-    residuals = {
-        "hs_norm": hs,
-        "error_bound": float(bound),
-        "terms": terms,
-        "imag_residue": float(max(abs(total_e.imag), abs(total_s.imag))),
-    }
-    return CouplingConstants(_real_checked(total_e, "neumann sum"),
-                             _real_checked(total_s, "neumann sum"), residuals)
+    residuals = {"hs_norm": hs, "error_bound": float(bound), "terms": terms}
+    return CouplingConstants(float(total_e), float(total_s), residuals)
 
 
 def closed_form_couplings(theta: float) -> tuple[float, float]:

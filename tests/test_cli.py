@@ -427,6 +427,7 @@ def test_geometry_audit_window_violation_exits_one(tmp_path, monkeypatch):
     (["geometry-audit", "--n", "80", "--t-nodes=-2"], "t_nodes"),
     (["jump-check", "--n", "320", "--radius", "0.2",
       "--offsets", "0.25,0.27,0.29"], "injectivity_budget()"),
+    (["coupling", "--tau", "2.5", "--terms=-1"], "terms"),
 ])
 def test_input_outside_a_limit_is_usage_error(capsys, args, names):
     try:

@@ -58,9 +58,9 @@ def test_hs_norm_square_well():
     assert kv.hs_norm == pytest.approx(0.1, abs=1e-10)
 
 
-def test_matrix_is_i_times_real():
+def test_matrix_is_real_j():
     kv = kv_for_square(1.3, 0.7)
-    assert np.all(kv.matrix.real == 0.0)
+    assert kv.matrix.dtype == np.float64
 
 
 def test_weighted_frobenius_tracks_hs():
@@ -70,17 +70,18 @@ def test_weighted_frobenius_tracks_hs():
 
 
 def test_apply_to_constant_matches_analytic():
-    # K_V[1](t) = i (eta tau / 2) t for the square well
+    # J[1](t) = (eta tau / 2) t for the square well, K_V = iJ
     tau, eta = 1.7, 0.9
     kv = kv_for_square(tau, eta)
     got = kv.matrix @ np.ones_like(kv.nodes)
-    want = 1j * (eta * tau / 2.0) * kv.nodes
+    want = (eta * tau / 2.0) * kv.nodes
     assert np.max(np.abs(got - want)) < 1e-12
 
 
 def test_first_order_oddness():
     kv = kv_for_square(1.1, 0.6)
-    first = np.sum(kv.weights * kv.v_vals * (kv.matrix @ kv.u_vals.astype(complex)))
+    k = 1j * kv.matrix
+    first = np.sum(kv.weights * kv.v_vals * (k @ kv.u_vals.astype(complex)))
     assert abs(first) < 1e-12
 
 
@@ -152,8 +153,9 @@ def test_neumann_error_bound_holds_on_random_profiles():
         direct = lambda_electrostatic(kv)
         terms = int(rng.integers(1, 6))
         neu = lambda_neumann(kv, terms)
-        actual = abs(neu.lambda_e - direct.lambda_e)
-        assert actual <= neu.residuals["error_bound"] + 1e-14
+        for name in ("lambda_e", "lambda_s"):
+            actual = abs(getattr(neu, name) - getattr(direct, name))
+            assert actual <= neu.residuals["error_bound"] + 1e-14
 
 
 def test_neumann_rejects_noncontractive():
@@ -184,12 +186,12 @@ def test_direct_raises_at_near_singular_coupling():
 
 
 def test_direct_raises_on_exactly_singular_system():
-    # K = i I gives I + K^2 = 0: the LU has a zero pivot, the estimate
+    # J = I gives I - J^2 = 0: the LU has a zero pivot, the estimate
     # reads infinite and the guard names it, with no LinAlgWarning
     n = 16
     ones = np.ones(n)
     kv = KVOperator(nodes=np.linspace(-1.0, 1.0, n), weights=ones / 8.0,
-                    matrix=1j * np.eye(n), hs_norm=1.0, u_vals=ones,
+                    matrix=np.eye(n), hs_norm=1.0, u_vals=ones,
                     v_vals=ones)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -198,19 +200,12 @@ def test_direct_raises_on_exactly_singular_system():
             lambda_electrostatic(kv)
 
 
-def test_direct_refuses_kv_with_real_part():
-    kv = kv_for_square(1.0, 1.0, 64)
-    kv = KVOperator(kv.nodes, kv.weights, kv.matrix + 1e-3, kv.hs_norm,
-                    kv.u_vals, kv.v_vals)
-    with pytest.raises(ValueError, match="purely imaginary"):
-        lambda_electrostatic(kv)
-
-
 @pytest.mark.parametrize("tau", [1.0, 2.5])
 def test_direct_condition_estimate_and_values_match_complex_solve(tau):
     kv = kv_for_square(tau, 1.0, 64)
     res = lambda_electrostatic(kv)
-    ksq = kv.matrix @ kv.matrix
+    k = 1j * kv.matrix
+    ksq = k @ k
     eye = np.eye(len(kv.nodes))
     for name, op in (("lambda_e", eye - ksq), ("lambda_s", eye + ksq)):
         exact = np.linalg.cond(op, 1)
@@ -231,9 +226,9 @@ def test_oddness_identity_all_profiles():
     for p in profiles:
         kv = build_kv(factorize(p), 96)
         # int v (1 - K^2)^{-1} K u vanishes in exact arithmetic
-        ksq = kv.matrix @ kv.matrix
-        x = np.linalg.solve(np.eye(len(kv.nodes)) - ksq,
-                            kv.matrix @ kv.u_vals.astype(complex))
+        k = 1j * kv.matrix
+        x = np.linalg.solve(np.eye(len(kv.nodes)) - k @ k,
+                            k @ kv.u_vals.astype(complex))
         assert abs(np.sum(kv.weights * kv.v_vals * x)) < 1e-10
 
 
