@@ -270,9 +270,14 @@ def cmd_coupling(params, parser) -> int:
     cand_s.append(cs)
 
     agreement = max(max(cand_e) - min(cand_e), max(cand_s) - min(cand_s))
+    meta = dict(params)
+    if params["potential"] == "table":
+        # the file's profile ran, with its own eta; --tau and --eta did not
+        del meta["tau"]
+        meta["eta"] = float(profile.eta)
     doc = {"lambda_e": direct.lambda_e, "lambda_s": direct.lambda_s,
            "hs_norm": kv.hs_norm, "method_agreement": agreement,
-           "methods": methods, "metadata": _meta_dict("coupling", params)}
+           "methods": methods, "metadata": _meta_dict("coupling", meta)}
     if agreement > tol:
         doc["error"] = {"type": "MethodDisagreement",
                         "message": f"methods spread {agreement:.3e} "

@@ -118,10 +118,23 @@ def phi_a(sp: SpectralParameter, x) -> ArrayC:
 
     Returns:
         4x4 complex matrix, or a (..., 4, 4) stack for batched input.
+
+    a + m beta is diagonal and i alpha.x has only its two off-diagonal
+    2x2 blocks, both i sigma.x, so each block has 12 nonzero entries and
+    they are written straight from the fields; the four others are 0.
     """
     x = np.asarray(x, dtype=np.float64)
-    pref, odd_coef = kernel_fields(sp, x)
-    even = np.multiply.outer(pref, sp.a * I4 + sp.m * BETA)
-    odd = odd_coef[..., None, None] * (1j * alpha_dot(np.atleast_2d(x)))
-    out = even + odd
+    pref, odd = kernel_fields(sp, x)
+    pts = np.atleast_2d(x)
+    out = np.zeros(pref.shape + (4, 4), dtype=np.complex128)
+    out[..., 0, 0] = out[..., 1, 1] = pref * (sp.a + sp.m)
+    out[..., 2, 2] = out[..., 3, 3] = pref * (sp.a - sp.m)
+    # i sigma.x = [[i x3, x2 + i x1], [-x2 + i x1, -i x3]] (x1, x2, x3 = x[0..2])
+    iz = 1j * (odd * pts[..., 2])
+    ix = 1j * (odd * pts[..., 0])
+    y = odd * pts[..., 1]
+    out[..., 0, 2] = out[..., 2, 0] = iz
+    out[..., 1, 3] = out[..., 3, 1] = -iz
+    out[..., 0, 3] = out[..., 2, 1] = y + ix
+    out[..., 1, 2] = out[..., 3, 0] = ix - y
     return out if x.ndim > 1 else out[0]

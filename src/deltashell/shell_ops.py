@@ -36,7 +36,7 @@ from typing import Sequence
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.sparse.linalg import LinearOperator, gmres, svds
+from scipy.sparse.linalg import LinearOperator, eigsh, gmres
 from scipy.spatial import cKDTree
 
 from . import CheckFailed
@@ -48,6 +48,9 @@ from .potential import UVFactorization
 CRITICAL_WINDOW = 0.05
 #: relative residual the shell resolvent's boundary solve must reach
 RESOLVENT_RTOL = 1e-12
+#: relative tolerance on sigma^2 in ``ShellOperator.norm``; it bounds
+#: sigma to about half of it
+NORM_TOL = 1e-12
 DENSE_DOF_CAP = 16384
 COINCIDENCE_TOL = 1e-10
 MIN_TRACE_NODES = 128
@@ -446,13 +449,31 @@ class ShellOperator:
         return self.matrix @ np.asarray(g, dtype=complex).ravel()
 
     def norm(self) -> float:
-        """Largest singular value in the weighted L2 sense."""
-        sw = np.sqrt(np.repeat(self.weights, 4))
-        scaled = self.matrix * (sw[:, None] / sw[None, :])
-        # a seeded start keeps repeated calls bit-identical
-        val = svds(scaled, k=1, return_singular_vectors=False, tol=1e-9,
-                   rng=np.random.default_rng(0))
-        return float(val[0])
+        """Largest singular value in the weighted L2 sense.
+
+        With D = diag(sqrt w) the weighted operator is D B D^-1, and its
+        norm squared is the top eigenvalue of the Hermitian Gram operator
+        x -> D^-1 B^H D^2 B D^-1 x.  ARPACK (``eigsh``, Arnoldi on a
+        complex operator, which on a Hermitian one is Lanczos with full
+        reorthogonalization) finds it to ``NORM_TOL`` relative.  D acts
+        on vectors and B^H x is conj(conj(x) @ B), a transposed GEMV, so
+        the matrix is never copied.  The start vector is seeded, so
+        repeated calls agree to the bit.
+        """
+        mat = self.matrix
+        w = np.repeat(self.weights, 4)
+        sw = np.sqrt(w)
+
+        def gram(x: np.ndarray) -> np.ndarray:
+            y = (mat @ (x / sw)) * w
+            return np.conj(np.conj(y) @ mat) / sw
+
+        n = mat.shape[1]
+        rng = np.random.default_rng(0)
+        start = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        val = eigsh(LinearOperator((n, n), matvec=gram, dtype=complex), k=1,
+                    v0=start, tol=NORM_TOL, return_eigenvectors=False)
+        return float(np.sqrt(val[0]))
 
 
 def cauchy_sigma(sp: SpectralParameter, mesh: SurfaceMesh) -> ShellOperator:

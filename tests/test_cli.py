@@ -71,6 +71,20 @@ def test_coupling_table_matches_closed_form(tmp_path):
     assert abs(doc["lambda_s"] - 2.0 * math.tanh(0.05)) < 1e-4
 
 
+def test_coupling_table_metadata_names_the_file_and_its_eta(tmp_path):
+    table = {"kind": "table", "eta": 0.5, "ts": [-0.5, 0.5], "vs": [0.2, 0.2]}
+    vfile = tmp_path / "v.json"
+    vfile.write_text(json.dumps(table))
+    code, doc = run_json(
+        ["coupling", "--potential", "table", "--file", str(vfile)], tmp_path)
+    assert code == 0
+    meta = doc["metadata"]
+    # the run used the table's eta, not the --eta default 1.0, and no tau
+    assert meta["file"] == str(vfile)
+    assert meta["eta"] == "0.5"
+    assert "tau" not in meta
+
+
 def test_coupling_malformed_table_exits_two(tmp_path, capsys):
     vfile = tmp_path / "v.json"
     vfile.write_text(json.dumps({"x": [0.0, 1.0], "v": [1.0, 1.0]}))

@@ -118,6 +118,13 @@ def test_alpha_dot_square_is_norm():
     assert np.max(np.abs(sq - r2[:, None, None] * I4)) < 1e-14
 
 
+def _phi_a_by_outer_products(sp, xs):
+    """phi_a summed from dense 4x4 stacks by five multiply.outer passes."""
+    pref, odd = kernel_fields(sp, xs)
+    even = np.multiply.outer(pref, sp.a * I4 + sp.m * BETA)
+    return even + odd[:, None, None] * (1j * alpha_dot(xs))
+
+
 @pytest.mark.parametrize("a, m", [(0.4 + 0.2j, 1.0), (1j, 1.0), (-0.5, 1.0),
                                   (-3j, 0.0), (0.0, 0.0)])
 def test_fields_compose_the_closed_form(a, m):
@@ -132,9 +139,7 @@ def test_fields_compose_the_closed_form(a, m):
                              * 1j * sum(x[c] * ALPHA[c] for c in range(3))
                              / r**2))
     want = np.array(want)
-    pref, odd = kernel_fields(sp, xs)
-    composed = (pref[:, None, None] * (sp.a * I4 + sp.m * BETA)
-                + odd[:, None, None] * 1j * alpha_dot(xs))
+    composed = _phi_a_by_outer_products(sp, xs)
     scale = np.max(np.abs(want))
     assert np.max(np.abs(composed - want)) <= 1e-14 * scale
     assert np.max(np.abs(phi_a(sp, xs) - want)) <= 1e-14 * scale
@@ -153,3 +158,23 @@ def test_fields_keep_the_batch_shape_and_the_guard():
             kernel_fields(sp, bad)
     with pytest.raises(ValueError, match="3-vectors"):
         kernel_fields(sp, np.ones((4, 2)))
+
+
+@pytest.mark.parametrize("a, exact", [(1j, True), (-0.5, True),
+                                      (0.3 + 0.2j, False)])
+def test_phi_a_entries_match_the_outer_product_sum(a, exact):
+    # where the fields are real (a imaginary or in the gap) the entries
+    # are the same products, so the same bits; complex fields may round
+    # differently in a complex product
+    sp = SpectralParameter(a, 1.0)
+    xs = RNG.normal(size=(500, 3)) * RNG.uniform(0.05, 3.0, size=(500, 1))
+    got, want = phi_a(sp, xs), _phi_a_by_outer_products(sp, xs)
+    if exact:
+        assert np.array_equal(got, want)
+    else:
+        assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want))
+    # a + m beta is diagonal and i alpha.x off-block-diagonal, so the
+    # off-diagonal entries of the diagonal 2x2 blocks are exactly zero
+    rows, cols = (0, 1, 2, 3), (1, 0, 3, 2)
+    assert np.all(got[:, rows, cols] == 0)
+    assert np.count_nonzero(got) == 12 * len(xs)

@@ -4,6 +4,7 @@ import io
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -325,10 +326,42 @@ def test_trace_rows_read_at_height(ellipsoid320):
 
 
 def test_trace_norm_is_reproducible(mesh320):
-    # the svds behind norm() starts from a seeded vector, so repeated
-    # calls agree to the bit
+    # the eigensolver behind norm() starts from a seeded vector, so
+    # repeated calls agree to the bit
     op = cauchy_sigma(SP, mesh320)
     assert len({op.norm() for _ in range(3)}) == 1
+
+
+@pytest.fixture(scope="module")
+def dense_operators():
+    """Dense B_eps on 80 nodes x M=3 (960 dofs) and C_sigma on 128 nodes."""
+    uv = factorize(square_well(0.4, 0.25))
+    grid = make_operator_grid(build_mesh(sphere(1.0), 80), uv, m_nodes=3)
+    return {"B_eps": assemble_family(grid, SP, 0.0625)["B"],
+            "C_sigma": cauchy_sigma(SP, build_mesh(sphere(1.0), 128))}
+
+
+@pytest.mark.parametrize("name", ["B_eps", "C_sigma"])
+def test_norm_matches_full_svd_of_scaled_matrix(dense_operators, name):
+    op = dense_operators[name]
+    sw = np.sqrt(np.repeat(op.weights, 4))
+    scaled = op.matrix * (sw[:, None] / sw[None, :])
+    want = np.linalg.svd(scaled, compute_uv=False)[0]
+    assert abs(op.norm() - want) <= 1e-12 * want
+
+
+def test_norm_copies_no_matrix(dense_operators):
+    # a scaled copy or a conjugate transpose of the matrix would each
+    # take matrix.nbytes; the norm's own vectors and ARPACK's basis are
+    # a few percent of it
+    op = dense_operators["B_eps"]
+    tracemalloc.start()
+    try:
+        op.norm()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < op.matrix.nbytes / 10
 
 
 def test_trace_refinement_rate(mesh320, mesh1280):
