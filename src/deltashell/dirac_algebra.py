@@ -106,35 +106,35 @@ def kernel_fields(sp: SpectralParameter, x) -> tuple:
     return pref, pref * (1.0 + w * r) / (r * r)
 
 
-def phi_a(sp: SpectralParameter, x) -> ArrayC:
-    """Fundamental solution phi_a(x) of H - a, from :func:`kernel_fields`.
+def spinor_blocks(sp: SpectralParameter, even, vec) -> ArrayC:
+    """The 4x4 blocks even (a + m beta) + i alpha.vec: the one block writer.
 
-    phi_a(x) = e^{-w|x|}/(4 pi |x|) (a + m beta + (1 + w|x|) i alpha.x / |x|^2)
-    with w = sqrt(m^2 - a^2), Re w > 0.
-
-    Parameters:
-        sp: spectral parameter
-        x: 3-vector, or a batch of them with shape (..., 3)
-
-    Returns:
-        4x4 complex matrix, or a (..., 4, 4) stack for batched input.
-
-    a + m beta is diagonal and i alpha.x has only its two off-diagonal
-    2x2 blocks, both i sigma.x, so each block has 12 nonzero entries and
-    they are written straight from the fields; the four others are 0.
+    ``even`` of shape S and ``vec`` of shape S + (3,), real or complex,
+    give S + (4, 4).  a + m beta is diagonal and i alpha.vec fills only
+    the two off-diagonal 2x2 blocks, both i sigma.vec, so the 12 nonzero
+    entries are written straight from ``even`` and ``vec``.
     """
-    x = np.asarray(x, dtype=np.float64)
-    pref, odd = kernel_fields(sp, x)
-    pts = np.atleast_2d(x)
-    out = np.zeros(pref.shape + (4, 4), dtype=np.complex128)
-    out[..., 0, 0] = out[..., 1, 1] = pref * (sp.a + sp.m)
-    out[..., 2, 2] = out[..., 3, 3] = pref * (sp.a - sp.m)
-    # i sigma.x = [[i x3, x2 + i x1], [-x2 + i x1, -i x3]] (x1, x2, x3 = x[0..2])
-    iz = 1j * (odd * pts[..., 2])
-    ix = 1j * (odd * pts[..., 0])
-    y = odd * pts[..., 1]
+    out = np.zeros(np.shape(even) + (4, 4), dtype=np.complex128)
+    out[..., 0, 0] = out[..., 1, 1] = even * (sp.a + sp.m)
+    out[..., 2, 2] = out[..., 3, 3] = even * (sp.a - sp.m)
+    # i sigma.v = [[i v3, v2 + i v1], [-v2 + i v1, -i v3]] (v1, v2, v3 = v[0..2])
+    ix, y, iz = 1j * vec[..., 0], vec[..., 1], 1j * vec[..., 2]
     out[..., 0, 2] = out[..., 2, 0] = iz
     out[..., 1, 3] = out[..., 3, 1] = -iz
     out[..., 0, 3] = out[..., 2, 1] = y + ix
     out[..., 1, 2] = out[..., 3, 0] = ix - y
+    return out
+
+
+def phi_a(sp: SpectralParameter, x) -> ArrayC:
+    """Fundamental solution phi_a(x) of H - a, from :func:`kernel_fields`.
+
+    phi_a(x) = e^{-w|x|}/(4 pi |x|) (a + m beta + (1 + w|x|) i alpha.x / |x|^2)
+    with w = sqrt(m^2 - a^2), Re w > 0: the :func:`spinor_blocks` of the
+    fields pref and odd x.  A 3-vector x gives a 4x4 complex matrix, a
+    batch of shape (..., 3) a (..., 4, 4) stack.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    pref, odd = kernel_fields(sp, x)
+    out = spinor_blocks(sp, pref, odd[..., None] * np.atleast_2d(x))
     return out if x.ndim > 1 else out[0]

@@ -20,13 +20,13 @@ evaluates the kernel for both, in blocks of rows of about
 singular cells use an analytically integrated flat-disk model: each
 surface node owns a disk of equal area, and the odd (Riesz) part of the
 kernel integrates to zero over the disk at zero offset, which is the
-principal-value convention.  ``_cell_block`` gives that cell, corrected
-by punctured far sums over the rest of the surface, which run through
-the same loop; it serves the trace diagonal and the same-node blocks of
-the squeezed family.  A cell need not sit under its own source points:
-the trace ``_trace_op`` can be read on any rows and at any height over
-them, and read at +-h it gives the one-sided limits of the Plemelj
-check.
+principal-value convention.  ``_cell_block`` gives that cell over one
+sheet, from any number of heights, corrected by one pass of punctured
+far sums through the same loop; it serves the trace diagonal and, once
+per sheet, the same-node blocks of the squeezed family.  A cell need not
+sit under its own source points: one trace ``_trace_op`` reads any rows
+at any heights over them, and at +-h it gives the one-sided limits of
+the Plemelj check.  ``spinor_blocks`` writes every Dirac block.
 """
 
 from __future__ import annotations
@@ -36,12 +36,12 @@ from typing import Sequence
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.sparse.linalg import LinearOperator, eigsh, gmres
+from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, gmres
 from scipy.spatial import cKDTree
 
 from . import CheckFailed
 from .dirac_algebra import (ALPHA, BETA, I4, SpectralParameter, alpha_dot,
-                            kernel_fields, phi_a)
+                            kernel_fields, phi_a, spinor_blocks)
 from .geometry import SurfaceMesh
 from .potential import UVFactorization
 
@@ -174,11 +174,11 @@ class _KernelSum:
     """One shell operator: g -> row_i sum_j phi_a(x_i - y_j) col_j g_j.
 
     ``col`` holds the source weights and ``row`` (optional) a factor per
-    row.  With ``cells = (owner, blocks)``, the points of ``x`` form
-    consecutive groups of p and those of ``y`` consecutive cells of p;
-    x group k lies over y cell owner[k].  Such a pair takes the
-    closed-form (p, p, 4, 4) block blocks[k], which carries its own
-    column weights, in place of the kernel.
+    row.  With ``cells = (owner, blocks)``, blocks (K, P, Q, 4, 4), the
+    points of ``x`` form K consecutive groups of P and those of ``y``
+    consecutive cells of Q; x group k lies over y cell owner[k].  Such a
+    pair takes the closed-form (P, Q, 4, 4) block blocks[k], which
+    carries its own column weights, in place of the kernel.
 
     Both readings go through :func:`_kernel_blocks`.  Since phi_a is
     pref (a + m beta) + odd i alpha.x, :meth:`apply` forms no 4x4
@@ -201,8 +201,8 @@ class _KernelSum:
         if self.cells is None:
             return None
         owner, cell = self.cells
-        p = cell.shape[1]
-        return np.repeat(owner, p), np.arange(self.y.shape[0]) // p
+        return (np.repeat(owner, cell.shape[1]),
+                np.arange(self.y.shape[0]) // cell.shape[2])
 
     def apply(self, g: np.ndarray) -> np.ndarray:
         """The operator applied to a density of shape (ny, 4), as (nx, 4)."""
@@ -245,11 +245,11 @@ class _KernelSum:
         _kernel_blocks(self.sp, self.x, self.y, write, self._owners(),
                        dense=True)
         if self.cells is not None:
-            # x group k (points p k + i) over y cell owner[k] (p owner[k] + j)
+            # x group k (points P k + i) over y cell owner[k] (Q owner[k] + j)
             owner, cell = self.cells
-            i = np.arange(cell.shape[1])
+            i, j = np.arange(cell.shape[1]), np.arange(cell.shape[2])
             xs = (i.size * np.arange(owner.size)[:, None] + i)[:, :, None]
-            ys = (i.size * owner[:, None] + i)[:, None, :]
+            ys = (j.size * owner[:, None] + j)[:, None, :]
             mat[xs, :, ys, :] = cell * row[xs][..., None, None]
         return mat.reshape(4 * nx, 4 * ny)
 
@@ -276,16 +276,17 @@ def _disk_moments(w: complex, rho, delta) -> tuple:
 
 
 def _cell_block(sp: SpectralParameter, mesh: SurfaceMesh, rows: np.ndarray,
-                shift: float, height: float) -> np.ndarray:
+                shift: float, heights: np.ndarray) -> np.ndarray:
     """Principal-value cell blocks of the kernel over a parallel sheet.
 
     The sheet is ``mesh.sheet(shift)``, the mesh moved by ``shift``
     along its normals: a closed surface with the same normal field,
     weights w det(1 - shift W) and shifted principal curvatures, so the
     far sums and the Gauss anchor below apply on it verbatim.  Each row
-    node sees it from signed height ``height`` over its own cell.  Returns the (rows, 4, 4)
-    blocks ``layer (a + m beta) + i alpha.(v - d)``: the cell's coarea-
-    scaled flat-disk layer, the odd moment v (curvature-trace layer and
+    node sees it from H signed ``heights`` over its own cell, in one
+    far-sum pass.  Returns the (rows, H, 4, 4) :func:`spinor_blocks`
+    ``layer (a + m beta) + i alpha.(v - d)``: the cell's coarea-scaled
+    flat-disk layer, the odd moment v (curvature-trace layer and
     normal-projection parts, plus the solid-angle content) and the
     punctured vector moment d of the odd kernel.  Added to the kernel
     summed over the other nodes, a block gives the one-sided moment of
@@ -319,43 +320,45 @@ def _cell_block(sp: SpectralParameter, mesh: SurfaceMesh, rows: np.ndarray,
     The far sums read the fields of :func:`kernel_fields` through
     :func:`_kernel_blocks`, with each point's own node as its cell, so
     they are punctured exactly where the operators' sums are.  Each is
-    a matmul of scalar (rows, n) fields against (n, 3) node vectors:
+    a matmul of scalar (rows H, n) fields against (n, 3) node vectors:
     (x - y).nu(y) is x.nu(y) - y.nu(y), and the vector moment
     sum_j f_j (x - y_j) is x sum_j f_j - sum_j f_j y_j.  Only the flat
     kernel 1/(4 pi r^3) of the solid-angle content is built here.
     """
-    det = mesh.coarea(shift)
+    det = mesh.coarea(shift)[rows, None]
     src, wts = mesh.sheet(shift)
     nu = mesh.normals
     curv = (-mesh.lam1 / (1.0 - shift * mesh.lam1)
             - mesh.lam2 / (1.0 - shift * mesh.lam2))
-    pts = src[rows] + height * nu[rows]
-    v_far = np.empty((rows.size, 3), dtype=complex)
-    d_far = np.empty((rows.size, 3), dtype=complex)
+    heights = np.asarray(heights, dtype=float)
+    # point H i + k sits at heights[k] over node rows[i], its own cell
+    own = np.repeat(rows, heights.size)
+    pts = (src[rows, None] + heights[:, None] * nu[rows, None]).reshape(-1, 3)
+    v_far, d_far = np.empty((2, own.size, 3), dtype=complex)
 
     def add(lo: int, hi: int, diff: np.ndarray, fields: tuple) -> None:
         pref, odd = fields
         ndot = pts[lo:hi] @ nu.T - np.sum(src * nu, axis=1)  # (x - y).nu(y)
         r = np.sqrt(diff[..., 0] ** 2 + diff[..., 1] ** 2 + diff[..., 2] ** 2)
         base = 1.0 / (4.0 * np.pi * r**3)  # the flat (w = 0) odd kernel
-        base[np.arange(hi - lo), rows[lo:hi]] = 0.0
+        base[np.arange(hi - lo), own[lo:hi]] = 0.0
         # curvature layer and the odd kernel carry nu(y) w; the flat
         # kernel's normal flux carries nu(x)
         v_far[lo:hi] = ((curv * pref + ndot * odd) @ (nu * wts[:, None])
-                        - ((ndot * base) @ wts)[:, None] * nu[rows[lo:hi]])
+                        - ((ndot * base) @ wts)[:, None] * nu[own[lo:hi]])
         d_far[lo:hi] = ((odd @ wts)[:, None] * pts[lo:hi]
                         - odd @ (src * wts[:, None]))
 
-    _kernel_blocks(sp, pts, src, add, (rows, np.arange(len(mesh))))
-    rho = np.sqrt(mesh.weights[rows] / np.pi)
-    layer, axial = _disk_moments(sp.branch, rho, height)
-    _, axial_flat = _disk_moments(0.0, rho, height)
-    layer = det[rows] * layer
-    anchor = 0.5 * (np.sign(height) - 1.0)
-    v = v_far + (curv[rows] * layer + 0.5 * det[rows] * (axial - axial_flat)
-                 + anchor)[:, None] * nu[rows]
-    return (layer[:, None, None] * (sp.a * I4 + sp.m * BETA)
-            + 1j * alpha_dot(v - d_far))
+    _kernel_blocks(sp, pts, src, add, (own, np.arange(len(mesh))))
+    rho = np.sqrt(mesh.weights[rows] / np.pi)[:, None]
+    layer, axial = _disk_moments(sp.branch, rho, heights)
+    _, axial_flat = _disk_moments(0.0, rho, heights)
+    layer = det * layer
+    anchor = 0.5 * (np.sign(heights) - 1.0)
+    v = v_far.reshape(rows.size, -1, 3) + (
+        curv[rows, None] * layer + 0.5 * det * (axial - axial_flat)
+        + anchor)[..., None] * nu[rows, None]
+    return spinor_blocks(sp, layer, v - d_far.reshape(v.shape))
 
 
 def _mesh_resolution(mesh: SurfaceMesh) -> float:
@@ -410,20 +413,19 @@ def _check_trace_nodes(mesh: SurfaceMesh) -> None:
 
 def _trace_op(sp: SpectralParameter, mesh: SurfaceMesh,
               rows: np.ndarray | None = None,
-              height: float = 0.0) -> _KernelSum:
-    """C_sigma on ``rows`` (all nodes by default), read at ``height``.
+              heights: Sequence[float] = (0.0,)) -> _KernelSum:
+    """C_sigma on ``rows`` (all nodes by default), read at ``heights``.
 
-    Row i is the point x + height nu over node rows[i]: kernel times
-    node weights over the other nodes, plus that node's cell seen from
-    ``height``.  At height 0 these are rows of the trace; at +-h they
-    are the one-sided layer potential values whose h -> 0 limits the
-    Plemelj relations give.
+    Row H i + k is the point x + heights[k] nu over node rows[i]: kernel
+    times node weights over the other nodes, plus that node's cell seen
+    from that height, one cell pass for all.  Height 0 gives trace rows,
+    +-h the one-sided values of the Plemelj relations.
     """
     if rows is None:
         rows = np.arange(len(mesh))
-    cell = _cell_block(sp, mesh, rows, 0.0, height)
-    return _KernelSum(sp, mesh.sheet(height)[0][rows], mesh.nodes,
-                      mesh.weights, cells=(rows, cell[:, None, None]))
+    cell = _cell_block(sp, mesh, rows, 0.0, heights)
+    return _KernelSum(sp, mesh.sheet(heights)[0][rows].reshape(-1, 3),
+                      mesh.nodes, mesh.weights, cells=(rows, cell[:, :, None]))
 
 
 def cauchy_sigma_apply(sp: SpectralParameter, mesh: SurfaceMesh,
@@ -458,7 +460,8 @@ class ShellOperator:
         reorthogonalization) finds it to ``NORM_TOL`` relative.  D acts
         on vectors and B^H x is conj(conj(x) @ B), a transposed GEMV, so
         the matrix is never copied.  The start vector is seeded, so
-        repeated calls agree to the bit.
+        repeated calls agree to the bit.  Where the Gram operator maps it
+        to exactly zero, ARPACK fails, and the norm is 0.
         """
         mat = self.matrix
         w = np.repeat(self.weights, 4)
@@ -471,8 +474,13 @@ class ShellOperator:
         n = mat.shape[1]
         rng = np.random.default_rng(0)
         start = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        val = eigsh(LinearOperator((n, n), matvec=gram, dtype=complex), k=1,
-                    v0=start, tol=NORM_TOL, return_eigenvectors=False)
+        try:
+            val = eigsh(LinearOperator((n, n), matvec=gram, dtype=complex),
+                        k=1, v0=start, tol=NORM_TOL, return_eigenvectors=False)
+        except ArpackError:
+            if np.any(gram(start)):
+                raise
+            return 0.0
         return float(np.sqrt(val[0]))
 
 
@@ -517,9 +525,9 @@ def plemelj_check(sp: SpectralParameter, mesh: SurfaceMesh, g: np.ndarray,
     The one-sided values of ``g`` are the trace rows of the evaluation
     nodes read at heights ``+-h`` (:func:`_trace_op`), for each offset
     ``h``: the layer potential at ``x +- h nu`` with the cell quadrature
-    that defines the trace.  They are extrapolated to ``h -> 0`` by a
-    least-squares polynomial fit in ``h`` of degree
-    ``min(3, len(offsets) - 1)``, cubic for the five default offsets.
+    that defines the trace; one operator reads them and the trace.  One
+    least-squares fit in ``h`` of degree ``min(3, len(offsets) - 1)``,
+    cubic for the five default offsets, takes both sides to ``h -> 0``.
     Offsets lie above the mesh resolution and at most
     ``min(eta, injectivity_budget())`` off the surface, so that the
     normal segments stay apart; otherwise ``ValueError`` names both
@@ -553,26 +561,19 @@ def plemelj_check(sp: SpectralParameter, mesh: SurfaceMesh, g: np.ndarray,
                 f"min(eta, injectivity_budget())] = ({res:.3e}, {limit:.3e}]")
     offs = np.asarray(sorted(offsets, reverse=True), dtype=float)
     gv = np.asarray(g, dtype=complex).reshape(n, 4)
-    if n > max_eval_nodes:
-        idx = np.linspace(0, n - 1, max_eval_nodes).astype(int)
-    else:
-        idx = np.arange(n)
+    idx = np.linspace(0, n - 1, min(n, max_eval_nodes)).astype(int)
 
-    plus_vals = np.array([_trace_op(sp, mesh, idx, h).apply(gv)
-                          for h in offs])
-    minus_vals = np.array([_trace_op(sp, mesh, idx, -h).apply(gv)
-                           for h in offs])
+    k = offs.size
+    vals = _trace_op(sp, mesh, idx, np.concatenate([offs, -offs, [0.0]])).apply(
+        gv).reshape(idx.size, 2 * k + 1, 4)
+    csg = vals[:, 2 * k]
+    # one fit: a row per offset, a column per (side, node, component)
+    sides = vals[:, :2 * k].reshape(idx.size, 2, k, 4).transpose(2, 1, 0, 3)
+    vand = np.vander(offs, min(3, k - 1) + 1)
+    plus0, minus0 = np.linalg.lstsq(vand, sides.reshape(k, -1), rcond=None)[0][
+        -1].reshape(2, idx.size, 4)
 
-    deg = min(3, offs.size - 1)
-    vand = np.vander(offs, deg + 1)
-    plus0 = np.linalg.lstsq(vand, plus_vals.reshape(offs.size, -1), rcond=None)[0][-1]
-    minus0 = np.linalg.lstsq(vand, minus_vals.reshape(offs.size, -1), rcond=None)[0][-1]
-    plus0 = plus0.reshape(idx.size, 4)
-    minus0 = minus0.reshape(idx.size, 4)
-
-    nus = mesh.normals[idx]
-    csg = _trace_op(sp, mesh, idx).apply(gv)
-    jump = np.einsum("kab,kb->ka", alpha_dot(nus), gv[idx])
+    jump = np.einsum("kab,kb->ka", alpha_dot(mesh.normals[idx]), gv[idx])
     # outward limit (x + h nu) carries + (i/2) alpha.nu, inward the opposite
     ref_outside = 0.5j * jump + csg
     ref_inside = -0.5j * jump + csg
@@ -711,10 +712,9 @@ def _b_eps_op(grid: OperatorGrid, sp: SpectralParameter,
     n, m, t = grid.n_nodes, grid.n_transverse, grid.t_nodes
     rows = np.arange(n)
     same = np.empty((n, m, m, 4, 4), dtype=complex)
-    for p in range(m):
-        for q in range(m):
-            same[:, p, q] = (grid.v_vals[q] * grid.t_weights[q]) * _cell_block(
-                sp, grid.mesh, rows, eps * t[q], eps * (t[p] - t[q]))
+    for q in range(m):  # the sheet of t_q, from every height eps (t_p - t_q)
+        same[:, :, q] = (grid.v_vals[q] * grid.t_weights[q]) * _cell_block(
+            sp, grid.mesh, rows, eps * t[q], eps * (t - t[q]))
     return _KernelSum(sp, pts, pts, wts, np.tile(grid.u_vals, n), (rows, same))
 
 

@@ -11,6 +11,7 @@ from deltashell.dirac_algebra import (
     alpha_dot,
     kernel_fields,
     phi_a,
+    spinor_blocks,
 )
 
 RNG = np.random.default_rng(7)
@@ -178,3 +179,21 @@ def test_phi_a_entries_match_the_outer_product_sum(a, exact):
     rows, cols = (0, 1, 2, 3), (1, 0, 3, 2)
     assert np.all(got[:, rows, cols] == 0)
     assert np.count_nonzero(got) == 12 * len(xs)
+
+
+@pytest.mark.parametrize("a", [1j, 0.3 + 0.2j])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_spinor_blocks_match_the_alpha_dot_sum(a, dtype):
+    # the 12 written entries are the products of the dense sum, bit for
+    # bit, for real fields and for the complex ones of the cell rule
+    sp = SpectralParameter(a, 1.0)
+    even = RNG.normal(size=(6, 5)).astype(dtype)
+    vec = RNG.normal(size=(6, 5, 3)).astype(dtype)
+    if dtype is complex:
+        even += 1j * RNG.normal(size=even.shape)
+        vec += 1j * RNG.normal(size=vec.shape)
+    want = (even[..., None, None] * (sp.a * I4 + sp.m * BETA)
+            + 1j * alpha_dot(vec))
+    got = spinor_blocks(sp, even, vec)
+    assert got.shape == (6, 5, 4, 4)
+    assert np.array_equal(got, want)

@@ -10,7 +10,10 @@ in ``kernel_fields`` alone, which only ``phi_a`` and the chunk loop
 ``_kernel_blocks`` call; ``phi_a`` too is called only by that loop, and
 the loop only by ``_KernelSum`` and the cell rule's far sums in
 ``_cell_block``, so the dense and matrix-free readings of every operator
-and the punctured sums of its cells share one route.  In ``shell_ops``
+and the punctured sums of its cells share one route.  The cell rule
+itself is called once per sheet, by the trace ``_trace_op`` and the
+squeezed ``_b_eps_op``, and a Dirac block is composed in
+``spinor_blocks`` alone, for ``phi_a`` and the cell rule.  In ``shell_ops``
 ``exp`` serves only the closed-form disk moments and the smooth sample
 densities, never a second copy of the kernel.
 A fourth scan fails on a function, class or method of ``src/`` that
@@ -125,6 +128,10 @@ def test_scan_finds_callers():
     ("_kernel_blocks", [("shell_ops.py", "_KernelSum"),
                         ("shell_ops.py", "_cell_block")]),
     ("phi_a", [("shell_ops.py", "_kernel_blocks")]),
+    ("_cell_block", [("shell_ops.py", "_trace_op"),
+                     ("shell_ops.py", "_b_eps_op")]),
+    ("spinor_blocks", [("dirac_algebra.py", "phi_a"),
+                       ("shell_ops.py", "_cell_block")]),
     ("kernel_fields", [("dirac_algebra.py", "phi_a"),
                        ("shell_ops.py", "_kernel_blocks")])],
     ids=lambda v: v if isinstance(v, str) else "-".join(c for _, c in v))

@@ -128,6 +128,47 @@ def bprime_direct(grid):
     return out
 
 
+def cell_block_at_height(sp, mesh, rows, shift, height):
+    """The cell rule of ``_cell_block`` with one far-sum pass per height.
+
+    Its (rows, 4, 4) blocks layer (a + m beta) + i alpha.(v - d) are
+    composed from dense 4x4 stacks; the one-pass rule over all heights
+    of a sheet must match it.
+    """
+    from deltashell.shell_ops import _kernel_blocks
+
+    det = mesh.coarea(shift)
+    src, wts = mesh.sheet(shift)
+    nu = mesh.normals
+    curv = (-mesh.lam1 / (1.0 - shift * mesh.lam1)
+            - mesh.lam2 / (1.0 - shift * mesh.lam2))
+    pts = src[rows] + height * nu[rows]
+    v_far = np.empty((rows.size, 3), dtype=complex)
+    d_far = np.empty((rows.size, 3), dtype=complex)
+
+    def add(lo, hi, diff, fields):
+        pref, odd = fields
+        ndot = pts[lo:hi] @ nu.T - np.sum(src * nu, axis=1)
+        r = np.sqrt(diff[..., 0] ** 2 + diff[..., 1] ** 2 + diff[..., 2] ** 2)
+        base = 1.0 / (4.0 * np.pi * r**3)
+        base[np.arange(hi - lo), rows[lo:hi]] = 0.0
+        v_far[lo:hi] = ((curv * pref + ndot * odd) @ (nu * wts[:, None])
+                        - ((ndot * base) @ wts)[:, None] * nu[rows[lo:hi]])
+        d_far[lo:hi] = ((odd @ wts)[:, None] * pts[lo:hi]
+                        - odd @ (src * wts[:, None]))
+
+    _kernel_blocks(sp, pts, src, add, (rows, np.arange(len(mesh))))
+    rho = np.sqrt(mesh.weights[rows] / np.pi)
+    layer, axial = _disk_moments(sp.branch, rho, height)
+    _, axial_flat = _disk_moments(0.0, rho, height)
+    layer = det[rows] * layer
+    anchor = 0.5 * (np.sign(height) - 1.0)
+    v = v_far + (curv[rows] * layer + 0.5 * det[rows] * (axial - axial_flat)
+                 + anchor)[:, None] * nu[rows]
+    return (layer[:, None, None] * (sp.a * I4 + sp.m * BETA)
+            + 1j * alpha_dot(v - d_far))
+
+
 # ---------------------------------------------------------------------------
 # volume quadrature
 
@@ -200,15 +241,15 @@ def phi_block_sum(op, g):
     keep = np.ones((nx, ny), dtype=bool)
     if op.cells is not None:
         owner, cell = op.cells
-        p = cell.shape[1]
-        keep = np.repeat(owner, p)[:, None] != np.arange(ny)[None, :] // p
+        p, q = cell.shape[1:3]  # x groups of p points over y cells of q
+        keep = np.repeat(owner, p)[:, None] != np.arange(ny)[None, :] // q
     blocks = np.zeros((nx, ny, 4, 4), dtype=complex)
     blocks[keep] = phi_a(op.sp, diff[keep])
     out = np.einsum("ijab,jb->ia", blocks, g * op.col[:, None])
     if op.cells is not None:
         for k, c in enumerate(owner):
             out[k * p:(k + 1) * p] += np.einsum(
-                "pqab,qb->pa", cell[k], g[c * p:(c + 1) * p])
+                "pqab,qb->pa", cell[k], g[c * q:(c + 1) * q])
     return out if op.row is None else out * op.row[:, None]
 
 
@@ -221,8 +262,9 @@ def test_kernel_sum_matches_phi_block_sum(which, chunk_bytes, grid80_m8,
     if chunk_bytes is not None:  # many chunks, cut across cells
         monkeypatch.setattr(shell_ops, "CHUNK_BYTES", chunk_bytes)
     sp = SpectralParameter(0.3 + 0.4j, 1.0)
-    if which == "trace":  # cells read off the sheet, on a subset of rows
-        op = shell_ops._trace_op(sp, ellipsoid320, np.arange(3, 256, 5), 0.05)
+    if which == "trace":  # cells read at three heights, on a subset of rows
+        op = shell_ops._trace_op(sp, ellipsoid320, np.arange(3, 256, 5),
+                                 [0.05, -0.05, 0.0])
     elif which == "b_eps":  # cells and a row factor
         op = shell_ops._b_eps_op(grid80_m8, sp, 0.05)
     else:
@@ -306,23 +348,88 @@ def test_trace_rows_read_at_height(ellipsoid320):
     n = len(mesh)
     g = RNG.normal(size=(n, 4)) + 1j * RNG.normal(size=(n, 4))
     idx = np.array([0, 57, 160, n - 1])
-    h = 1.5 * _mesh_resolution(mesh)
-    for height in (h, -h):
-        got = _trace_op(SP, mesh, idx, height).apply(g)
-        cell = _cell_block(SP, mesh, idx, 0.0, height)
+    heights = 1.5 * _mesh_resolution(mesh) * np.array([1.0, -1.0])
+    # row 2 i + k is node idx[i] read at heights[k]
+    got = _trace_op(SP, mesh, idx, heights).apply(g).reshape(idx.size, 2, 4)
+    cell = _cell_block(SP, mesh, idx, 0.0, heights)
+    assert cell.shape == (idx.size, 2, 4, 4)
+    for k, height in enumerate(heights):
         for i, o in enumerate(idx):
             # the kernel over the other nodes, plus node o's own cell
             far = np.arange(n) != o
             x = mesh.nodes[o] + height * mesh.normals[o]
             want = np.einsum("jab,jb->a", phi_a(SP, x - mesh.nodes[far]),
                              g[far] * mesh.weights[far, None])
-            want += cell[i] @ g[o]
-            assert np.max(np.abs(got[i] - want)) < 1e-12 * np.max(np.abs(want))
+            want += cell[i, k] @ g[o]
+            assert np.max(np.abs(got[i, k] - want)) < 1e-12 * np.max(np.abs(want))
     full, part = _trace_op(SP, mesh), _trace_op(SP, mesh, idx)
     scale = np.max(np.abs(full.apply(g)))
     assert np.max(np.abs(part.apply(g) - full.apply(g)[idx])) < 1e-12 * scale
     rows = full.matrix().reshape(n, 4, -1)[idx].reshape(-1, 4 * n)
     assert np.max(np.abs(part.matrix() - rows)) < 1e-12 * np.max(np.abs(rows))
+
+
+@pytest.mark.parametrize("a", [1j, 0.3 + 0.4j])
+@pytest.mark.parametrize("shift", [0.0, 0.03, -0.03])
+def test_cell_block_matches_the_per_height_rule(ellipsoid320, shift, a):
+    from deltashell.shell_ops import _cell_block
+
+    # one far-sum pass over all heights gives the blocks of one pass per
+    # height, up to the rounding of the matmuls' row blocking
+    sp = SpectralParameter(a, 1.0)
+    rows = np.arange(len(ellipsoid320))
+    heights = np.array([0.07, 0.025, 0.0, -0.01, -0.06])
+    got = _cell_block(sp, ellipsoid320, rows, shift, heights)
+    assert got.shape == (rows.size, heights.size, 4, 4)
+    for k, height in enumerate(heights):
+        want = cell_block_at_height(sp, ellipsoid320, rows, shift, height)
+        assert np.max(np.abs(got[:, k] - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_cell_rule_makes_one_pass_per_sheet(grid80_m8, mesh320, monkeypatch):
+    from deltashell import shell_ops
+
+    passes = []
+    blocks = shell_ops._kernel_blocks
+
+    def counted(sp, x, y, use, *args, **kwargs):
+        passes.append(use.__qualname__.split(".")[0])
+        return blocks(sp, x, y, use, *args, **kwargs)
+
+    monkeypatch.setattr(shell_ops, "_kernel_blocks", counted)
+    shell_ops._b_eps_op(grid80_m8, SP, 0.05)  # M = 8 sheets
+    assert passes == ["_cell_block"] * 8
+    passes.clear()
+    g = smooth_density(mesh320)
+    report = plemelj_check(SP, mesh320, g, max_eval_nodes=16)
+    assert len(report.offsets) == 5
+    # one cell pass for both sides and the trace, then one apply
+    assert passes == ["_cell_block", "_KernelSum"]
+
+
+def test_norm_of_a_zero_operator_is_zero(monkeypatch):
+    from scipy.sparse.linalg import ArpackError
+
+    from deltashell import shell_ops
+
+    # a zero well squeezes to B_eps = 0, and 1e-300 I has a Gram
+    # operator that underflows to 0: ARPACK fails on both
+    grid = make_operator_grid(build_mesh(sphere(1.0), 80),
+                              factorize(square_well(0.0, 0.25)), m_nodes=3)
+    zero = assemble_family(grid, SP, 0.05)["B"]
+    assert not np.any(zero.matrix)
+    assert zero.norm() == 0.0
+    tiny = shell_ops.ShellOperator(1e-300 * np.eye(40, dtype=complex),
+                                   np.ones(10))
+    assert tiny.norm() == 0.0
+
+    # any other ARPACK failure still raises
+    def fails(*args, **kwargs):
+        raise ArpackError(-9999)
+
+    monkeypatch.setattr(shell_ops, "eigsh", fails)
+    with pytest.raises(ArpackError):
+        shell_ops.ShellOperator(np.eye(40, dtype=complex), np.ones(10)).norm()
 
 
 def test_trace_norm_is_reproducible(mesh320):
