@@ -25,9 +25,10 @@ import scipy
 
 from . import CheckFailed, __version__
 from .coupling import (
+    KINDS,
     NonContractive,
     build_kv,
-    closed_form_couplings,
+    effective_coupling,
     lambda_electrostatic,
     lambda_neumann,
 )
@@ -264,7 +265,7 @@ def cmd_coupling(params, parser) -> int:
     else:
         methods["neumann"] = {"skipped": "series diverges, hs_norm >= 1"}
 
-    ce, cs = closed_form_couplings(profile.integral())
+    ce, cs = (effective_coupling(profile.integral(), kind) for kind in KINDS)
     methods["closed_form"] = {"lambda_e": ce, "lambda_s": cs}
     cand_e.append(ce)
     cand_s.append(cs)
@@ -521,7 +522,7 @@ COMMANDS = {
                  "gap eigenvalues of the singular shell per channel", [
         ("--kappa", _int_list, [-1], "channel indices, comma-separated"),
         ("--lam", float, None, "shell coupling (required)"),
-        ("--kind", ("electrostatic", "scalar"), "electrostatic", "coupling kind"),
+        ("--kind", KINDS, "electrostatic", "coupling kind"),
         ("--m", float, 1.0, "mass"),
         ("--R", float, 1.0, "shell radius"),
         ("--scan", _float_list, None, "scan window lo,hi,steps"),
@@ -531,7 +532,7 @@ COMMANDS = {
         *_PROFILE,
         ("--eps", _float_list, None, "strictly decreasing epsilon list, comma-separated"),
         ("--kappa", int, -1, "channel index"),
-        ("--kind", ("electrostatic", "scalar"), "electrostatic", "coupling kind"),
+        ("--kind", KINDS, "electrostatic", "coupling kind"),
         ("--m", float, 1.0, "mass"),
         ("--R", float, 1.0, "shell radius"),
         ("--panels", int, TRANSFER_PANELS, "transfer sub-panels"),

@@ -11,7 +11,7 @@ on (-1, 1), where J is real, and evaluates the effective shell couplings
 
 in real arithmetic, by direct solve, by Neumann series, and against the
 closed forms 2 tan(s / 2) and 2 tanh(s / 2) of the integrated strength
-s = int V.
+s = int V, whose one home is :func:`effective_coupling`.
 
 Quadrature is composite Gauss-Legendre on panels of about equal length, with
 an edge wherever the profile is not smooth (the ends of a table and its nodes
@@ -26,6 +26,7 @@ int v (1+J^2)^{-1} J u = 0 hold at machine precision on the grid.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -36,6 +37,8 @@ from .potential import PotentialProfile, UVFactorization
 
 DEFAULT_NODES = 128
 ILL_CONDITIONED = 1e12
+#: the shell kinds: electrostatic (carrier 1) and scalar (carrier beta)
+KINDS = ("electrostatic", "scalar")
 
 
 class NonContractive(Exception):
@@ -244,12 +247,23 @@ def lambda_neumann(kv: KVOperator, terms: int) -> CouplingConstants:
     return CouplingConstants(float(total_e), float(total_s), residuals)
 
 
-def closed_form_couplings(theta: float) -> tuple[float, float]:
-    """Closed forms (2 tan(theta/2), 2 tanh(theta/2)), theta = int V.
+def require_kind(kind: str) -> None:
+    """Raise ``ValueError`` unless ``kind`` is one of :data:`KINDS`."""
+    if kind not in KINDS:
+        raise ValueError(f"kind must be {' or '.join(map(repr, KINDS))}")
 
-    The couplings depend on the profile only through its integral, which
-    is tau*eta for the square well.
+
+def effective_coupling(strength: float, kind: str) -> float:
+    """2 tan(s/2) (electrostatic) or 2 tanh(s/2) (scalar), s = ``strength``.
+
+    The shell coupling a squeezed well of integral s tends to, s = tau*eta
+    for the square well.  An electrostatic |s| >= pi raises ``ValueError``.
     """
-    if abs(theta) >= np.pi:
-        raise ValueError(f"tan closed form needs |int V| < pi, got {theta}")
-    return 2.0 * np.tan(0.5 * theta), 2.0 * np.tanh(0.5 * theta)
+    require_kind(kind)
+    if kind == "scalar":
+        return 2.0 * math.tanh(0.5 * strength)
+    if not abs(strength) < math.pi:
+        raise ValueError(
+            f"integrated strength {strength:g} outside (-pi, pi), the "
+            "effective coupling diverges")
+    return 2.0 * math.tan(0.5 * strength)

@@ -36,10 +36,11 @@ from typing import Sequence
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, gmres
+from scipy.sparse.linalg import LinearOperator, eigsh, gmres
 from scipy.spatial import cKDTree
 
 from . import CheckFailed
+from .coupling import require_kind
 from .dirac_algebra import (ALPHA, BETA, I4, SpectralParameter, alpha_dot,
                             kernel_fields, phi_a, spinor_blocks)
 from .geometry import SurfaceMesh
@@ -335,6 +336,10 @@ def _cell_block(sp: SpectralParameter, mesh: SurfaceMesh, rows: np.ndarray,
     own = np.repeat(rows, heights.size)
     pts = (src[rows, None] + heights[:, None] * nu[rows, None]).reshape(-1, 3)
     v_far, d_far = np.empty((2, own.size, 3), dtype=complex)
+    # far sums are matmuls against four node columns: with fewer, a row's
+    # bits would depend on its place in its chunk (BLAS gemv tails)
+    nu_cols = np.column_stack([nu * wts[:, None], wts])
+    src_cols = np.column_stack([wts, src * wts[:, None]])
 
     def add(lo: int, hi: int, diff: np.ndarray, fields: tuple) -> None:
         pref, odd = fields
@@ -344,10 +349,11 @@ def _cell_block(sp: SpectralParameter, mesh: SurfaceMesh, rows: np.ndarray,
         base[np.arange(hi - lo), own[lo:hi]] = 0.0
         # curvature layer and the odd kernel carry nu(y) w; the flat
         # kernel's normal flux carries nu(x)
-        v_far[lo:hi] = ((curv * pref + ndot * odd) @ (nu * wts[:, None])
-                        - ((ndot * base) @ wts)[:, None] * nu[own[lo:hi]])
-        d_far[lo:hi] = ((odd @ wts)[:, None] * pts[lo:hi]
-                        - odd @ (src * wts[:, None]))
+        flux = ((ndot * base) @ nu_cols)[:, 3]
+        v_far[lo:hi] = (((curv * pref + ndot * odd) @ nu_cols)[:, :3]
+                        - flux[:, None] * nu[own[lo:hi]])
+        mom = odd @ src_cols
+        d_far[lo:hi] = mom[:, :1] * pts[lo:hi] - mom[:, 1:]
 
     _kernel_blocks(sp, pts, src, add, (own, np.arange(len(mesh))))
     rho = np.sqrt(mesh.weights[rows] / np.pi)[:, None]
@@ -460,28 +466,29 @@ class ShellOperator:
         reorthogonalization) finds it to ``NORM_TOL`` relative.  D acts
         on vectors and B^H x is conj(conj(x) @ B), a transposed GEMV, so
         the matrix is never copied.  The start vector is seeded, so
-        repeated calls agree to the bit.  Where the Gram operator maps it
-        to exactly zero, ARPACK fails, and the norm is 0.
+        repeated calls agree to the bit.  The Gram operator squares the
+        scale of B, so it runs on B / 2^e, 2^e the leading power of two of
+        B applied to the start: exact, and no under- or overflow.  Where
+        that probe is zero, so is B, and its norm is 0.
         """
         mat = self.matrix
         w = np.repeat(self.weights, 4)
         sw = np.sqrt(w)
-
-        def gram(x: np.ndarray) -> np.ndarray:
-            y = (mat @ (x / sw)) * w
-            return np.conj(np.conj(y) @ mat) / sw
-
         n = mat.shape[1]
         rng = np.random.default_rng(0)
         start = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        try:
-            val = eigsh(LinearOperator((n, n), matvec=gram, dtype=complex),
-                        k=1, v0=start, tol=NORM_TOL, return_eigenvectors=False)
-        except ArpackError:
-            if np.any(gram(start)):
-                raise
+        probe = np.max(np.abs((mat @ (start / sw)) * w))
+        if probe == 0.0:
             return 0.0
-        return float(np.sqrt(val[0]))
+        scale = 2.0 ** -int(np.frexp(probe)[1])
+
+        def gram(x: np.ndarray) -> np.ndarray:
+            y = (mat @ ((x / sw) * scale)) * w
+            return np.conj(np.conj(y) @ mat) * scale / sw
+
+        val = eigsh(LinearOperator((n, n), matvec=gram, dtype=complex),
+                    k=1, v0=start, tol=NORM_TOL, return_eigenvectors=False)
+        return float(np.sqrt(val[0])) / scale
 
 
 def cauchy_sigma(sp: SpectralParameter, mesh: SurfaceMesh) -> ShellOperator:
@@ -881,8 +888,7 @@ def shell_resolvent_apply(sp: SpectralParameter, mesh: SurfaceMesh,
     :class:`SingularBoundaryInverse`, naming the steps taken and the
     relative residual reached, when GMRES stops short of its tolerance.
     """
-    if kind not in ("electrostatic", "scalar"):
-        raise ValueError("kind must be 'electrostatic' or 'scalar'")
+    require_kind(kind)
     lam = float(lam)
     if not np.isfinite(lam):
         raise ValueError(f"coupling lam must be finite, got {lam}")

@@ -35,6 +35,7 @@ from scipy.optimize import brentq
 from scipy.special import spherical_in, spherical_kn
 
 from . import CheckFailed
+from .coupling import effective_coupling, require_kind
 from .potential import PotentialProfile, SqueezedFamily, squeeze
 
 __all__ = [
@@ -72,11 +73,6 @@ class CriticalCoupling(ValueError):
     """Coupling at which the shell transmission matrix degenerates."""
 
 
-def _require_kind(kind: str) -> None:
-    if kind not in ("electrostatic", "scalar"):
-        raise ValueError("kind must be 'electrostatic' or 'scalar'")
-
-
 @dataclass(frozen=True)
 class ChannelSystem:
     """One spin-orbit channel: kappa, mass, shell radius."""
@@ -110,7 +106,7 @@ def shell_matching(lam: float, kind: str) -> np.ndarray:
     excluded: the scalar Cayley denominator is singular there, and the
     electrostatic shell at +-2 decouples the two sides entirely.
     """
-    _require_kind(kind)
+    require_kind(kind)
     lam = float(lam)
     if not math.isfinite(lam):
         raise ValueError(f"coupling lam must be finite, got {lam}")
@@ -223,7 +219,7 @@ def transfer_through_squeezed(ch: ChannelSystem, a,
     ``a`` is a scalar, giving shape (2, 2), or an array of energies,
     giving ``a.shape + (2, 2)``; energies are taken a block at a time.
     """
-    _require_kind(kind)
+    require_kind(kind)
     if sub_panels < 16:
         raise ValueError("at least 16 sub-panels required")
     w = family.epsilon
@@ -394,30 +390,25 @@ def klein_convergence_study(profile: PotentialProfile,
     and the gap eigenvalue a(eps) is recomputed.  The study reports the
     error against the shell eigenvalue at the nonlinear effective
     coupling (tan for electrostatic, tanh for scalar wells) and the
-    distance to the eigenvalue at the naive linear coupling.  The error
-    sequence must decrease monotonically above the floor and keep a
-    positive log-log slope; once the error falls below half the
-    separation of the two shell eigenvalues, the run must sit closer to
-    the effective root than to the naive one.
+    distance to the eigenvalue at the naive linear coupling.  It asserts
+    two things, each raising :class:`CheckFailed`: the error decreases
+    from width to width while both errors are above ``GAP_FLOOR``, and
+    its log-log slope in eps is above 0.3 while the last error is above
+    100 ``GAP_FLOOR``.
 
     The error is first order in eps (about ``1.0 * eps`` for the unit
     square well at kappa = -1).  Once the path has passed the naive
     root, its distance to it is the separation minus the error, so the
     margin from the naive root at a fixed width is bounded by
-    ``separation / error - 1`` however well the sequence converges.
-    That 1x check is all this function asserts; a stronger margin is a
-    statement about the limit and belongs to the caller (the acceptance
-    battery judges it on the Richardson extrapolation of the last two
-    widths).
+    ``separation / error - 1`` however well the sequence converges.  A
+    margin is a statement about the limit and belongs to the caller
+    (the acceptance battery judges it on the Richardson extrapolation of
+    the last two widths).
     """
-    _require_kind(kind)
     strength = profile.integral()
+    lam_eff = effective_coupling(strength, kind)
     if strength == 0.0:
         raise ValueError("integrated strength vanishes")
-    if kind == "electrostatic" and not abs(strength) < math.pi:
-        raise ValueError(
-            f"integrated strength {strength:g} outside (-pi, pi), the "
-            "effective coupling diverges")
     eps = [float(e) for e in eps_list]
     if not eps:
         raise ValueError("need at least one epsilon")
@@ -426,10 +417,6 @@ def klein_convergence_study(profile: PotentialProfile,
     if eps[0] > profile.eta:
         raise ValueError("largest epsilon exceeds the profile support")
     ch = ChannelSystem(kappa, m, R)
-    if kind == "electrostatic":
-        lam_eff = 2.0 * math.tan(0.5 * strength)
-    else:
-        lam_eff = 2.0 * math.tanh(0.5 * strength)
     lam_lin = strength
     a_eff = _single_root(ch, shell_matching(lam_eff, kind), 0.0)
     a_lin = _single_root(ch, shell_matching(lam_lin, kind), 0.0)
@@ -450,16 +437,6 @@ def klein_convergence_study(profile: PotentialProfile,
             raise CheckFailed(
                 f"error to the effective coupling increased: "
                 f"{prev:.3e} -> {cur:.3e}")
-    # once the error drops below half the eigenvalue separation, the
-    # sequence is provably closer to the effective coupling's root than
-    # to the naive one; before that the path may legitimately cross it
-    sep = abs(a_eff - a_lin)
-    if gaps[-1] < 0.5 * sep:
-        final = abs(rows[-1][1] - a_lin)
-        if not final > gaps[-1]:
-            raise CheckFailed(
-                f"converged run sits closer to the naive coupling: "
-                f"distance {final:.3e} vs error {gaps[-1]:.3e}")
     slope = float("nan")
     if len(eps) >= 2 and all(g > 0 for g in gaps):
         slope = float(np.polyfit(np.log(eps), np.log(gaps), 1)[0])

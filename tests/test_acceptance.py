@@ -13,7 +13,7 @@ import numpy as np
 
 from deltashell.coupling import (
     build_kv,
-    closed_form_couplings,
+    effective_coupling,
     lambda_electrostatic,
     lambda_neumann,
 )
@@ -60,7 +60,8 @@ def test_criterion_1_klein_closed_forms():
     for theta in (0.1, 0.5, 1.0, math.pi / 2 - 0.1):
         f = factorize(square_well(theta, 1.0))
         got = lambda_electrostatic(build_kv(f, 128))
-        ref_e, ref_s = closed_form_couplings(theta)
+        ref_e = effective_coupling(theta, "electrostatic")
+        ref_s = effective_coupling(theta, "scalar")
         worst = max(worst, abs(got.lambda_e - ref_e), abs(got.lambda_s - ref_s))
     elapsed = time.perf_counter() - t0
     ok = worst < 1e-9
@@ -78,7 +79,8 @@ def test_criterion_2_method_triangle():
         direct = lambda_electrostatic(kv)
         neu = lambda_neumann(kv, 20)
         neu_e, neu_s = neu.lambda_e, neu.lambda_s
-        ref_e, ref_s = closed_form_couplings(theta)
+        ref_e = effective_coupling(theta, "electrostatic")
+        ref_s = effective_coupling(theta, "scalar")
         for trip in ((direct.lambda_e, neu_e, ref_e),
                      (direct.lambda_s, neu_s, ref_s)):
             worst = max(worst, max(trip) - min(trip))

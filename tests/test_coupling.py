@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -9,7 +10,7 @@ from deltashell.coupling import (
     KVOperator,
     NonContractive,
     build_kv,
-    closed_form_couplings,
+    effective_coupling,
     lambda_electrostatic,
     lambda_neumann,
 )
@@ -113,7 +114,8 @@ def test_electro_scalar_agree_at_weak_coupling():
 @given(theta=st.floats(0.05, 1.9))
 def test_direct_matches_closed_form(theta):
     res = lambda_electrostatic(kv_for_square(theta, 1.0))
-    tan_val, tanh_val = closed_form_couplings(theta)
+    tan_val = effective_coupling(theta, "electrostatic")
+    tanh_val = effective_coupling(theta, "scalar")
     assert res.lambda_e == pytest.approx(tan_val, abs=1e-9)
     assert res.lambda_s == pytest.approx(tanh_val, abs=1e-9)
 
@@ -256,10 +258,21 @@ def test_table_sampled_square_well_near_closed_form():
     p = from_table(tuple(ts), tuple(vs), eta=eta)
     f = factorize(p)
     res = lambda_electrostatic(build_kv(f, 128))
-    tan_val, _ = closed_form_couplings(tau * eta)
+    tan_val = effective_coupling(tau * eta, "electrostatic")
     assert res.lambda_e == pytest.approx(tan_val, abs=1e-4)
 
 
 def test_closed_form_guard():
     with pytest.raises(ValueError):
-        closed_form_couplings(np.pi)
+        effective_coupling(np.pi, "electrostatic")
+
+
+def test_effective_coupling_is_the_klein_law():
+    assert effective_coupling(1.0, "electrostatic") == 2.0 * math.tan(0.5)
+    # tanh is finite everywhere: only the electrostatic law has a domain
+    assert effective_coupling(-4.0, "scalar") == 2.0 * math.tanh(-2.0)
+    with pytest.raises(ValueError, match=r"-4 outside \(-pi, pi\)"):
+        effective_coupling(-4.0, "electrostatic")
+    with pytest.raises(ValueError,
+                       match="kind must be 'electrostatic' or 'scalar'"):
+        effective_coupling(1.0, "vector")

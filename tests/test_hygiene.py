@@ -26,7 +26,10 @@ by keyword or by position, by some call in ``src/`` or ``perfbench/``;
 a knob that only tests turn is not part of the program either.  A
 ``field(init=False)`` is no argument and is exempt.  A sixth scan
 fails on a dataclass field of ``src/`` that nothing in ``src/`` or
-``perfbench/`` reads as an attribute.
+``perfbench/`` reads as an attribute.  A seventh scan keeps the Klein law
+in one home: ``tan`` and ``tanh`` are called in ``src/`` by
+``coupling.effective_coupling`` alone, and the pair of shell kinds is
+written once, as ``coupling.KINDS``.
 """
 
 import ast
@@ -327,3 +330,29 @@ def test_scan_finds_an_unread_field():
 
 def test_every_field_is_read_by_the_program():
     assert unread_fields(*_program()) == []
+
+
+def kind_tuples(source: str) -> int:
+    """How many tuple, list or set displays hold just the two shell kinds."""
+    return sum(isinstance(node, (ast.Tuple, ast.List, ast.Set))
+               and len(node.elts) == 2
+               and {getattr(e, "value", None) for e in node.elts}
+               == {"electrostatic", "scalar"}
+               for node in ast.walk(ast.parse(source)))
+
+
+def test_scan_finds_kind_tuples():
+    source = ("K = ('electrostatic', 'scalar')\n"
+              "if k not in ['scalar', 'electrostatic']:\n    pass\n"
+              "x = ('scalar', 'vector')\ny = ('scalar', 'scalar')\n")
+    assert kind_tuples(source) == 2
+
+
+def test_klein_law_lives_in_coupling():
+    texts = {path.name: path.read_text(encoding="utf-8") for path in SOURCES}
+    law = {(name, caller) for name, text in texts.items()
+           for fn in ("tan", "tanh") for caller in callers(text, fn)}
+    assert law == {("coupling.py", "effective_coupling")}
+    kinds = {name: kind_tuples(text) for name, text in texts.items()}
+    assert {name: count for name, count in kinds.items() if count} == {
+        "coupling.py": 1}

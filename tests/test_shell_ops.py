@@ -10,8 +10,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import LinearOperator, gmres
 
-from deltashell.coupling import build_kv
+from deltashell.coupling import (KVOperator, build_kv, effective_coupling,
+                                 lambda_electrostatic)
 from deltashell.dirac_algebra import (
     ALPHA,
     BETA,
@@ -37,6 +39,7 @@ from deltashell.shell_ops import (
     c_eps_apply,
     cauchy_sigma,
     cauchy_sigma_apply,
+    default_volume_density,
     grid_norm,
     layer_potential,
     make_operator_grid,
@@ -133,7 +136,8 @@ def cell_block_at_height(sp, mesh, rows, shift, height):
 
     Its (rows, 4, 4) blocks layer (a + m beta) + i alpha.(v - d) are
     composed from dense 4x4 stacks; the one-pass rule over all heights
-    of a sheet must match it.
+    of a sheet must match it.  Its far sums are the same matmuls against
+    four node columns, whose bits do not depend on the rows of a call.
     """
     from deltashell.shell_ops import _kernel_blocks
 
@@ -145,6 +149,7 @@ def cell_block_at_height(sp, mesh, rows, shift, height):
     pts = src[rows] + height * nu[rows]
     v_far = np.empty((rows.size, 3), dtype=complex)
     d_far = np.empty((rows.size, 3), dtype=complex)
+    nu_cols = np.column_stack([nu * wts[:, None], wts])
 
     def add(lo, hi, diff, fields):
         pref, odd = fields
@@ -152,10 +157,10 @@ def cell_block_at_height(sp, mesh, rows, shift, height):
         r = np.sqrt(diff[..., 0] ** 2 + diff[..., 1] ** 2 + diff[..., 2] ** 2)
         base = 1.0 / (4.0 * np.pi * r**3)
         base[np.arange(hi - lo), rows[lo:hi]] = 0.0
-        v_far[lo:hi] = ((curv * pref + ndot * odd) @ (nu * wts[:, None])
-                        - ((ndot * base) @ wts)[:, None] * nu[rows[lo:hi]])
-        d_far[lo:hi] = ((odd @ wts)[:, None] * pts[lo:hi]
-                        - odd @ (src * wts[:, None]))
+        v_far[lo:hi] = (((curv * pref + ndot * odd) @ nu_cols)[:, :3]
+                        - ((ndot * base) @ nu_cols)[:, 3:] * nu[rows[lo:hi]])
+        mom = odd @ np.column_stack([wts, src * wts[:, None]])
+        d_far[lo:hi] = mom[:, :1] * pts[lo:hi] - mom[:, 1:]
 
     _kernel_blocks(sp, pts, src, add, (rows, np.arange(len(mesh))))
     rho = np.sqrt(mesh.weights[rows] / np.pi)
@@ -278,6 +283,27 @@ def test_kernel_sum_matches_phi_block_sum(which, chunk_bytes, grid80_m8,
     assert np.max(np.abs(op.apply(g) - want)) <= 1e-12 * scale
     dense = (op.matrix() @ g.ravel()).reshape(-1, 4)
     assert np.max(np.abs(dense - want)) <= 1e-12 * scale
+
+
+def test_operators_do_not_depend_on_the_chunk_layout(ellipsoid320, grid80_m8,
+                                                     monkeypatch):
+    from deltashell import shell_ops
+
+    # the cell rule's far sums and the apply are matmuls against four or
+    # more columns, so a row's bits do not depend on where it falls in
+    # its chunk (a = i: real kernel fields)
+    gc = RNG.normal(size=(len(ellipsoid320), 4)) + 0.5j
+    gb = RNG.normal(size=(grid80_m8.dofs // 4, 4)) - 0.5j
+    runs = []
+    for chunk_bytes in (4e6, 1.3e6, 3.7e5):
+        monkeypatch.setattr(shell_ops, "CHUNK_BYTES", chunk_bytes)
+        trace = shell_ops._trace_op(SP, ellipsoid320)
+        b_eps = shell_ops._b_eps_op(grid80_m8, SP, 0.05)
+        runs.append([trace.cells[1], trace.apply(gc),
+                     b_eps.cells[1], b_eps.apply(gb)])
+    for run in runs[1:]:
+        for got, want in zip(run, runs[0]):
+            assert np.array_equal(got, want)
 
 
 # ---------------------------------------------------------------------------
@@ -412,24 +438,35 @@ def test_norm_of_a_zero_operator_is_zero(monkeypatch):
 
     from deltashell import shell_ops
 
-    # a zero well squeezes to B_eps = 0, and 1e-300 I has a Gram
-    # operator that underflows to 0: ARPACK fails on both
+    def fails(*args, **kwargs):
+        raise ArpackError(-9999)
+
+    # a zero well squeezes to B_eps = 0, which maps the start vector to
+    # exactly zero: its norm is 0 without ARPACK
+    monkeypatch.setattr(shell_ops, "eigsh", fails)
     grid = make_operator_grid(build_mesh(sphere(1.0), 80),
                               factorize(square_well(0.0, 0.25)), m_nodes=3)
     zero = assemble_family(grid, SP, 0.05)["B"]
     assert not np.any(zero.matrix)
     assert zero.norm() == 0.0
-    tiny = shell_ops.ShellOperator(1e-300 * np.eye(40, dtype=complex),
-                                   np.ones(10))
-    assert tiny.norm() == 0.0
-
-    # any other ARPACK failure still raises
-    def fails(*args, **kwargs):
-        raise ArpackError(-9999)
-
-    monkeypatch.setattr(shell_ops, "eigsh", fails)
+    # any ARPACK failure raises
     with pytest.raises(ArpackError):
         shell_ops.ShellOperator(np.eye(40, dtype=complex), np.ones(10)).norm()
+
+
+@pytest.mark.parametrize("sign", [-1, 1])
+def test_norm_keeps_every_digit_at_any_scale(dense_operators, sign):
+    from deltashell.shell_ops import ShellOperator
+
+    # the Gram operator squares the scale of B, so unscaled it underflows
+    # below about 1e-154 and overflows above 1e+154
+    op = dense_operators["C_sigma"]
+    power = 2.0 ** (530 * sign)  # about 1e-160 or 1e+160, an exact scaling
+    assert ShellOperator(power * op.matrix, op.weights).norm() == (
+        power * op.norm())
+    scale = 10.0 ** (300 * sign)
+    ident = ShellOperator(scale * np.eye(40, dtype=complex), np.ones(10))
+    assert ident.norm() / scale == pytest.approx(1.0, rel=1e-12)
 
 
 def test_trace_norm_is_reproducible(mesh320):
@@ -960,6 +997,48 @@ def test_resolvent_near_critical_coupling(resolvent_setup):
             shell_resolvent_apply(SP, mesh, lam, "electrostatic", vol, fv, pts)
     # the scalar shell has no critical window there
     shell_resolvent_apply(SP, mesh, 1.96, "scalar", vol, fv, pts)
+
+
+def test_eps_to_zero_limit_is_the_shell_at_the_grids_coupling(mesh320):
+    # R_0 F = Phi F - A_0 (I + B_0 + B')^-1 C_0 F.  Since (alpha.nu)^2 = 1,
+    # Woodbury's identity makes it the shell resolvent at
+    # lam_M = sum v w (I + J_M^2)^-1 u, with J_M[p, q] =
+    # u_p sign(t_p - t_q) v_q w_q / 2 the grid's own transverse rule, read
+    # by the 1D coupling engine
+    sp = SpectralParameter(0.5j, 1.0)
+    grid = make_operator_grid(mesh320, factorize(square_well(4.0, 0.25)), 4)
+    t, w, u, v = grid.t_nodes, grid.t_weights, grid.u_vals, grid.v_vals
+    jm = 0.5 * u[:, None] * np.sign(t[:, None] - t[None, :]) * (v * w)[None, :]
+    hs = 0.5 * np.sqrt(np.sum(w * u**2) * np.sum(w * v**2))
+    lam_m = lambda_electrostatic(KVOperator(t, w, jm, hs, u, v)).lambda_e
+    assert lam_m == pytest.approx(1.0841014762, abs=1e-10)
+
+    volume = ball_grid(0.5, nr=6, ntheta=6, nphi=10)
+    f_vals = default_volume_density(volume)
+    dirs = np.array([[1.0, 0.2, -0.3], [-0.4, 1.0, 0.5], [0.3, -0.6, 1.0],
+                     [-1.0, -0.5, 0.2], [0.6, 0.7, -0.8], [-0.2, 0.3, -1.0]])
+    # radii clear of the mesh resolution, 0.198, on both sides of the shell
+    pts = (np.array([0.22, 0.45, 0.7, 1.5, 2.0, 2.5])[:, None]
+           * dirs / np.linalg.norm(dirs, axis=1)[:, None])
+    rhs = c_eps_apply(grid, sp, 0.0, volume, f_vals).ravel()
+    system = LinearOperator((rhs.size, rhs.size), dtype=complex, matvec=lambda x:
+                            x + b_limit_apply(grid, sp, x).ravel())
+    x, info = gmres(system, rhs, rtol=1e-12, atol=0.0, restart=200, maxiter=1)
+    assert info == 0
+    vhat = np.einsum("q,kqa->ka", v * w, x.reshape(grid.n_nodes, -1, 4))
+    r_0 = layer_potential(sp, mesh320, pts, -vhat, volume, f_vals)
+
+    def shell(lam):
+        return shell_resolvent_apply(sp, mesh320, lam, "electrostatic",
+                                     volume, f_vals, pts)
+
+    effective = shell(effective_coupling(1.0, "electrostatic"))
+    scale = np.linalg.norm(
+        effective - layer_potential(sp, mesh320, pts, None, volume, f_vals))
+    assert np.linalg.norm(r_0 - shell(lam_m)) <= 1e-10 * scale
+    # 2 tan(1/2) is the limit of lam_M in M, not lam_M: a Woodbury step
+    # that lost the grid's rule would read this gap
+    assert 1e-2 < np.linalg.norm(r_0 - effective) / scale < 1.5e-2
 
 
 def phi_sum(sp, x, y, coeff):

@@ -1,7 +1,11 @@
 import cmath
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +14,7 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
+from deltashell import CheckFailed, sphere_spectral
 from deltashell.cli import main
 from deltashell.potential import square_well, squeeze, truncated_gaussian
 from deltashell.sphere_spectral import (
@@ -598,6 +603,63 @@ def test_study_input_guards():
         klein_convergence_study(square_well(0.0, 1.0), [0.1])
     with pytest.raises(ValueError):
         klein_convergence_study(square_well(3.2, 1.0), [0.1])
+
+
+def fake_squeezed_roots(offsets):
+    """The study's root finder, with each squeezed root at a_eff + offsets[eps].
+
+    The shell roots (no ``near``) are still found; a squeezed root is
+    asked for near the effective one, at the half-width eps.
+    """
+    real = sphere_spectral._single_root
+
+    def single_root(ch, matching, half_width, near=None):
+        if near is None:
+            return real(ch, matching, half_width)
+        return near + offsets[half_width]
+
+    return single_root
+
+
+def test_study_refuses_an_error_that_grows(monkeypatch):
+    monkeypatch.setattr(sphere_spectral, "_single_root", fake_squeezed_roots(
+        {0.2: 0.1, 0.1: 0.05, 0.05: 0.08}))
+    with pytest.raises(CheckFailed, match="error to the effective coupling "
+                                          "increased: 5.000e-02 -> 8.000e-02"):
+        klein_convergence_study(square_well(1.0, 1.0), [0.2, 0.1, 0.05])
+
+
+# run under ``python -O``, where a bare assert would be stripped; the
+# errors fall, but by 1% a halving, a log-log slope of about 0.01
+STALLING_STUDY = """
+from deltashell import CheckFailed, sphere_spectral
+from deltashell.potential import square_well
+from test_sphere_spectral import fake_squeezed_roots
+
+if __debug__:
+    raise SystemExit("asserts are live; expected python -O")
+sphere_spectral._single_root = fake_squeezed_roots(
+    {0.2: 0.1, 0.1: 0.099, 0.05: 0.098})
+try:
+    sphere_spectral.klein_convergence_study(square_well(1.0, 1.0),
+                                            [0.2, 0.1, 0.05])
+except CheckFailed as exc:
+    print("CheckFailed:", exc)
+"""
+
+
+def test_study_refuses_an_error_that_stalls_under_optimized_python():
+    here = Path(__file__).resolve().parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(here.parent / "src"), str(here)]
+        + [p for p in [env.get("PYTHONPATH")] if p])
+    done = subprocess.run([sys.executable, "-O", "-c", STALLING_STUDY],
+                          capture_output=True, text=True, env=env,
+                          timeout=600)
+    assert done.returncode == 0, done.stderr
+    assert "CheckFailed: error does not decay with epsilon: slope 0.01" in (
+        done.stdout)
 
 
 def test_boost_generator_squares_to_identity():
