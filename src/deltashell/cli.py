@@ -403,9 +403,10 @@ def cmd_converge(params, parser) -> int:
     uv = factorize(square_well(params["tau"], params["eta"]))
     grid = make_operator_grid(mesh, uv, params["m_nodes"])
     table = strong_convergence_experiment(grid, sp, eps)
-    _emit(table.csv() + _meta_block("converge", params,
-                                    {"mesh_nodes": len(mesh)}),
-          params["out"])
+    # the coupling the eps -> 0 limit reaches: the grid's own J, not 2 tan(s/2)
+    lam = lambda_electrostatic(grid.kv).lambda_e
+    _emit(table.csv() + _meta_block("converge", params, {
+        "lambda_grid": lam, "mesh_nodes": len(mesh)}), params["out"])
     return 0
 
 

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import ROUND_FLOOR, Decimal
 from functools import lru_cache
 
 import numpy as np
@@ -119,6 +120,27 @@ class KVOperator:
     v_vals: np.ndarray
 
 
+def _sampled_kv(f: UVFactorization, t: np.ndarray, w: np.ndarray,
+                blocks: list) -> KVOperator:
+    """J on nodes ``t``, weights ``w``: the one place u and v are sampled.
+
+    Sign weights are sign(t_i - t_j) w_j but for the diagonal ``blocks``.
+    """
+    sign_w = np.sign(t[:, None] - t[None, :]) * w[None, :]
+    pos = 0
+    for block in blocks:
+        p = block.shape[0]
+        sign_w[pos : pos + p, pos : pos + p] = block
+        pos += p
+    u_vals = np.asarray(f.u(t), dtype=float)
+    v_vals = np.asarray(f.v(t), dtype=float)
+    matrix = 0.5 * u_vals[:, None] * sign_w * v_vals[None, :]
+
+    # HS norm of the kernel under the same quadrature; sign^2 = 1 a.e.
+    hs = 0.5 * np.sqrt(np.sum(w * u_vals**2) * np.sum(w * v_vals**2))
+    return KVOperator(t, w, matrix, float(hs), u_vals, v_vals)
+
+
 def build_kv(f: UVFactorization, n: int = DEFAULT_NODES) -> KVOperator:
     """Assemble the real Nystrom matrix of J = -i K_V on a composite grid.
 
@@ -134,29 +156,20 @@ def build_kv(f: UVFactorization, n: int = DEFAULT_NODES) -> KVOperator:
         half = 0.5 * (b - a)
         nodes.append(0.5 * (a + b) + half * xi)
         weights.append(half * w)
+        # same-panel: exact interpolatory sign-kernel weights
         blocks.append(half * A)
-    t = np.concatenate(nodes)
-    w = np.concatenate(weights)
+    return _sampled_kv(f, np.concatenate(nodes), np.concatenate(weights), blocks)
 
-    # cross-panel: sign is constant per pair, plain Nystrom weights
-    sign_w = np.sign(t[:, None] - t[None, :]) * w[None, :]
-    # same-panel: exact interpolatory sign-kernel weights
-    pos = 0
-    for block in blocks:
-        p = block.shape[0]
-        sign_w[pos : pos + p, pos : pos + p] = block
-        pos += p
 
-    u_vals = np.asarray(f.u(t), dtype=float)
-    v_vals = np.asarray(f.v(t), dtype=float)
-    matrix = 0.5 * u_vals[:, None] * sign_w * v_vals[None, :]
+def gauss_kv(f: UVFactorization, m: int) -> KVOperator:
+    """J on the plain m-point Gauss-Legendre rule: the collar grid's rule.
 
-    # HS norm of the kernel under the same quadrature; sign^2 = 1 a.e.
-    hs = 0.5 * np.sqrt(np.sum(w * u_vals**2) * np.sum(w * v_vals**2))
-    return KVOperator(
-        nodes=t, weights=w, matrix=matrix, hs_norm=float(hs),
-        u_vals=u_vals, v_vals=v_vals,
-    )
+    Its sign weights stay plain Gauss where the kernel flips, so its
+    lambda_e is the coupling that the squeezed operators' eps -> 0 limit
+    reaches, which tends to 2 tan(s/2) only as m grows.
+    """
+    t, w = np.polynomial.legendre.leggauss(m)
+    return _sampled_kv(f, t, w, [])
 
 
 @dataclass(frozen=True)
@@ -186,13 +199,20 @@ def lu_cond1(a: np.ndarray):
     return (lu, piv), (1.0 / rcond if rcond > 0.0 else np.inf)
 
 
+def _cut4(x: float) -> float:
+    """A positive ``x`` cut toward zero to 4 significant digits; inf stays."""
+    d = Decimal(x)
+    return float(d.quantize(Decimal(1).scaleb(d.adjusted() - 3), ROUND_FLOOR)
+                 if d.is_finite() else x)
+
+
 def lambda_electrostatic(kv: KVOperator) -> CouplingConstants:
     """lambda_e and lambda_s by direct solves of (I +- J^2) x = u.
 
     These are the systems (I -+ K_V^2) x = u, as K_V = iJ.  Each is
-    factored once (:func:`lu_cond1`), and its 1-norm condition estimate
-    from the LU factors is reported as ``cond1_lambda_e`` /
-    ``cond1_lambda_s``.
+    factored once (:func:`lu_cond1`); its 1-norm condition estimate,
+    cut toward zero to 4 digits as the last ones move with memory
+    layout, is reported as ``cond1_lambda_e`` / ``cond1_lambda_s``.
     When the HS bound is >= 1, an estimate above ``ILL_CONDITIONED``
     (an exactly singular system reads infinite) raises
     :class:`NonContractive`.
@@ -204,7 +224,7 @@ def lambda_electrostatic(kv: KVOperator) -> CouplingConstants:
         op = sign * jsq
         op[np.diag_indices_from(op)] += 1.0
         factors, cond = lu_cond1(op)
-        residuals[f"cond1_{name}"] = cond
+        residuals[f"cond1_{name}"] = _cut4(cond)
         if kv.hs_norm >= 1.0 and cond > ILL_CONDITIONED:
             raise NonContractive(
                 f"HS bound {kv.hs_norm:.3f} >= 1 and 1-norm condition "

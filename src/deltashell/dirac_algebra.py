@@ -103,7 +103,12 @@ def kernel_fields(sp: SpectralParameter, x) -> tuple:
         raise ValueError("kernel evaluated at (or too close to) its singular point")
     w = sp.branch.real if sp.branch.imag == 0 else sp.branch
     pref = np.exp(-w * r) / (4.0 * np.pi * r)
-    return pref, pref * (1.0 + w * r) / (r * r)
+    if sp.branch.imag == 0:
+        return pref, pref * (1.0 + w * r) / (r * r)
+    # odd = pref (g + i h) / r^2 by real products: a complex one's bits vary with layout
+    g, h, r2 = 1.0 + w.real * r, w.imag * r, r * r
+    return pref, ((pref.real * g - pref.imag * h) / r2
+                  + 1j * ((pref.imag * g + pref.real * h) / r2))
 
 
 def spinor_blocks(sp: SpectralParameter, even, vec) -> ArrayC:

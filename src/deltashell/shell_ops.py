@@ -35,12 +35,11 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 from scipy.sparse.linalg import LinearOperator, eigsh, gmres
 from scipy.spatial import cKDTree
 
 from . import CheckFailed
-from .coupling import require_kind
+from .coupling import KVOperator, gauss_kv, require_kind
 from .dirac_algebra import (ALPHA, BETA, I4, SpectralParameter, alpha_dot,
                             kernel_fields, phi_a, spinor_blocks)
 from .geometry import SurfaceMesh
@@ -106,10 +105,10 @@ def ball_grid(radius: float, nr: int = 8, ntheta: int = 8, nphi: int = 16,
     """
     if radius <= 0.0:
         raise ValueError("radius must be positive")
-    xr, wr = leggauss(nr)
+    xr, wr = np.polynomial.legendre.leggauss(nr)
     r = 0.5 * radius * (xr + 1.0)
     wr = 0.5 * radius * wr
-    xc, wc = leggauss(ntheta)
+    xc, wc = np.polynomial.legendre.leggauss(ntheta)
     phi = 2.0 * np.pi * np.arange(nphi) / nphi
     wphi = 2.0 * np.pi / nphi
     sin_t = np.sqrt(1.0 - xc ** 2)
@@ -614,13 +613,10 @@ def plemelj_check(sp: SpectralParameter, mesh: SurfaceMesh, g: np.ndarray,
 
 @dataclass(frozen=True)
 class OperatorGrid:
-    """Tensor quadrature grid (surface mesh) x (transverse Gauss rule)."""
+    """Surface mesh x the transverse Gauss rule of ``kv``, the engine's J."""
 
     mesh: SurfaceMesh
-    t_nodes: np.ndarray
-    t_weights: np.ndarray
-    u_vals: np.ndarray
-    v_vals: np.ndarray
+    kv: KVOperator
 
     @property
     def n_nodes(self) -> int:
@@ -628,7 +624,7 @@ class OperatorGrid:
 
     @property
     def n_transverse(self) -> int:
-        return self.t_nodes.size
+        return self.kv.nodes.size
 
     @property
     def dofs(self) -> int:
@@ -636,21 +632,19 @@ class OperatorGrid:
 
     def scalar_weights(self) -> np.ndarray:
         """Quadrature weights per (node, t) pair, flattened."""
-        return np.outer(self.mesh.weights, self.t_weights).ravel()
+        return np.outer(self.mesh.weights, self.kv.weights).ravel()
 
 
 def make_operator_grid(mesh: SurfaceMesh, uv: UVFactorization,
                        m_nodes: int = 8) -> OperatorGrid:
     if m_nodes < 2:
         raise ValueError("need at least 2 transverse nodes")
-    t, w = leggauss(m_nodes)
-    return OperatorGrid(mesh, t, w, np.asarray(uv.u(t), dtype=float),
-                        np.asarray(uv.v(t), dtype=float))
+    return OperatorGrid(mesh, gauss_kv(uv, m_nodes))
 
 
 def grid_norm(grid: OperatorGrid, g: np.ndarray) -> float:
     gv = np.asarray(g, dtype=complex).reshape(grid.n_nodes, grid.n_transverse, 4)
-    w = np.outer(grid.mesh.weights, grid.t_weights)
+    w = np.outer(grid.mesh.weights, grid.kv.weights)
     return float(np.sqrt(np.sum(w * np.sum(np.abs(gv) ** 2, axis=2))))
 
 
@@ -658,7 +652,7 @@ def default_separable_density(grid: OperatorGrid) -> np.ndarray:
     """Smooth separable grid density used by experiments and tests."""
     spinor = np.array([1.0, 0.5, 0.25j, -0.3], dtype=complex)
     spatial = np.exp(-np.sum((grid.mesh.nodes - np.array([0.2, 0.1, 0.4])) ** 2, axis=1))
-    transverse = 1.0 + 0.5 * grid.t_nodes ** 2
+    transverse = 1.0 + 0.5 * grid.kv.nodes ** 2
     return (spatial[:, None, None] * transverse[None, :, None]
             * spinor[None, None, :])
 
@@ -691,7 +685,7 @@ def _collar(grid: OperatorGrid, eps: float, squeezed: bool) -> tuple:
     if eps > budget:
         raise ValueError(
             f"collar width eps={eps:g} exceeds the injectivity budget {budget:.6g}")
-    pts, wts = grid.mesh.sheet(eps * grid.t_nodes)
+    pts, wts = grid.mesh.sheet(eps * grid.kv.nodes)
     pts = pts.reshape(-1, 3)
     if squeezed:
         dist, _ = cKDTree(pts).query(pts, k=2)
@@ -699,7 +693,7 @@ def _collar(grid: OperatorGrid, eps: float, squeezed: bool) -> tuple:
         if closest <= COINCIDENCE_TOL:
             raise DegenerateQuadrature(
                 f"shifted quadrature points separated by {closest:.3e}")
-    return pts, (wts * (grid.v_vals * grid.t_weights)).ravel()
+    return pts, (wts * (grid.kv.v_vals * grid.kv.weights)).ravel()
 
 
 def _b_eps_op(grid: OperatorGrid, sp: SpectralParameter,
@@ -716,13 +710,13 @@ def _b_eps_op(grid: OperatorGrid, sp: SpectralParameter,
     floor here.
     """
     pts, wts = _collar(grid, eps, True)
-    n, m, t = grid.n_nodes, grid.n_transverse, grid.t_nodes
-    rows = np.arange(n)
+    n, m, kv = grid.n_nodes, grid.n_transverse, grid.kv
+    t, rows = kv.nodes, np.arange(n)
     same = np.empty((n, m, m, 4, 4), dtype=complex)
     for q in range(m):  # the sheet of t_q, from every height eps (t_p - t_q)
-        same[:, :, q] = (grid.v_vals[q] * grid.t_weights[q]) * _cell_block(
+        same[:, :, q] = (kv.v_vals[q] * kv.weights[q]) * _cell_block(
             sp, grid.mesh, rows, eps * t[q], eps * (t - t[q]))
-    return _KernelSum(sp, pts, pts, wts, np.tile(grid.u_vals, n), (rows, same))
+    return _KernelSum(sp, pts, pts, wts, np.tile(kv.u_vals, n), (rows, same))
 
 
 def b_eps_apply(grid: OperatorGrid, sp: SpectralParameter, eps: float,
@@ -735,23 +729,17 @@ def b_eps_apply(grid: OperatorGrid, sp: SpectralParameter, eps: float,
 def b_limit_apply(grid: OperatorGrid, sp: SpectralParameter,
                   g: np.ndarray) -> np.ndarray:
     """Action of B_0 + B' (the eps -> 0 limit of B_eps)."""
-    n, m = grid.n_nodes, grid.n_transverse
-    gv = np.asarray(g, dtype=complex).reshape(n, m, 4)
-    vhat = np.einsum("q,kqa->ka", grid.v_vals * grid.t_weights, gv)
+    gv = np.asarray(g, dtype=complex).reshape(grid.n_nodes, grid.n_transverse, 4)
+    vhat = np.einsum("q,kqa->ka", grid.kv.v_vals * grid.kv.weights, gv)
     traced = _trace_op(sp, grid.mesh).apply(vhat)
-    out = grid.u_vals[None, :, None] * traced[:, None, :]
-    out += bprime_apply(grid, gv)
-    return out
+    return grid.kv.u_vals[None, :, None] * traced[:, None, :] + bprime_apply(grid, gv)
 
 
 def bprime_apply(grid: OperatorGrid, g: np.ndarray) -> np.ndarray:
-    n, m = grid.n_nodes, grid.n_transverse
-    gv = np.asarray(g, dtype=complex).reshape(n, m, 4)
-    sign = np.sign(grid.t_nodes[:, None] - grid.t_nodes[None, :])
-    kmat = 0.5j * (grid.u_vals[:, None] * sign
-                   * grid.v_vals[None, :] * grid.t_weights[None, :])
-    an = alpha_dot(grid.mesh.normals)
-    return np.einsum("pq,kab,kqb->kpa", kmat, an, gv)
+    """B' = K_V alpha.nu node by node, K_V = i J of the grid's rule."""
+    gv = np.asarray(g, dtype=complex).reshape(grid.n_nodes, grid.n_transverse, 4)
+    return np.einsum("pq,kab,kqb->kpa", 1j * grid.kv.matrix,
+                     alpha_dot(grid.mesh.normals), gv)
 
 
 def a_eps_apply(grid: OperatorGrid, sp: SpectralParameter, eps: float,
@@ -765,7 +753,7 @@ def c_eps_apply(grid: OperatorGrid, sp: SpectralParameter, eps: float,
                 volume: VolumeGrid, f_vals: np.ndarray) -> np.ndarray:
     """Evaluate u(t) Phi^a(F, 0) on the (shifted) collar grid."""
     op = _KernelSum(sp, _collar(grid, eps, False)[0], volume.points,
-                    volume.weights, np.tile(grid.u_vals, grid.n_nodes))
+                    volume.weights, np.tile(grid.kv.u_vals, grid.n_nodes))
     return op.apply(f_vals).reshape(grid.n_nodes, grid.n_transverse, 4)
 
 

@@ -38,20 +38,6 @@ from . import CheckFailed
 from .coupling import effective_coupling, require_kind
 from .potential import PotentialProfile, SqueezedFamily, squeeze
 
-__all__ = [
-    "CriticalCoupling",
-    "ChannelSystem",
-    "SpectralResult",
-    "KleinStudy",
-    "rotation",
-    "shell_matching",
-    "inner_solution",
-    "outer_solution",
-    "transfer_through_squeezed",
-    "find_gap_eigenvalues",
-    "klein_convergence_study",
-]
-
 #: couplings this close to +-2 make the matching matrix unusable
 COUPLING_SINGULARITY_TOL = 1e-12
 #: default sub-panel count for squeezed transfer matrices

@@ -10,6 +10,9 @@ import pytest
 
 from deltashell import CheckFailed, cli, geometry
 from deltashell.cli import _build_parser, main
+from deltashell.coupling import lambda_electrostatic
+from deltashell.potential import factorize, square_well
+from deltashell.shell_ops import make_operator_grid
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -116,6 +119,22 @@ def test_coupling_neumann_reported_with_bound(tmp_path):
     neu = doc["methods"]["neumann"]
     assert abs(neu["lambda_e"] - doc["lambda_e"]) < 1e-10
     assert neu["error_bound"] < 1e-12
+
+
+def test_coupling_reruns_are_byte_identical(tmp_path):
+    # the condition estimates' last digits move with where the arrays
+    # fall in memory; the report cuts them to 4 digits, so reruns with
+    # other arrays allocated in between all print the same
+    args = ["coupling", "--n", "1024", "--tau", "2.5"]
+    outputs, held = set(), []
+    for k in range(12):
+        held.append(np.ones(1000 * (k + 1) + 7 * k))
+        code, text = run_text(args, tmp_path, f"{k}.json")
+        assert code == 0
+        outputs.add(text)
+    assert len(outputs) == 1
+    assert json.loads(outputs.pop())["methods"]["direct"]["residuals"][
+        "cond1_lambda_s"] == 2.537
 
 
 # ---------------------------------------------------------------------------
@@ -318,6 +337,20 @@ def test_converge_emits_decaying_norms(tmp_path):
     for col in (1, 2, 3):
         assert float(rows[1][col]) < float(rows[0][col])
     assert any(ln.startswith("# mesh_nodes=80") for ln in meta_lines(text))
+
+
+def test_converge_prints_the_coupling_of_its_grid(tmp_path):
+    # the README run: its eps -> 0 limit is the shell at lambda_M, the
+    # coupling of the grid's own J, which lies below 2 tan(tau eta / 2)
+    code, text = run_text(
+        ["converge", "--N", "256", "--M", "8", "--eps", "0.2,0.1,0.05"], tmp_path)
+    assert code == 0
+    meta = dict(ln[2:].split("=", 1) for ln in meta_lines(text))
+    uv = factorize(square_well(0.4, 0.25))
+    grid = make_operator_grid(geometry.build_mesh(geometry.sphere(1.0), 256), uv, 8)
+    lam = float(meta["lambda_grid"])
+    assert lam == lambda_electrostatic(grid.kv).lambda_e
+    assert 2.0 * math.tan(0.05) - lam == pytest.approx(1.89e-6, abs=5e-9)
 
 
 def test_converge_empty_eps_is_usage_error():

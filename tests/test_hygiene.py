@@ -29,7 +29,10 @@ fails on a dataclass field of ``src/`` that nothing in ``src/`` or
 ``perfbench/`` reads as an attribute.  A seventh scan keeps the Klein law
 in one home: ``tan`` and ``tanh`` are called in ``src/`` by
 ``coupling.effective_coupling`` alone, and the pair of shell kinds is
-written once, as ``coupling.KINDS``.
+written once, as ``coupling.KINDS``.  An eighth keeps the transverse
+rule in one home: in ``src/`` only ``coupling`` samples the profile's
+u and v, and in ``shell_ops`` ``sign`` serves only the closed-form
+cells, never a second sign kernel.
 """
 
 import ast
@@ -356,3 +359,11 @@ def test_klein_law_lives_in_coupling():
     kinds = {name: kind_tuples(text) for name, text in texts.items()}
     assert {name: count for name, count in kinds.items() if count} == {
         "coupling.py": 1}
+
+
+def test_transverse_rule_lives_in_coupling():
+    texts = {path.name: path.read_text(encoding="utf-8") for path in SOURCES}
+    for fn in ("u", "v"):
+        assert {(name, caller) for name, text in texts.items()
+                for caller in callers(text, fn)} == {("coupling.py", "_sampled_kv")}
+    assert callers(texts["shell_ops.py"], "sign") == ["_cell_block", "_disk_moments"]

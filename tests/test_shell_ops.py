@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy.sparse.linalg import LinearOperator, gmres
 
-from deltashell.coupling import (KVOperator, build_kv, effective_coupling,
+from deltashell.coupling import (build_kv, effective_coupling,
                                  lambda_electrostatic)
 from deltashell.dirac_algebra import (
     ALPHA,
@@ -122,9 +122,9 @@ def bprime_direct(grid):
         an = alpha_dot(grid.mesh.normals[k])
         for p in range(m):
             for q in range(m):
-                val = (0.5j * grid.u_vals[p]
-                       * np.sign(grid.t_nodes[p] - grid.t_nodes[q])
-                       * grid.v_vals[q] * grid.t_weights[q])
+                val = (0.5j * grid.kv.u_vals[p]
+                       * np.sign(grid.kv.nodes[p] - grid.kv.nodes[q])
+                       * grid.kv.v_vals[q] * grid.kv.weights[q])
                 r0 = (k * m + p) * 4
                 c0 = (k * m + q) * 4
                 out[r0:r0 + 4, c0:c0 + 4] = val * an
@@ -291,19 +291,21 @@ def test_operators_do_not_depend_on_the_chunk_layout(ellipsoid320, grid80_m8,
 
     # the cell rule's far sums and the apply are matmuls against four or
     # more columns, so a row's bits do not depend on where it falls in
-    # its chunk (a = i: real kernel fields)
+    # its chunk; the kernel fields are real at a = i, and at a complex
+    # branch (a = 0.3 + 0.4i) formed from real products
     gc = RNG.normal(size=(len(ellipsoid320), 4)) + 0.5j
     gb = RNG.normal(size=(grid80_m8.dofs // 4, 4)) - 0.5j
-    runs = []
-    for chunk_bytes in (4e6, 1.3e6, 3.7e5):
-        monkeypatch.setattr(shell_ops, "CHUNK_BYTES", chunk_bytes)
-        trace = shell_ops._trace_op(SP, ellipsoid320)
-        b_eps = shell_ops._b_eps_op(grid80_m8, SP, 0.05)
-        runs.append([trace.cells[1], trace.apply(gc),
-                     b_eps.cells[1], b_eps.apply(gb)])
-    for run in runs[1:]:
-        for got, want in zip(run, runs[0]):
-            assert np.array_equal(got, want)
+    for sp in (SP, SpectralParameter(0.3 + 0.4j, 1.0)):
+        runs = []
+        for chunk_bytes in (4e6, 1.3e6, 3.7e5):
+            monkeypatch.setattr(shell_ops, "CHUNK_BYTES", chunk_bytes)
+            trace = shell_ops._trace_op(sp, ellipsoid320)
+            b_eps = shell_ops._b_eps_op(grid80_m8, sp, 0.05)
+            runs.append([trace.cells[1], trace.apply(gc),
+                         b_eps.cells[1], b_eps.apply(gb)])
+        for run in runs[1:]:
+            for got, want in zip(run, runs[0]):
+                assert np.array_equal(got, want)
 
 
 # ---------------------------------------------------------------------------
@@ -594,8 +596,8 @@ def test_grid_total_weight_is_twice_area(grid_m3):
 
 
 def test_coarea_weights_on_unit_sphere(grid_m3):
-    det = grid_m3.mesh.coarea(0.3 * grid_m3.t_nodes)
-    expect = (1.0 + 0.3 * grid_m3.t_nodes[None, :]) ** 2
+    det = grid_m3.mesh.coarea(0.3 * grid_m3.kv.nodes)
+    expect = (1.0 + 0.3 * grid_m3.kv.nodes[None, :]) ** 2
     assert np.max(np.abs(det - expect)) < 1e-13
 
 
@@ -623,7 +625,7 @@ def test_b_limit_dense_matches_matrix_free(grid_m3):
     n = grid_m3.n_nodes
     # B_0 = u(t) C_sigma int v(s) . ds, composed from the dense trace
     trace = cauchy_sigma(SP, grid_m3.mesh).matrix.reshape(n, 4, n, 4)
-    uv = np.outer(grid_m3.u_vals, grid_m3.v_vals * grid_m3.t_weights)
+    uv = np.outer(grid_m3.kv.u_vals, grid_m3.kv.v_vals * grid_m3.kv.weights)
     b0 = np.einsum("kalb,pq->kpalqb", trace, uv).reshape(
         grid_m3.dofs, grid_m3.dofs)
     dense = (b0 @ g.ravel()
@@ -741,14 +743,14 @@ def test_bprime_parity_for_even_profile(grid80_m8):
     flipped = out[:, ::-1, :]
     assert np.max(np.abs(out + flipped)) < 1e-14
     vavg = np.einsum("q,kqa->ka",
-                     grid80_m8.v_vals * grid80_m8.t_weights, out)
+                     grid80_m8.kv.v_vals * grid80_m8.kv.weights, out)
     assert np.max(np.abs(vavg)) < 1e-14
 
 
 def bprime_transverse_kernel(grid):
-    sign = np.sign(grid.t_nodes[:, None] - grid.t_nodes[None, :])
-    return 0.5j * (grid.u_vals[:, None] * sign
-                   * grid.v_vals[None, :] * grid.t_weights[None, :])
+    sign = np.sign(grid.kv.nodes[:, None] - grid.kv.nodes[None, :])
+    return 0.5j * (grid.kv.u_vals[:, None] * sign
+                   * grid.kv.v_vals[None, :] * grid.kv.weights[None, :])
 
 
 def test_bprime_eigenvalues_match_kv_singular_values(grid80_m8):
@@ -759,7 +761,7 @@ def test_bprime_eigenvalues_match_kv_singular_values(grid80_m8):
     ev = np.sort(ev.real)
     assert np.max(np.abs(ev + ev[::-1])) < 1e-12
     # weighted singular values of the grid K_V
-    sw = np.sqrt(grid80_m8.t_weights)
+    sw = np.sqrt(grid80_m8.kv.weights)
     sig = np.linalg.svd(kmat.imag * (sw[:, None] / sw[None, :]),
                         compute_uv=False)
     top = np.max(np.abs(ev))
@@ -777,14 +779,14 @@ def test_uv_reduction_recovers_coupling_scalar(grid80_m8):
     m = grid80_m8.n_transverse
     an = alpha_dot(grid80_m8.mesh.normals[0])
     blk = np.kron(kmat, an)
-    uhat = np.kron(grid80_m8.u_vals[:, None], np.eye(4))
-    vhat = np.kron((grid80_m8.v_vals * grid80_m8.t_weights)[None, :],
+    uhat = np.kron(grid80_m8.kv.u_vals[:, None], np.eye(4))
+    vhat = np.kron((grid80_m8.kv.v_vals * grid80_m8.kv.weights)[None, :],
                    np.eye(4))
     sandwich = vhat @ np.linalg.solve(np.eye(4 * m) + blk, uhat)
     x = np.linalg.solve(np.eye(m) - kmat @ kmat,
-                        grid80_m8.u_vals.astype(complex))
-    s0 = np.sum(grid80_m8.v_vals * grid80_m8.t_weights * x)
-    s1 = np.sum(grid80_m8.v_vals * grid80_m8.t_weights * (kmat @ x))
+                        grid80_m8.kv.u_vals.astype(complex))
+    s0 = np.sum(grid80_m8.kv.v_vals * grid80_m8.kv.weights * x)
+    s1 = np.sum(grid80_m8.kv.v_vals * grid80_m8.kv.weights * (kmat @ x))
     expect = s0 * np.eye(4) - s1 * an
     assert np.max(np.abs(sandwich - expect)) < 1e-10
     # s0 is the coupling integral; tan closed form for the square well
@@ -1006,11 +1008,15 @@ def test_eps_to_zero_limit_is_the_shell_at_the_grids_coupling(mesh320):
     # u_p sign(t_p - t_q) v_q w_q / 2 the grid's own transverse rule, read
     # by the 1D coupling engine
     sp = SpectralParameter(0.5j, 1.0)
-    grid = make_operator_grid(mesh320, factorize(square_well(4.0, 0.25)), 4)
-    t, w, u, v = grid.t_nodes, grid.t_weights, grid.u_vals, grid.v_vals
+    uv = factorize(square_well(4.0, 0.25))
+    grid = make_operator_grid(mesh320, uv, 4)
+    # J_M written out by hand: the grid's J is pinned to it, so the
+    # identity below does not rest on the program's own J
+    t, w = np.polynomial.legendre.leggauss(4)
+    u, v = uv.u(t), uv.v(t)
     jm = 0.5 * u[:, None] * np.sign(t[:, None] - t[None, :]) * (v * w)[None, :]
-    hs = 0.5 * np.sqrt(np.sum(w * u**2) * np.sum(w * v**2))
-    lam_m = lambda_electrostatic(KVOperator(t, w, jm, hs, u, v)).lambda_e
+    assert np.max(np.abs(grid.kv.matrix - jm)) <= 1e-15 * np.max(np.abs(jm))
+    lam_m = lambda_electrostatic(grid.kv).lambda_e
     assert lam_m == pytest.approx(1.0841014762, abs=1e-10)
 
     volume = ball_grid(0.5, nr=6, ntheta=6, nphi=10)
