@@ -15,8 +15,11 @@ Each operator is defined once, as a ``_KernelSum``: its points, weights
 and closed-form cells.  The program reads it by the apply, which sums
 the kernel's two scalar fields by matmuls; the dense matrix of its 4x4
 blocks is only an oracle.  One chunk loop, ``_kernel_blocks``,
-evaluates the kernel for both, in blocks of rows of about
-``CHUNK_BYTES``; the closed-form cells are added after it.  The
+evaluates the kernel for every reading, in blocks of rows of about
+``CHUNK_BYTES``; the closed-form cells are added after it.  A caller
+that applies one operator once streams the fields; one that iterates
+(GMRES, the ARPACK norm of ``ShellOperator``) keeps them, evaluated
+once, and also reads the adjoint from them.  The
 singular cells use an analytically integrated flat-disk model: each
 surface node owns a disk of equal area, and the odd (Riesz) part of the
 kernel integrates to zero over the disk at zero offset, which is the
@@ -31,7 +34,8 @@ the Plemelj check.  ``spinor_blocks`` writes every Dirac block.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -48,9 +52,11 @@ from .potential import UVFactorization
 CRITICAL_WINDOW = 0.05
 #: relative residual the shell resolvent's boundary solve must reach
 RESOLVENT_RTOL = 1e-12
-#: relative tolerance on sigma^2 in ``ShellOperator.norm``; it bounds
+#: relative tolerance on sigma^2 in ``weighted_norm``; it bounds
 #: sigma to about half of it
 NORM_TOL = 1e-12
+#: dofs up to which an operator is held in memory: cached fields (32 or
+#: 64 bytes a pair of points) for its solves and norms, or the dense oracle
 DENSE_DOF_CAP = 16384
 COINCIDENCE_TOL = 1e-10
 MIN_TRACE_NODES = 128
@@ -146,9 +152,9 @@ def _kernel_blocks(sp: SpectralParameter, x: np.ndarray, y: np.ndarray,
     ``owners = (x_owner, y_owner)``, a pair whose owners match has x
     over the surface cell of y: its fields or block are zero and its
     ``diff`` is arbitrary, for the caller to fill with the cell's closed
-    form.  Callers keep nothing of a block.  A block holds about
-    ``CHUNK_BYTES`` of kernel (128 bytes a pair for fields, 256 for 4x4
-    blocks).
+    form.  Only :meth:`_KernelSum.fields` keeps anything of a block.  A
+    block holds about ``CHUNK_BYTES`` of kernel (128 bytes a pair for
+    fields, 256 for 4x4 blocks).
     """
     nx, ny = x.shape[0], y.shape[0]
     rows = max(1, int(CHUNK_BYTES // (max(ny, 1) * (256 if dense else 128))))
@@ -169,6 +175,17 @@ def _kernel_blocks(sp: SpectralParameter, x: np.ndarray, y: np.ndarray,
         del diff, kernel  # freed before the next block is built
 
 
+def _field_stack(diff: np.ndarray, kernel: tuple):
+    """The four fields pref, odd (x - y)_0, odd (x - y)_1, odd (x - y)_2.
+
+    A generator, so a streamed sum holds one of them at a time.
+    """
+    pref, odd = kernel
+    yield pref
+    for c in range(3):
+        yield odd * diff[..., c]
+
+
 @dataclass(frozen=True)
 class _KernelSum:
     """One shell operator: g -> row_i sum_j phi_a(x_i - y_j) col_j g_j.
@@ -180,13 +197,17 @@ class _KernelSum:
     pair takes the closed-form (P, Q, 4, 4) block blocks[k], which
     carries its own column weights, in place of the kernel.
 
-    Both readings go through :func:`_kernel_blocks`.  Since phi_a is
+    Every reading goes through :func:`_kernel_blocks`.  Since phi_a is
     pref (a + m beta) + odd i alpha.x, :meth:`apply` forms no 4x4
-    block: per block of rows it sums the four scalar fields pref and
-    odd (x_i - y_j)_c against the weighted density, four (rows, ny) @
-    (ny, 4) matmuls, and multiplies the four sums by a + m beta and
-    i alpha_c once at the end.  :meth:`matrix` writes the blocks phi_a
-    into a dense matrix.  Both add the cells after the loop.
+    block: per block of rows it sums the four scalar fields F_k, pref
+    and odd (x_i - y_j)_c, against the weighted density, four (rows,
+    ny) @ (ny, 4) matmuls, and multiplies the four sums by E_0 = a +
+    m beta and E_c = i alpha_c once at the end.  It streams the fields,
+    or replays the same matmuls on the blocks that :meth:`fields`
+    stored, for a caller that applies the operator many times; from
+    those :meth:`adjoint` applies B^H without a second evaluation.
+    :meth:`matrix` writes the blocks phi_a into a dense matrix, an
+    oracle.  All add the cells after the loop.
     """
 
     sp: SpectralParameter
@@ -204,32 +225,82 @@ class _KernelSum:
         return (np.repeat(owner, cell.shape[1]),
                 np.arange(self.y.shape[0]) // cell.shape[2])
 
-    def apply(self, g: np.ndarray) -> np.ndarray:
-        """The operator applied to a density of shape (ny, 4), as (nx, 4)."""
+    def fields(self) -> list:
+        """The four fields of every block of rows, evaluated once.
+
+        A list of ``(lo, hi, stack)``, ``stack`` the four (hi - lo, ny)
+        fields of :func:`_field_stack`, zero over the cells: 32 bytes a
+        pair where the decay branch is real, 64 where it is complex.
+        """
+        blocks = []
+        _kernel_blocks(self.sp, self.x, self.y, lambda lo, hi, diff, kernel:
+                       blocks.append((lo, hi, tuple(_field_stack(diff, kernel)))),
+                       self._owners())
+        return blocks
+
+    def apply(self, g: np.ndarray, fields: list | None = None) -> np.ndarray:
+        """The operator applied to a density of shape (ny, 4), as (nx, 4).
+
+        Streams the kernel, or reads the blocks of :meth:`fields`; the
+        two give the same bits.
+        """
         gv = np.asarray(g, dtype=complex).reshape(-1, 4)
         coeff = gv * self.col[:, None]
-        # sums[0] pairs with a + m beta, sums[1 + c] with i alpha_c
+        # sums[k] pairs with E_k
         sums = np.empty((4, self.x.shape[0], 4), dtype=complex)
 
-        def add(lo: int, hi: int, diff: np.ndarray, fields: tuple) -> None:
-            pref, odd = fields
-            # real fields meet the real views: a real @ complex matmul
-            # would first copy the field to complex
-            dens, acc = ((coeff, sums) if np.iscomplexobj(pref)
-                         else (coeff.view(float), sums.view(float)))
-            acc[0, lo:hi] = pref @ dens
-            for c in range(3):
-                acc[1 + c, lo:hi] = (odd * diff[..., c]) @ dens
+        def add(lo: int, hi: int, stack) -> None:
+            for k, f in enumerate(stack):
+                # a real field meets the real views: a real @ complex
+                # matmul would first copy the field to complex
+                if np.iscomplexobj(f):
+                    sums[k, lo:hi] = f @ coeff
+                else:
+                    sums.view(float)[k, lo:hi] = f @ coeff.view(float)
 
-        _kernel_blocks(self.sp, self.x, self.y, add, self._owners())
-        out = sums[0] @ (self.sp.a * I4 + self.sp.m * BETA).T
-        for c in range(3):
-            out += sums[1 + c] @ (1j * ALPHA[c]).T
+        if fields is None:
+            _kernel_blocks(self.sp, self.x, self.y, lambda lo, hi, diff, kernel:
+                           add(lo, hi, _field_stack(diff, kernel)),
+                           self._owners())
+        else:
+            for lo, hi, stack in fields:
+                add(lo, hi, stack)
+        out = sum(s @ e.T for s, e in zip(sums, self._spinors()))
         if self.cells is not None:
             owner, cell = self.cells
             out += np.einsum("kpqab,kqb->kpa", cell, gv.reshape(
                 -1, cell.shape[2], 4)[owner]).reshape(-1, 4)
         return out if self.row is None else out * self.row[:, None]
+
+    def adjoint(self, y: np.ndarray, fields: list) -> np.ndarray:
+        """B^H applied to (nx, 4), as (ny, 4), from the blocks of :meth:`fields`.
+
+        B^H y = col sum_k E_k^H (F_k^H (row y)), plus each cell block
+        conjugate-transposed and scattered back to its owner's points.
+        """
+        z = np.array(y, dtype=complex).reshape(-1, 4)  # contiguous: real views
+        if self.row is not None:
+            z *= self.row[:, None]
+        sums = np.zeros((4, self.y.shape[0], 4), dtype=complex)
+        for lo, hi, stack in fields:
+            for k, f in enumerate(stack):
+                if np.iscomplexobj(f):  # conj(F)^T z = conj(F^T conj(z))
+                    sums[k] += np.conj(f.T @ np.conj(z[lo:hi]))
+                else:
+                    sums.view(float)[k] += f.T @ z[lo:hi].view(float)
+        out = sum(s @ np.conj(e) for s, e in zip(sums, self._spinors()))
+        out *= self.col[:, None]
+        if self.cells is not None:
+            owner, cell = self.cells
+            back = np.conj(np.einsum("kpqab,kpa->kqb", cell, np.conj(
+                z.reshape(owner.size, cell.shape[1], 4))))
+            q = cell.shape[2]
+            np.add.at(out, q * owner[:, None] + np.arange(q), back)
+        return out
+
+    def _spinors(self) -> tuple:
+        """E_0 = a + m beta and E_c = i alpha_c, the matrices of the fields."""
+        return (self.sp.a * I4 + self.sp.m * BETA,) + tuple(1j * a for a in ALPHA)
 
     def matrix(self) -> np.ndarray:
         """The operator as a dense (4 nx, 4 ny) matrix."""
@@ -440,65 +511,84 @@ def cauchy_sigma_apply(sp: SpectralParameter, mesh: SurfaceMesh,
     return _trace_op(sp, mesh).apply(g)
 
 
+def weighted_norm(apply, adjoint, weights: np.ndarray) -> float:
+    """Largest singular value of B in the weighted L2 sense.
+
+    ``apply`` and ``adjoint`` take a vector of 4 n entries to B and B^H
+    of it (any shape holding 4 n entries); ``weights`` are the n scalar
+    quadrature weights, one per 4-spinor block, of both the rows and
+    the columns.  With D = diag(sqrt w) the weighted operator is
+    D B D^-1, and its norm squared is the top eigenvalue of the
+    Hermitian Gram operator x -> D^-1 B^H D^2 B D^-1 x.  ARPACK
+    (``eigsh``, Arnoldi on a complex operator, which on a Hermitian one
+    is Lanczos with full reorthogonalization) finds it to ``NORM_TOL``
+    relative.  The start vector is seeded, so repeated calls agree to
+    the bit.  The Gram operator squares the scale of B, so it runs on
+    B / 2^e, 2^e the leading power of two of B applied to the start:
+    exact, and no under- or overflow.  Where that probe is zero, so is
+    B, and its norm is 0.
+    """
+    w = np.repeat(weights, 4)
+    sw = np.sqrt(w)
+    n = w.size
+    rng = np.random.default_rng(0)
+    start = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    probe = np.max(np.abs(np.ravel(apply(start / sw)) * w))
+    if probe == 0.0:
+        return 0.0
+    scale = 2.0 ** -int(np.frexp(probe)[1])
+
+    def gram(x: np.ndarray) -> np.ndarray:
+        y = np.ravel(apply((x / sw) * scale)) * w
+        return np.ravel(adjoint(y)) * scale / sw
+
+    val = eigsh(LinearOperator((n, n), matvec=gram, dtype=complex),
+                k=1, v0=start, tol=NORM_TOL, return_eigenvectors=False)
+    return float(np.sqrt(val[0])) / scale
+
+
 @dataclass(frozen=True)
 class ShellOperator:
-    """Dense square operator on a weighted quadrature space.
+    """A square shell operator on a weighted quadrature space.
 
-    ``weights`` are the scalar quadrature weights, one per 4-spinor
-    block, of both its rows and its columns; the norm is taken after
-    the diagonal similarity sqrt(w_i / w_j).
+    ``op`` is its kernel sum.  Its fields are evaluated once, when the
+    operator is built, and every :meth:`apply`, :meth:`adjoint` and
+    :meth:`norm` reads them.  ``weights`` are the scalar quadrature
+    weights, one per 4-spinor block, of both its rows and its columns.
     """
 
-    matrix: np.ndarray
+    op: _KernelSum
     weights: np.ndarray
+    fields: list = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "fields", self.op.fields())
 
     def apply(self, g: np.ndarray) -> np.ndarray:
-        return self.matrix @ np.asarray(g, dtype=complex).ravel()
+        return self.op.apply(g, self.fields)
+
+    def adjoint(self, y: np.ndarray) -> np.ndarray:
+        return self.op.adjoint(y, self.fields)
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """The dense (4 n, 4 n) matrix, an oracle built when first read."""
+        return self.op.matrix()
 
     def norm(self) -> float:
-        """Largest singular value in the weighted L2 sense.
-
-        With D = diag(sqrt w) the weighted operator is D B D^-1, and its
-        norm squared is the top eigenvalue of the Hermitian Gram operator
-        x -> D^-1 B^H D^2 B D^-1 x.  ARPACK (``eigsh``, Arnoldi on a
-        complex operator, which on a Hermitian one is Lanczos with full
-        reorthogonalization) finds it to ``NORM_TOL`` relative.  D acts
-        on vectors and B^H x is conj(conj(x) @ B), a transposed GEMV, so
-        the matrix is never copied.  The start vector is seeded, so
-        repeated calls agree to the bit.  The Gram operator squares the
-        scale of B, so it runs on B / 2^e, 2^e the leading power of two of
-        B applied to the start: exact, and no under- or overflow.  Where
-        that probe is zero, so is B, and its norm is 0.
-        """
-        mat = self.matrix
-        w = np.repeat(self.weights, 4)
-        sw = np.sqrt(w)
-        n = mat.shape[1]
-        rng = np.random.default_rng(0)
-        start = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        probe = np.max(np.abs((mat @ (start / sw)) * w))
-        if probe == 0.0:
-            return 0.0
-        scale = 2.0 ** -int(np.frexp(probe)[1])
-
-        def gram(x: np.ndarray) -> np.ndarray:
-            y = (mat @ ((x / sw) * scale)) * w
-            return np.conj(np.conj(y) @ mat) * scale / sw
-
-        val = eigsh(LinearOperator((n, n), matvec=gram, dtype=complex),
-                    k=1, v0=start, tol=NORM_TOL, return_eigenvectors=False)
-        return float(np.sqrt(val[0])) / scale
+        """The weighted L2 norm, by :func:`weighted_norm` on the cached fields."""
+        return weighted_norm(self.apply, self.adjoint, self.weights)
 
 
 def cauchy_sigma(sp: SpectralParameter, mesh: SurfaceMesh) -> ShellOperator:
-    """Dense boundary trace operator, the matrix of cauchy_sigma_apply (an oracle)."""
+    """The boundary trace operator with its fields cached, up to ``DENSE_DOF_CAP``."""
     n = len(mesh)
     _check_trace_nodes(mesh)
     if 4 * n > DENSE_DOF_CAP:
         raise ValueError(
-            f"dense trace operator needs {4 * n} dofs, cap is {DENSE_DOF_CAP}; "
+            f"cached trace operator needs {4 * n} dofs, cap is {DENSE_DOF_CAP}; "
             "use cauchy_sigma_apply for large meshes")
-    return ShellOperator(_trace_op(sp, mesh).matrix(), mesh.weights)
+    return ShellOperator(_trace_op(sp, mesh), mesh.weights)
 
 
 # ---------------------------------------------------------------------------
@@ -759,17 +849,16 @@ def c_eps_apply(grid: OperatorGrid, sp: SpectralParameter, eps: float,
 
 def assemble_family(grid: OperatorGrid, sp: SpectralParameter,
                     eps: float) -> dict:
-    """Dense B_eps at collar width eps, as ``{"B": ShellOperator}``.
+    """B_eps at collar width eps with its fields cached, as ``{"B": ShellOperator}``.
 
-    It is the matrix of :func:`b_eps_apply`, capped at ``DENSE_DOF_CAP``
-    dofs; use that routine beyond the cap.  A_eps and C_eps are read
-    matrix-free only.
+    It is the operator of :func:`b_eps_apply`, capped at
+    ``DENSE_DOF_CAP`` dofs; use that routine beyond the cap.  A_eps and
+    C_eps are read by streamed applies only.
     """
     if grid.dofs > DENSE_DOF_CAP:
         raise ValueError(
-            f"grid has {grid.dofs} dofs, dense cap is {DENSE_DOF_CAP}")
-    return {"B": ShellOperator(_b_eps_op(grid, sp, eps).matrix(),
-                               grid.scalar_weights())}
+            f"grid has {grid.dofs} dofs, cap is {DENSE_DOF_CAP}")
+    return {"B": ShellOperator(_b_eps_op(grid, sp, eps), grid.scalar_weights())}
 
 
 # ---------------------------------------------------------------------------
@@ -867,12 +956,14 @@ def shell_resolvent_apply(sp: SpectralParameter, mesh: SurfaceMesh,
     carrier J = 1 or beta.  The result is ``free - lam Phi density``,
     both parts by :func:`layer_potential`; the density solves the
     second-kind boundary equation ``(J + lam C_sigma) density = free``
-    on the mesh nodes, matrix-free by unrestarted GMRES on the trace's
-    apply (Saad & Schultz, 1986): relative residual ``RESOLVENT_RTOL``,
-    ``atol`` 0, at most 200 steps.  A point closer to a mesh node than
-    the mesh resolution raises :class:`PointTooCloseToSurface` before
-    any boundary operator is built.  Raises :class:`NearCriticalCoupling`
-    for electrostatic couplings within ``CRITICAL_WINDOW`` of +-2, and
+    on the mesh nodes, by unrestarted GMRES on the trace's apply (Saad
+    & Schultz, 1986): relative residual ``RESOLVENT_RTOL``, ``atol`` 0,
+    at most 200 steps.  Up to ``DENSE_DOF_CAP`` dofs the steps read the
+    trace's fields, evaluated once; past it they stream the kernel.  A
+    point closer to a mesh node than the mesh resolution raises
+    :class:`PointTooCloseToSurface` before any boundary operator is
+    built.  Raises :class:`NearCriticalCoupling` for electrostatic
+    couplings within ``CRITICAL_WINDOW`` of +-2, and
     :class:`SingularBoundaryInverse`, naming the steps taken and the
     relative residual reached, when GMRES stops short of its tolerance.
     """
@@ -892,9 +983,11 @@ def shell_resolvent_apply(sp: SpectralParameter, mesh: SurfaceMesh,
     trace_vals = _KernelSum(sp, mesh.nodes, volume.points,
                             volume.weights).apply(f_vals).ravel()
     trace = _trace_op(sp, mesh)
+    # every GMRES step reads the fields evaluated once, where they fit
+    fields = trace.fields() if 4 * n <= DENSE_DOF_CAP else None
     carrier = 1.0 if kind == "electrostatic" else np.diag(BETA)
     system = LinearOperator((4 * n, 4 * n), dtype=complex, matvec=lambda x: (
-        carrier * x.reshape(n, 4) + lam * trace.apply(x)).ravel())
+        carrier * x.reshape(n, 4) + lam * trace.apply(x, fields)).ravel())
     steps = []
     density, info = gmres(system, trace_vals, rtol=RESOLVENT_RTOL, atol=0.0,
                           restart=200, maxiter=1, callback=steps.append,

@@ -32,7 +32,10 @@ in one home: ``tan`` and ``tanh`` are called in ``src/`` by
 written once, as ``coupling.KINDS``.  An eighth keeps the transverse
 rule in one home: in ``src/`` only ``coupling`` samples the profile's
 u and v, and in ``shell_ops`` ``sign`` serves only the closed-form
-cells, never a second sign kernel.
+cells, never a second sign kernel.  A ninth keeps one eigensolver and
+no dense matrix on a program path: ``eigsh`` is called by
+``weighted_norm`` alone, and ``_KernelSum.matrix()`` only by
+``ShellOperator``, whose ``matrix`` is built when a reader asks for it.
 """
 
 import ast
@@ -367,3 +370,14 @@ def test_transverse_rule_lives_in_coupling():
         assert {(name, caller) for name, text in texts.items()
                 for caller in callers(text, fn)} == {("coupling.py", "_sampled_kv")}
     assert callers(texts["shell_ops.py"], "sign") == ["_cell_block", "_disk_moments"]
+
+
+def test_one_eigensolver_and_the_dense_matrix_only_on_request():
+    texts = {path.name: path.read_text(encoding="utf-8") for path in SOURCES}
+
+    def found(name):
+        return {(module, caller) for module, text in texts.items()
+                for caller in callers(text, name)}
+
+    assert found("eigsh") == {("shell_ops.py", "weighted_norm")}
+    assert found("matrix") == {("shell_ops.py", "ShellOperator")}

@@ -303,9 +303,29 @@ def test_operators_do_not_depend_on_the_chunk_layout(ellipsoid320, grid80_m8,
             b_eps = shell_ops._b_eps_op(grid80_m8, sp, 0.05)
             runs.append([trace.cells[1], trace.apply(gc),
                          b_eps.cells[1], b_eps.apply(gb)])
+            # the cached apply replays the streamed one's matmuls
+            assert np.array_equal(trace.apply(gc, trace.fields()), runs[-1][1])
+            assert np.array_equal(b_eps.apply(gb, b_eps.fields()), runs[-1][3])
         for run in runs[1:]:
             for got, want in zip(run, runs[0]):
                 assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("a", [1j, 0.3 + 0.4j])
+@pytest.mark.parametrize("which", ["trace", "b_eps"])
+def test_adjoint_from_cached_fields_matches_the_matrix(which, a, ellipsoid320,
+                                                      grid80_m8):
+    from deltashell import shell_ops
+
+    # B_eps carries cells and a row factor; C_sigma cells only
+    sp = SpectralParameter(a, 1.0)
+    op = (shell_ops._trace_op(sp, ellipsoid320) if which == "trace"
+          else shell_ops._b_eps_op(grid80_m8, sp, 0.05))
+    y = RNG.normal(size=(op.x.shape[0], 4)) + 1j * RNG.normal(
+        size=(op.x.shape[0], 4))
+    want = (op.matrix().conj().T @ y.ravel()).reshape(-1, 4)
+    got = op.adjoint(y, op.fields())
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 # ---------------------------------------------------------------------------
@@ -435,6 +455,11 @@ def test_cell_rule_makes_one_pass_per_sheet(grid80_m8, mesh320, monkeypatch):
     assert passes == ["_cell_block", "_KernelSum"]
 
 
+def gemvs(mat):
+    """B and B^H applied through a dense matrix, for ``weighted_norm``."""
+    return (lambda x: mat @ x), (lambda y: np.conj(np.conj(y) @ mat))
+
+
 def test_norm_of_a_zero_operator_is_zero(monkeypatch):
     from scipy.sparse.linalg import ArpackError
 
@@ -453,29 +478,29 @@ def test_norm_of_a_zero_operator_is_zero(monkeypatch):
     assert zero.norm() == 0.0
     # any ARPACK failure raises
     with pytest.raises(ArpackError):
-        shell_ops.ShellOperator(np.eye(40, dtype=complex), np.ones(10)).norm()
+        shell_ops.weighted_norm(*gemvs(np.eye(40, dtype=complex)), np.ones(10))
 
 
 @pytest.mark.parametrize("sign", [-1, 1])
 def test_norm_keeps_every_digit_at_any_scale(dense_operators, sign):
-    from deltashell.shell_ops import ShellOperator
+    from deltashell.shell_ops import weighted_norm
 
     # the Gram operator squares the scale of B, so unscaled it underflows
     # below about 1e-154 and overflows above 1e+154
     op = dense_operators["C_sigma"]
     power = 2.0 ** (530 * sign)  # about 1e-160 or 1e+160, an exact scaling
-    assert ShellOperator(power * op.matrix, op.weights).norm() == (
-        power * op.norm())
+    assert weighted_norm(*gemvs(power * op.matrix), op.weights) == (
+        power * weighted_norm(*gemvs(op.matrix), op.weights))
     scale = 10.0 ** (300 * sign)
-    ident = ShellOperator(scale * np.eye(40, dtype=complex), np.ones(10))
-    assert ident.norm() / scale == pytest.approx(1.0, rel=1e-12)
+    ident = weighted_norm(*gemvs(scale * np.eye(40, dtype=complex)), np.ones(10))
+    assert ident / scale == pytest.approx(1.0, rel=1e-12)
 
 
-def test_trace_norm_is_reproducible(mesh320):
+def test_trace_norm_is_reproducible(mesh320, grid80_m8):
     # the eigensolver behind norm() starts from a seeded vector, so
-    # repeated calls agree to the bit
-    op = cauchy_sigma(SP, mesh320)
-    assert len({op.norm() for _ in range(3)}) == 1
+    # repeated calls agree to the bit, for C_sigma and B_eps alike
+    for op in (cauchy_sigma(SP, mesh320), assemble_family(grid80_m8, SP, 0.05)["B"]):
+        assert len({op.norm() for _ in range(3)}) == 1
 
 
 @pytest.fixture(scope="module")
@@ -499,7 +524,10 @@ def test_norm_matches_full_svd_of_scaled_matrix(dense_operators, name):
 def test_norm_copies_no_matrix(dense_operators):
     # a scaled copy or a conjugate transpose of the matrix would each
     # take matrix.nbytes; the norm's own vectors and ARPACK's basis are
-    # a few percent of it
+    # a few percent of it.  The bound holds because the operator's
+    # fields are evaluated when it is built, not inside norm(): they
+    # alone are an eighth of matrix.nbytes (a quarter at a complex
+    # branch), and the matrix is built only here, when read
     op = dense_operators["B_eps"]
     tracemalloc.start()
     try:
@@ -615,7 +643,7 @@ def test_b_eps_dense_matches_matrix_free(grid, request):
         {"sphere": "grid_m3", "ellipsoid": "ellipsoid_grid_m3"}[grid])
     g = RNG.normal(size=(grid.n_nodes, 3, 4)) * (1.0 + 0.5j)
     fam = assemble_family(grid, SP, 0.05)
-    dense = fam["B"].apply(g.ravel()).reshape(g.shape)
+    dense = (fam["B"].matrix @ g.ravel()).reshape(g.shape)
     free = b_eps_apply(grid, SP, 0.05, g)
     assert np.max(np.abs(dense - free)) < 1e-12
 
@@ -1098,7 +1126,10 @@ def test_resolvent_exactly_singular_system_hits_guard(resolvent_setup,
     pts = np.array([[1.4, 0.3, 0.1]])
 
     class MinusIdentity:
-        def apply(self, g):
+        def fields(self):
+            return None
+
+        def apply(self, g, fields):
             return -np.asarray(g, dtype=complex).reshape(-1, 4)
 
     # lam = 1 against C = -I: the system I + lam C is exactly 0
