@@ -16,10 +16,10 @@ and closed-form cells.  The program reads it by the apply, which sums
 the kernel's two scalar fields by matmuls; the dense matrix of its 4x4
 blocks is only an oracle.  One chunk loop, ``_kernel_blocks``,
 evaluates the kernel for every reading, in blocks of rows of about
-``CHUNK_BYTES``; the closed-form cells are added after it.  A caller
-that applies one operator once streams the fields; one that iterates
-(GMRES, the ARPACK norm of ``ShellOperator``) keeps them, evaluated
-once, and also reads the adjoint from them.  The
+``CHUNK_BYTES``; the closed-form cells are added after it.  An apply
+streams the fields and keeps nothing; a ``ShellOperator``, whose ARPACK
+norm applies the operator and its adjoint 21 to 31 times, keeps them,
+evaluated once, and also reads the adjoint from them.  The
 singular cells use an analytically integrated flat-disk model: each
 surface node owns a disk of equal area, and the odd (Riesz) part of the
 kernel integrates to zero over the disk at zero offset, which is the
@@ -55,8 +55,9 @@ RESOLVENT_RTOL = 1e-12
 #: relative tolerance on sigma^2 in ``weighted_norm``; it bounds
 #: sigma to about half of it
 NORM_TOL = 1e-12
-#: dofs up to which an operator is held in memory: cached fields (32 or
-#: 64 bytes a pair of points) for its solves and norms, or the dense oracle
+#: dofs up to which a ``ShellOperator`` is built: its kept fields take 32
+#: or 64 bytes a pair of points (0.54 or 1.07 GB at the cap), its dense
+#: oracle, built only when read, 256 bytes a pair (4.3 GB)
 DENSE_DOF_CAP = 16384
 COINCIDENCE_TOL = 1e-10
 MIN_TRACE_NODES = 128
@@ -956,14 +957,12 @@ def shell_resolvent_apply(sp: SpectralParameter, mesh: SurfaceMesh,
     carrier J = 1 or beta.  The result is ``free - lam Phi density``,
     both parts by :func:`layer_potential`; the density solves the
     second-kind boundary equation ``(J + lam C_sigma) density = free``
-    on the mesh nodes, by unrestarted GMRES on the trace's apply (Saad
-    & Schultz, 1986): relative residual ``RESOLVENT_RTOL``, ``atol`` 0,
-    at most 200 steps.  Up to ``DENSE_DOF_CAP`` dofs the steps read the
-    trace's fields, evaluated once; past it they stream the kernel.  A
-    point closer to a mesh node than the mesh resolution raises
-    :class:`PointTooCloseToSurface` before any boundary operator is
-    built.  Raises :class:`NearCriticalCoupling` for electrostatic
-    couplings within ``CRITICAL_WINDOW`` of +-2, and
+    on the mesh nodes, matrix-free by unrestarted GMRES on the trace's
+    apply (Saad & Schultz, 1986): relative residual ``RESOLVENT_RTOL``,
+    ``atol`` 0, at most 200 steps.  A point closer to a mesh node than
+    the mesh resolution raises :class:`PointTooCloseToSurface` before
+    any boundary operator is built.  Raises :class:`NearCriticalCoupling`
+    for electrostatic couplings within ``CRITICAL_WINDOW`` of +-2, and
     :class:`SingularBoundaryInverse`, naming the steps taken and the
     relative residual reached, when GMRES stops short of its tolerance.
     """
@@ -983,11 +982,9 @@ def shell_resolvent_apply(sp: SpectralParameter, mesh: SurfaceMesh,
     trace_vals = _KernelSum(sp, mesh.nodes, volume.points,
                             volume.weights).apply(f_vals).ravel()
     trace = _trace_op(sp, mesh)
-    # every GMRES step reads the fields evaluated once, where they fit
-    fields = trace.fields() if 4 * n <= DENSE_DOF_CAP else None
     carrier = 1.0 if kind == "electrostatic" else np.diag(BETA)
     system = LinearOperator((4 * n, 4 * n), dtype=complex, matvec=lambda x: (
-        carrier * x.reshape(n, 4) + lam * trace.apply(x, fields)).ravel())
+        carrier * x.reshape(n, 4) + lam * trace.apply(x)).ravel())
     steps = []
     density, info = gmres(system, trace_vals, rtol=RESOLVENT_RTOL, atol=0.0,
                           restart=200, maxiter=1, callback=steps.append,

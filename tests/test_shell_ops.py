@@ -527,7 +527,8 @@ def test_norm_copies_no_matrix(dense_operators):
     # a few percent of it.  The bound holds because the operator's
     # fields are evaluated when it is built, not inside norm(): they
     # alone are an eighth of matrix.nbytes (a quarter at a complex
-    # branch), and the matrix is built only here, when read
+    # branch).  op.matrix is read after tracemalloc stops, so the
+    # matrix is never inside the measured peak
     op = dense_operators["B_eps"]
     tracemalloc.start()
     try:
@@ -1126,10 +1127,7 @@ def test_resolvent_exactly_singular_system_hits_guard(resolvent_setup,
     pts = np.array([[1.4, 0.3, 0.1]])
 
     class MinusIdentity:
-        def fields(self):
-            return None
-
-        def apply(self, g, fields):
+        def apply(self, g):
             return -np.asarray(g, dtype=complex).reshape(-1, 4)
 
     # lam = 1 against C = -I: the system I + lam C is exactly 0
