@@ -16,10 +16,12 @@ and closed-form cells.  The program reads it by the apply, which sums
 the kernel's two scalar fields by matmuls; the dense matrix of its 4x4
 blocks is only an oracle.  One chunk loop, ``_kernel_blocks``,
 evaluates the kernel for every reading, in blocks of rows of about
-``CHUNK_BYTES``; the closed-form cells are added after it.  An apply
-streams the fields and keeps nothing; a ``ShellOperator``, whose ARPACK
-norm applies the operator and its adjoint 21 to 31 times, keeps them,
-evaluated once, and also reads the adjoint from them.  The
+``CHUNK_BYTES``; it hands out the pair differences as three contiguous
+planes, one per component, and the closed-form cells are added after
+it.  An apply streams the fields and keeps nothing; a
+``ShellOperator``, whose ARPACK norm applies the operator and its
+adjoint 21 to 31 times, keeps them, evaluated once, in four whole
+arrays, and also reads the adjoint from them.  The
 singular cells use an analytically integrated flat-disk model: each
 surface node owns a disk of equal area, and the odd (Riesz) part of the
 kernel integrates to zero over the disk at zero offset, which is the
@@ -143,9 +145,11 @@ def _kernel_blocks(sp: SpectralParameter, x: np.ndarray, y: np.ndarray,
     """Pass the kernel to ``use`` one block of rows of ``x`` at a time.
 
     Calls ``use(lo, hi, diff, kernel)`` for the rows lo..hi, with
-    ``diff[i, j] = x_i - y_j`` of shape (hi - lo, ny, 3).  The kernel is
-    evaluated once per block.  By default it is the pair of scalar
-    fields ``(pref, odd)`` of :func:`kernel_fields`, each (hi - lo, ny):
+    ``diff[i, j] = x_i - y_j`` of shape (hi - lo, ny, 3): a transposed
+    view of three contiguous (hi - lo, ny) planes, so each component
+    ``diff[..., c]`` is contiguous.  The kernel is evaluated once per
+    block.  By default it is the pair of scalar fields ``(pref, odd)``
+    of :func:`kernel_fields`, each (hi - lo, ny):
     phi_a(x_i - y_j) = pref_ij (a + m beta) + odd_ij i alpha.diff_ij, so
     a matrix-free caller sums scalar fields and never forms a 4x4
     block.  With ``dense`` it is the blocks phi_a(x_i - y_j) themselves,
@@ -154,18 +158,23 @@ def _kernel_blocks(sp: SpectralParameter, x: np.ndarray, y: np.ndarray,
     over the surface cell of y: its fields or block are zero and its
     ``diff`` is arbitrary, for the caller to fill with the cell's closed
     form.  Only :meth:`_KernelSum.fields` keeps anything of a block.  A
-    block holds about ``CHUNK_BYTES`` of kernel (128 bytes a pair for
-    fields, 256 for 4x4 blocks).
+    block's rows are sized at 128 bytes a pair for fields and 256 for
+    4x4 blocks, about ``CHUNK_BYTES``; of that, ``diff`` takes 24 bytes
+    a pair and the two fields 16 (32 at a complex branch).
     """
     nx, ny = x.shape[0], y.shape[0]
     rows = max(1, int(CHUNK_BYTES // (max(ny, 1) * (256 if dense else 128))))
+    xt, yt = np.ascontiguousarray(x.T), np.ascontiguousarray(y.T)
     for lo in range(0, nx, rows):
         hi = min(lo + rows, nx)
-        diff = x[lo:hi, None, :] - y[None, :, :]
+        planes = xt[:, lo:hi, None] - yt[:, None, :]
         if owners is not None:
             cell = owners[0][lo:hi, None] == owners[1][None, :]
-            diff[cell] = 1.0  # any point off the singularity: zeroed below
-        if dense:  # flat, as perfbench's tracer counts points by length
+            # any point off the singularity: zeroed below
+            np.copyto(planes, 1.0, where=cell)
+        diff = planes.transpose(1, 2, 0)
+        if dense:  # flat, as perfbench's tracer counts points by length;
+            # the oracle's reshape copies the planes
             kernel = phi_a(sp, diff.reshape(-1, 3)).reshape(hi - lo, ny, 4, 4)
         else:
             kernel = kernel_fields(sp, diff)
@@ -173,13 +182,14 @@ def _kernel_blocks(sp: SpectralParameter, x: np.ndarray, y: np.ndarray,
             for part in (kernel,) if dense else kernel:
                 part[cell] = 0.0
         use(lo, hi, diff, kernel)
-        del diff, kernel  # freed before the next block is built
+        del planes, diff, kernel  # freed before the next block is built
 
 
 def _field_stack(diff: np.ndarray, kernel: tuple):
     """The four fields pref, odd (x - y)_0, odd (x - y)_1, odd (x - y)_2.
 
-    A generator, so a streamed sum holds one of them at a time.
+    A generator, so a streamed sum holds one of them at a time; each
+    product reads a contiguous plane of ``diff``.
     """
     pref, odd = kernel
     yield pref
@@ -230,13 +240,24 @@ class _KernelSum:
         """The four fields of every block of rows, evaluated once.
 
         A list of ``(lo, hi, stack)``, ``stack`` the four (hi - lo, ny)
-        fields of :func:`_field_stack`, zero over the cells: 32 bytes a
-        pair where the decay branch is real, 64 where it is complex.
+        fields of :func:`_field_stack`, zero over the cells: row views
+        of four whole (nx, ny) arrays, one per field, allocated with the
+        first block, so the heap holds four arrays, not four per block.
+        32 bytes a pair where the decay branch is real, 64 where it is
+        complex.
         """
-        blocks = []
-        _kernel_blocks(self.sp, self.x, self.y, lambda lo, hi, diff, kernel:
-                       blocks.append((lo, hi, tuple(_field_stack(diff, kernel)))),
-                       self._owners())
+        nx, ny = self.x.shape[0], self.y.shape[0]
+        whole, blocks = [], []
+
+        def keep(lo: int, hi: int, diff: np.ndarray, kernel: tuple) -> None:
+            if not whole:
+                whole.extend(np.empty((nx, ny), kernel[1].dtype) for _ in range(4))
+            stack = tuple(f[lo:hi] for f in whole)
+            for dst, f in zip(stack, _field_stack(diff, kernel)):
+                dst[...] = f
+            blocks.append((lo, hi, stack))
+
+        _kernel_blocks(self.sp, self.x, self.y, keep, self._owners())
         return blocks
 
     def apply(self, g: np.ndarray, fields: list | None = None) -> np.ndarray:

@@ -328,6 +328,49 @@ def test_adjoint_from_cached_fields_matches_the_matrix(which, a, ellipsoid320,
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
+@pytest.mark.parametrize("owned", [False, True])
+def test_kernel_blocks_hand_out_contiguous_planes(owned, monkeypatch):
+    from deltashell import shell_ops
+
+    # every component of diff is one contiguous plane, with the bits of
+    # the interleaved difference; cell pairs have zero fields
+    monkeypatch.setattr(shell_ops, "CHUNK_BYTES", 2e5)  # several blocks
+    rng = np.random.default_rng(5)
+    x, y = rng.normal(size=(300, 3)), rng.normal(size=(200, 3))
+    owners = (rng.integers(0, 20, 300), np.arange(200) // 10) if owned else None
+    blocks = []
+
+    def use(lo, hi, diff, kernel):
+        cell = (owners[0][lo:hi, None] == owners[1][None, :] if owned
+                else np.zeros((hi - lo, 200), dtype=bool))
+        for c in range(3):
+            assert diff[..., c].flags.c_contiguous
+            want = x[lo:hi, None, c] - y[None, :, c]
+            assert np.array_equal(diff[..., c][~cell], want[~cell])
+        for f in kernel:
+            assert np.all(f[cell] == 0.0)
+        blocks.append((lo, hi, np.count_nonzero(cell)))
+
+    shell_ops._kernel_blocks(SpectralParameter(0.3 + 0.4j, 1.0), x, y, use, owners)
+    assert len(blocks) > 1 and blocks[0][0] == 0 and blocks[-1][1] == 300
+    assert (sum(b[2] for b in blocks) > 0) == owned
+
+
+@pytest.mark.parametrize("a, pair_bytes", [(1j, 32), (0.3 + 0.4j, 64)])
+def test_kept_fields_are_row_views_of_four_arrays(a, pair_bytes, grid80_m8):
+    # one (nx, ny) array per field, not four arrays per block of rows
+    b = assemble_family(grid80_m8, SpectralParameter(a, 1.0), 0.05)["B"]
+    n = grid80_m8.dofs // 4
+    whole = [f.base for f in b.fields[0][2]]
+    assert len(b.fields) > 1 and len({id(w) for w in whole}) == 4
+    assert all(w is not None and w.shape == (n, n) for w in whole)
+    assert sum(w.nbytes for w in whole) == pair_bytes * n * n
+    for lo, hi, stack in b.fields:
+        for f, w in zip(stack, whole):
+            assert f.base is w and f.shape == (hi - lo, n)
+            assert f.ctypes.data == w[lo:hi].ctypes.data
+
+
 # ---------------------------------------------------------------------------
 # boundary trace operator
 
