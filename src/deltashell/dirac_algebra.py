@@ -82,7 +82,7 @@ class SpectralParameter:
         object.__setattr__(self, "branch", complex(w))
 
 
-def kernel_fields(sp: SpectralParameter, x) -> tuple:
+def kernel_fields(sp: SpectralParameter, x, r=None) -> tuple:
     """The two scalar fields of phi_a at points x of shape (..., 3).
 
     phi_a(x) = pref(r) (a + m beta) + odd(r) i alpha.x with
@@ -94,11 +94,14 @@ def kernel_fields(sp: SpectralParameter, x) -> tuple:
     imaginary or inside the gap) the fields are computed with the real
     branch and are real arrays; otherwise they are complex.  Raises
     ``ValueError`` for a point within ``SINGULARITY_GUARD`` of the origin.
+    ``r`` is |x| where the caller has formed it by the expression below,
+    as the chunk loop does once per block for its other readers.
     """
     pts = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if pts.shape[-1] != 3:
         raise ValueError(f"expected 3-vectors, got shape {np.shape(x)}")
-    r = np.sqrt(pts[..., 0] ** 2 + pts[..., 1] ** 2 + pts[..., 2] ** 2)
+    if r is None:
+        r = np.sqrt(pts[..., 0] ** 2 + pts[..., 1] ** 2 + pts[..., 2] ** 2)
     if np.any(r < SINGULARITY_GUARD):
         raise ValueError("kernel evaluated at (or too close to) its singular point")
     w = sp.branch.real if sp.branch.imag == 0 else sp.branch

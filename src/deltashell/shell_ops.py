@@ -12,32 +12,35 @@ shape ``(N, M, 4)``.  All operator norms are taken in the weighted L2
 sense induced by the quadrature weights.
 
 Each operator is defined once, as a ``_KernelSum``: its points, weights
-and closed-form cells.  The program reads it by the apply, which sums
-the kernel's two scalar fields by matmuls; the dense matrix of its 4x4
-blocks is only an oracle.  One chunk loop, ``_kernel_blocks``,
-evaluates the kernel for every reading, in blocks of rows of about
-``CHUNK_BYTES``; it hands out the pair differences as three contiguous
-planes, one per component, and the closed-form cells are added after
-it.  An apply streams the fields and keeps nothing; a
+and, for the trace and the squeezed family, the parallel sheets its
+sources lie on, with the closed-form cells under them.  The program
+reads it by the apply, which sums the kernel's two scalar fields by
+matmuls; the dense matrix of its 4x4 blocks is only an oracle.  One
+chunk loop, ``_kernel_blocks``, evaluates the kernel for every reading,
+in blocks of rows of about ``CHUNK_BYTES``; it hands out the pair
+differences as three contiguous planes, one per component, and their
+lengths, formed once.  An apply streams the fields and keeps nothing; a
 ``ShellOperator``, whose ARPACK norm applies the operator and its
 adjoint 21 to 31 times, keeps them, evaluated once, in four whole
-arrays, and also reads the adjoint from them.  The
-singular cells use an analytically integrated flat-disk model: each
-surface node owns a disk of equal area, and the odd (Riesz) part of the
-kernel integrates to zero over the disk at zero offset, which is the
-principal-value convention.  ``_cell_block`` gives that cell over one
-sheet, from any number of heights, corrected by one pass of punctured
-far sums through the same loop; it serves the trace diagonal and, once
-per sheet, the same-node blocks of the squeezed family.  A cell need not
-sit under its own source points: one trace ``_trace_op`` reads any rows
-at any heights over them, and at +-h it gives the one-sided limits of
-the Plemelj check.  ``spinor_blocks`` writes every Dirac block.
+arrays, and also reads the adjoint from them.  The singular cells use
+an analytically integrated flat-disk model: each surface node owns a
+disk of equal area, and the odd (Riesz) part of the kernel integrates
+to zero over the disk at zero offset, which is the principal-value
+convention.  ``_cell_block`` gives that cell over one sheet, from any
+number of heights, corrected by punctured far sums over the same pairs
+as the operator's own sums on that sheet.  So a reading makes one
+kernel pass per sheet, which serves both: the trace's sources are one
+sheet, the squeezed family's M, and the first reading of an operator
+finishes its cells, which later readings reuse.  A cell need
+not sit under its own source points: one trace ``_trace_op`` reads any
+rows at any heights over them, and at +-h it gives the one-sided limits
+of the Plemelj check.  ``spinor_blocks`` writes every Dirac block.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Sequence
 
 import numpy as np
@@ -144,23 +147,25 @@ def _kernel_blocks(sp: SpectralParameter, x: np.ndarray, y: np.ndarray,
                    dense: bool = False) -> None:
     """Pass the kernel to ``use`` one block of rows of ``x`` at a time.
 
-    Calls ``use(lo, hi, diff, kernel)`` for the rows lo..hi, with
+    Calls ``use(lo, hi, diff, kernel, r)`` for the rows lo..hi, with
     ``diff[i, j] = x_i - y_j`` of shape (hi - lo, ny, 3): a transposed
     view of three contiguous (hi - lo, ny) planes, so each component
-    ``diff[..., c]`` is contiguous.  The kernel is evaluated once per
-    block.  By default it is the pair of scalar fields ``(pref, odd)``
-    of :func:`kernel_fields`, each (hi - lo, ny):
-    phi_a(x_i - y_j) = pref_ij (a + m beta) + odd_ij i alpha.diff_ij, so
-    a matrix-free caller sums scalar fields and never forms a 4x4
-    block.  With ``dense`` it is the blocks phi_a(x_i - y_j) themselves,
-    (hi - lo, ny, 4, 4), for a caller that writes a matrix.  With
-    ``owners = (x_owner, y_owner)``, a pair whose owners match has x
-    over the surface cell of y: its fields or block are zero and its
-    ``diff`` is arbitrary, for the caller to fill with the cell's closed
-    form.  Only :meth:`_KernelSum.fields` keeps anything of a block.  A
-    block's rows are sized at 128 bytes a pair for fields and 256 for
-    4x4 blocks, about ``CHUNK_BYTES``; of that, ``diff`` takes 24 bytes
-    a pair and the two fields 16 (32 at a complex branch).
+    ``diff[..., c]`` is contiguous, and ``r = |diff|``, formed once per
+    block for the kernel and for the flat kernel of the cell rule's far
+    sums.  The kernel is evaluated once per block.  By default it is the
+    pair of scalar fields ``(pref, odd)`` of :func:`kernel_fields`, each
+    (hi - lo, ny): phi_a(x_i - y_j) = pref_ij (a + m beta) + odd_ij i
+    alpha.diff_ij, so a matrix-free caller sums scalar fields and never
+    forms a 4x4 block.  With ``dense`` it is the blocks phi_a(x_i - y_j)
+    themselves, (hi - lo, ny, 4, 4), for a caller that writes a matrix.
+    With ``owners = (x_owner, y_owner)``, a pair whose owners match has
+    x over the surface cell of y: its fields or block are zero and its
+    ``diff`` and ``r`` are arbitrary, for the caller to fill with the
+    cell's closed form.  Only :meth:`_KernelSum.fields` keeps anything
+    of a block.  A block's rows are sized at 128 bytes a pair for fields
+    and 256 for 4x4 blocks, about ``CHUNK_BYTES``; of that, ``diff``
+    takes 24 bytes a pair, ``r`` 8 and the two fields 16 (32 at a
+    complex branch).
     """
     nx, ny = x.shape[0], y.shape[0]
     rows = max(1, int(CHUNK_BYTES // (max(ny, 1) * (256 if dense else 128))))
@@ -173,16 +178,17 @@ def _kernel_blocks(sp: SpectralParameter, x: np.ndarray, y: np.ndarray,
             # any point off the singularity: zeroed below
             np.copyto(planes, 1.0, where=cell)
         diff = planes.transpose(1, 2, 0)
+        r = np.sqrt(planes[0] ** 2 + planes[1] ** 2 + planes[2] ** 2)
         if dense:  # flat, as perfbench's tracer counts points by length;
             # the oracle's reshape copies the planes
             kernel = phi_a(sp, diff.reshape(-1, 3)).reshape(hi - lo, ny, 4, 4)
         else:
-            kernel = kernel_fields(sp, diff)
+            kernel = kernel_fields(sp, diff, r)
         if owners is not None:
             for part in (kernel,) if dense else kernel:
                 part[cell] = 0.0
-        use(lo, hi, diff, kernel)
-        del planes, diff, kernel  # freed before the next block is built
+        use(lo, hi, diff, kernel, r)
+        del planes, diff, kernel, r  # freed before the next block is built
 
 
 def _field_stack(diff: np.ndarray, kernel: tuple):
@@ -202,23 +208,30 @@ class _KernelSum:
     """One shell operator: g -> row_i sum_j phi_a(x_i - y_j) col_j g_j.
 
     ``col`` holds the source weights and ``row`` (optional) a factor per
-    row.  With ``cells = (owner, blocks)``, blocks (K, P, Q, 4, 4), the
-    points of ``x`` form K consecutive groups of P and those of ``y``
-    consecutive cells of Q; x group k lies over y cell owner[k].  Such a
-    pair takes the closed-form (P, Q, 4, 4) block blocks[k], which
-    carries its own column weights, in place of the kernel.
+    row.  With ``sheets = (mesh, rows, shifts, heights, scale)`` the
+    sources lie on Q parallel sheets: y point Q j + q is node j of
+    ``mesh.sheet(shifts[q])``.  The points of ``x`` form K consecutive
+    groups of P, group k over node ``rows[k]``, and from sheet q point p
+    of it sits at ``heights[q, p]`` over that node.  A pair of group k
+    and node rows[k] takes a closed-form cell block in place of the
+    kernel: :attr:`cells`, ``(rows, blocks)``, blocks (K, P, Q, 4, 4),
+    entry q of blocks[k] the :func:`_cell_block` of sheet q, times
+    ``scale[q]`` unless ``scale`` is None, which carries its column
+    weights.
 
-    Every reading goes through :func:`_kernel_blocks`.  Since phi_a is
-    pref (a + m beta) + odd i alpha.x, :meth:`apply` forms no 4x4
-    block: per block of rows it sums the four scalar fields F_k, pref
-    and odd (x_i - y_j)_c, against the weighted density, four (rows,
-    ny) @ (ny, 4) matmuls, and multiplies the four sums by E_0 = a +
-    m beta and E_c = i alpha_c once at the end.  It streams the fields,
-    or replays the same matmuls on the blocks that :meth:`fields`
-    stored, for a caller that applies the operator many times; from
-    those :meth:`adjoint` applies B^H without a second evaluation.
-    :meth:`matrix` writes the blocks phi_a into a dense matrix, an
-    oracle.  All add the cells after the loop.
+    Every reading goes through :func:`_kernel_blocks`, in one pass per
+    sheet (:meth:`_passes`); the first reading's passes are the cell
+    rule's, whose far sums read the same blocks, and finish the cells
+    for every later one.  Since phi_a is pref (a + m beta) + odd i
+    alpha.x, :meth:`apply` forms no 4x4 block: per block of rows it sums
+    the four scalar fields F_k, pref and odd (x_i - y_j)_c, against the
+    weighted density, four (rows, n) @ (n, 4) matmuls a sheet, and
+    multiplies the four sums by E_0 = a + m beta and E_c = i alpha_c
+    once at the end.  It streams the fields, or replays the same matmuls
+    on the blocks that :meth:`fields` stored, for a caller that applies
+    the operator many times; from those :meth:`adjoint` applies B^H
+    without a second evaluation.  :meth:`matrix` writes the blocks phi_a
+    into a dense matrix, an oracle.  All add the cells after the loop.
     """
 
     sp: SpectralParameter
@@ -226,15 +239,48 @@ class _KernelSum:
     y: np.ndarray
     col: np.ndarray
     row: np.ndarray | None = None
-    cells: tuple | None = None
+    sheets: tuple | None = None
+    # the cell blocks, once the first reading's passes have made them
+    finished: list = field(default_factory=list, init=False, repr=False)
 
-    def _owners(self) -> tuple | None:
-        """Cell owner of each x point and of each y point, or None."""
-        if self.cells is None:
-            return None
-        owner, cell = self.cells
-        return (np.repeat(owner, cell.shape[1]),
-                np.arange(self.y.shape[0]) // cell.shape[2])
+    @property
+    def cells(self) -> tuple | None:
+        """``(owner, blocks)`` of the sheets, or None without them.
+
+        If no reading has finished the cells, their passes run here.
+        """
+        if self.sheets is not None and not self.finished:
+            self._passes(lambda *block: None)
+        return None if self.sheets is None else (self.sheets[1], self.finished[0])
+
+    def _sheet_count(self) -> int:
+        return 1 if self.sheets is None else self.sheets[2].size
+
+    def _passes(self, use) -> None:
+        """One kernel pass per sheet, each block to ``use(q, *block)``.
+
+        ``block`` is ``(lo, hi, diff, kernel, r)`` of
+        :func:`_kernel_blocks` for rows lo..hi against the nodes of sheet
+        q.  Without sheets there is one pass, of x against y.  Sheet q's
+        pass reads the points over its cells (:func:`_over_cells`): the
+        bits of x for the trace, x up to rounding for B_eps, whose points
+        are built from each sheet.  Until the cells are finished, the
+        passes are :func:`_cell_block`'s.
+        """
+        if self.sheets is None:
+            return _kernel_blocks(self.sp, self.x, self.y, partial(use, 0))
+        mesh, rows, shifts, heights, scale = self.sheets
+        cells = None if self.finished else np.empty(
+            rows.shape + heights.T.shape + (4, 4), dtype=complex)
+        for q, (shift, over) in enumerate(zip(shifts, heights)):
+            if cells is None:
+                pts, src, owners = _over_cells(mesh, rows, shift, over)
+                _kernel_blocks(self.sp, pts, src, partial(use, q), owners)
+                continue
+            cell = _cell_block(self.sp, mesh, rows, shift, over, partial(use, q))
+            cells[:, :, q] = cell if scale is None else scale[q] * cell
+        if cells is not None:  # published only when every sheet is done
+            self.finished.append(cells)
 
     def fields(self) -> list:
         """The four fields of every block of rows, evaluated once.
@@ -243,50 +289,59 @@ class _KernelSum:
         fields of :func:`_field_stack`, zero over the cells: row views
         of four whole (nx, ny) arrays, one per field, allocated with the
         first block, so the heap holds four arrays, not four per block.
+        Their columns run sheet by sheet, the n = ny / Q nodes of sheet
+        q at q n, and the blocks are those of a pass against all of y.
         32 bytes a pair where the decay branch is real, 64 where it is
         complex.
         """
         nx, ny = self.x.shape[0], self.y.shape[0]
-        whole, blocks = [], []
+        whole = []
 
-        def keep(lo: int, hi: int, diff: np.ndarray, kernel: tuple) -> None:
-            if not whole:
-                whole.extend(np.empty((nx, ny), kernel[1].dtype) for _ in range(4))
-            stack = tuple(f[lo:hi] for f in whole)
-            for dst, f in zip(stack, _field_stack(diff, kernel)):
-                dst[...] = f
-            blocks.append((lo, hi, stack))
+        def keep(q: int, lo: int, hi: int, diff: np.ndarray, kernel: tuple,
+                 r: np.ndarray) -> None:
+            for k, f in enumerate(_field_stack(diff, kernel)):
+                if len(whole) == k:
+                    whole.append(np.empty((nx, ny), f.dtype))
+                # sheet q's n nodes are the columns q n .. (q + 1) n
+                whole[k][lo:hi].reshape(hi - lo, -1, f.shape[1])[:, q] = f
 
-        _kernel_blocks(self.sp, self.x, self.y, keep, self._owners())
-        return blocks
+        self._passes(keep)
+        rows = max(1, int(CHUNK_BYTES // (ny * 128)))  # a full-width pass's
+        return [(lo, min(lo + rows, nx), tuple(w[lo:lo + rows] for w in whole))
+                for lo in range(0, nx, rows)]
 
     def apply(self, g: np.ndarray, fields: list | None = None) -> np.ndarray:
         """The operator applied to a density of shape (ny, 4), as (nx, 4).
 
         Streams the kernel, or reads the blocks of :meth:`fields`; the
-        two give the same bits.
+        two give the same bits: both sum each sheet's matmul, in sheet
+        order, and a row's bits do not depend on its block.
         """
         gv = np.asarray(g, dtype=complex).reshape(-1, 4)
-        coeff = gv * self.col[:, None]
+        # coeff[q]: the weighted density on sheet q
+        coeff = (gv * self.col[:, None]).reshape(
+            -1, self._sheet_count(), 4).swapaxes(0, 1)
         # sums[k] pairs with E_k
-        sums = np.empty((4, self.x.shape[0], 4), dtype=complex)
+        sums = np.zeros((4, self.x.shape[0], 4), dtype=complex)
 
-        def add(lo: int, hi: int, stack) -> None:
+        def add(lo: int, hi: int, stack, sheets: slice) -> None:
             for k, f in enumerate(stack):
+                # the (hi - lo, n) fields of each sheet, summed in sheet order
+                f = f.reshape(hi - lo, -1, coeff.shape[1]).swapaxes(0, 1)
                 # a real field meets the real views: a real @ complex
                 # matmul would first copy the field to complex
                 if np.iscomplexobj(f):
-                    sums[k, lo:hi] = f @ coeff
+                    sums[k, lo:hi] += (f @ coeff[sheets]).sum(0)
                 else:
-                    sums.view(float)[k, lo:hi] = f @ coeff.view(float)
+                    sums.view(float)[k, lo:hi] += (
+                        f @ coeff.view(float)[sheets]).sum(0)
 
         if fields is None:
-            _kernel_blocks(self.sp, self.x, self.y, lambda lo, hi, diff, kernel:
-                           add(lo, hi, _field_stack(diff, kernel)),
-                           self._owners())
+            self._passes(lambda q, lo, hi, diff, kernel, r: add(
+                lo, hi, _field_stack(diff, kernel), slice(q, q + 1)))
         else:
             for lo, hi, stack in fields:
-                add(lo, hi, stack)
+                add(lo, hi, stack, slice(None))
         out = sum(s @ e.T for s, e in zip(sums, self._spinors()))
         if self.cells is not None:
             owner, cell = self.cells
@@ -311,6 +366,8 @@ class _KernelSum:
                 else:
                     sums.view(float)[k] += f.T @ z[lo:hi].view(float)
         out = sum(s @ np.conj(e) for s, e in zip(sums, self._spinors()))
+        # the kept columns run sheet by sheet, y's points cell by cell
+        out = out.reshape(self._sheet_count(), -1, 4).swapaxes(0, 1).reshape(-1, 4)
         out *= self.col[:, None]
         if self.cells is not None:
             owner, cell = self.cells
@@ -330,16 +387,19 @@ class _KernelSum:
         mat = np.zeros((nx, 4, ny, 4), dtype=complex)
         row = np.ones(nx) if self.row is None else self.row
 
-        def write(lo: int, hi: int, diff: np.ndarray,
-                  blocks: np.ndarray) -> None:
+        def write(lo: int, hi: int, diff: np.ndarray, blocks: np.ndarray,
+                  r: np.ndarray) -> None:
             blocks *= (row[lo:hi, None] * self.col)[:, :, None, None]
             mat[lo:hi] = blocks.transpose(0, 2, 1, 3)
 
-        _kernel_blocks(self.sp, self.x, self.y, write, self._owners(),
-                       dense=True)
+        owners = None
         if self.cells is not None:
             # x group k (points P k + i) over y cell owner[k] (Q owner[k] + j)
             owner, cell = self.cells
+            owners = (np.repeat(owner, cell.shape[1]),
+                      np.arange(ny) // cell.shape[2])
+        _kernel_blocks(self.sp, self.x, self.y, write, owners, dense=True)
+        if owners is not None:
             i, j = np.arange(cell.shape[1]), np.arange(cell.shape[2])
             xs = (i.size * np.arange(owner.size)[:, None] + i)[:, :, None]
             ys = (j.size * owner[:, None] + j)[:, None, :]
@@ -368,8 +428,22 @@ def _disk_moments(w: complex, rho, delta) -> tuple:
     return (ewa - ews) / (2.0 * w), np.sign(d) * ewa - d * ews / s
 
 
+def _over_cells(mesh: SurfaceMesh, rows: np.ndarray, shift: float,
+                heights: np.ndarray) -> tuple:
+    """The pairs of a sheet's pass: points over its cells, its nodes, owners.
+
+    Point H i + k sits at ``heights[k]`` over node ``rows[i]`` of
+    ``mesh.sheet(shift)``, whose cell is its own.
+    """
+    src = mesh.sheet(shift)[0]
+    pts = src[rows, None] + heights[:, None] * mesh.normals[rows, None]
+    return (pts.reshape(-1, 3), src,
+            (np.repeat(rows, heights.size), np.arange(len(mesh))))
+
+
 def _cell_block(sp: SpectralParameter, mesh: SurfaceMesh, rows: np.ndarray,
-                shift: float, heights: np.ndarray) -> np.ndarray:
+                shift: float, heights: np.ndarray,
+                use=lambda *block: None) -> np.ndarray:
     """Principal-value cell blocks of the kernel over a parallel sheet.
 
     The sheet is ``mesh.sheet(shift)``, the mesh moved by ``shift``
@@ -416,27 +490,34 @@ def _cell_block(sp: SpectralParameter, mesh: SurfaceMesh, rows: np.ndarray,
     a matmul of scalar (rows H, n) fields against (n, 3) node vectors:
     (x - y).nu(y) is x.nu(y) - y.nu(y), and the vector moment
     sum_j f_j (x - y_j) is x sum_j f_j - sum_j f_j y_j.  Only the flat
-    kernel 1/(4 pi r^3) of the solid-angle content is built here.
+    kernel 1/(4 pi r^3) of the solid-angle content is built here, from
+    the loop's distances.  ``use``, if given, gets every block of the
+    pass as :func:`_kernel_blocks` hands it out: an operator whose
+    sources lie on this sheet sums its own fields in the same pass.
     """
     det = mesh.coarea(shift)[rows, None]
-    src, wts = mesh.sheet(shift)
+    wts = mesh.sheet(shift)[1]
     nu = mesh.normals
     curv = (-mesh.lam1 / (1.0 - shift * mesh.lam1)
             - mesh.lam2 / (1.0 - shift * mesh.lam2))
     heights = np.asarray(heights, dtype=float)
-    # point H i + k sits at heights[k] over node rows[i], its own cell
-    own = np.repeat(rows, heights.size)
-    pts = (src[rows, None] + heights[:, None] * nu[rows, None]).reshape(-1, 3)
+    pts, src, owners = _over_cells(mesh, rows, shift, heights)
+    own = owners[0]
     v_far, d_far = np.empty((2, own.size, 3), dtype=complex)
     # far sums are matmuls against four node columns: with fewer, a row's
-    # bits would depend on its place in its chunk (BLAS gemv tails)
+    # bits would depend on its place in its chunk (BLAS gemv tails).  With
+    # four, OpenBLAS 0.3.31 (one thread) gives a row the same bits in any
+    # block of up to about 2.5e5 pairs (1.2e5 against the apply's eight
+    # real columns; complex ones in every block measured, up to 2,560 rows
+    # by 2,560 nodes); a block holds about CHUNK_BYTES / 128 = 3.1e4
     nu_cols = np.column_stack([nu * wts[:, None], wts])
     src_cols = np.column_stack([wts, src * wts[:, None]])
 
-    def add(lo: int, hi: int, diff: np.ndarray, fields: tuple) -> None:
+    def add(lo: int, hi: int, diff: np.ndarray, fields: tuple,
+            r: np.ndarray) -> None:
+        use(lo, hi, diff, fields, r)  # first: its arrays are freed before these
         pref, odd = fields
         ndot = pts[lo:hi] @ nu.T - np.sum(src * nu, axis=1)  # (x - y).nu(y)
-        r = np.sqrt(diff[..., 0] ** 2 + diff[..., 1] ** 2 + diff[..., 2] ** 2)
         base = 1.0 / (4.0 * np.pi * r**3)  # the flat (w = 0) odd kernel
         base[np.arange(hi - lo), own[lo:hi]] = 0.0
         # curvature layer and the odd kernel carry nu(y) w; the flat
@@ -447,7 +528,7 @@ def _cell_block(sp: SpectralParameter, mesh: SurfaceMesh, rows: np.ndarray,
         mom = odd @ src_cols
         d_far[lo:hi] = mom[:, :1] * pts[lo:hi] - mom[:, 1:]
 
-    _kernel_blocks(sp, pts, src, add, (own, np.arange(len(mesh))))
+    _kernel_blocks(sp, pts, src, add, owners)
     rho = np.sqrt(mesh.weights[rows] / np.pi)[:, None]
     layer, axial = _disk_moments(sp.branch, rho, heights)
     _, axial_flat = _disk_moments(0.0, rho, heights)
@@ -516,14 +597,15 @@ def _trace_op(sp: SpectralParameter, mesh: SurfaceMesh,
 
     Row H i + k is the point x + heights[k] nu over node rows[i]: kernel
     times node weights over the other nodes, plus that node's cell seen
-    from that height, one cell pass for all.  Height 0 gives trace rows,
-    +-h the one-sided values of the Plemelj relations.
+    from that height.  The nodes are one sheet, so a reading is one
+    pass, and the first also finishes the cells.  Height 0 gives trace
+    rows, +-h the one-sided values of the Plemelj relations.
     """
     if rows is None:
         rows = np.arange(len(mesh))
-    cell = _cell_block(sp, mesh, rows, 0.0, heights)
-    return _KernelSum(sp, mesh.sheet(heights)[0][rows].reshape(-1, 3),
-                      mesh.nodes, mesh.weights, cells=(rows, cell[:, :, None]))
+    return _KernelSum(sp, mesh.sheet(heights)[0][rows].reshape(-1, 3), mesh.nodes,
+                      mesh.weights, sheets=(mesh, rows, np.zeros(1),
+                                            np.array([heights], dtype=float), None))
 
 
 def cauchy_sigma_apply(sp: SpectralParameter, mesh: SurfaceMesh,
@@ -574,9 +656,10 @@ class ShellOperator:
     """A square shell operator on a weighted quadrature space.
 
     ``op`` is its kernel sum.  Its fields are evaluated once, when the
-    operator is built, and every :meth:`apply`, :meth:`adjoint` and
-    :meth:`norm` reads them.  ``weights`` are the scalar quadrature
-    weights, one per 4-spinor block, of both its rows and its columns.
+    operator is built, in the passes that also finish its cells, and
+    every :meth:`apply`, :meth:`adjoint` and :meth:`norm` reads
+    them.  ``weights`` are the scalar quadrature weights, one per
+    4-spinor block, of both its rows and its columns.
     """
 
     op: _KernelSum
@@ -819,16 +902,16 @@ def _b_eps_op(grid: OperatorGrid, sp: SpectralParameter,
     signed height eps (t_p - t_q) over it, times v_q w_q.  At eps = 0
     this reproduces the trace diagonal plus the sharp sign-kernel jump
     term entry by entry, so the squeezed family has no discretization
-    floor here.
+    floor here.  The sources are M sheets, so a reading is M passes,
+    each over all N M collar points against one sheet's N nodes; the
+    first reading's passes also finish the cells.
     """
     pts, wts = _collar(grid, eps, True)
-    n, m, kv = grid.n_nodes, grid.n_transverse, grid.kv
-    t, rows = kv.nodes, np.arange(n)
-    same = np.empty((n, m, m, 4, 4), dtype=complex)
-    for q in range(m):  # the sheet of t_q, from every height eps (t_p - t_q)
-        same[:, :, q] = (kv.v_vals[q] * kv.weights[q]) * _cell_block(
-            sp, grid.mesh, rows, eps * t[q], eps * (t - t[q]))
-    return _KernelSum(sp, pts, pts, wts, np.tile(kv.u_vals, n), (rows, same))
+    kv, t = grid.kv, grid.kv.nodes
+    # sheet q sees point p of a node at eps (t_p - t_q)
+    return _KernelSum(sp, pts, pts, wts, np.tile(kv.u_vals, grid.n_nodes),
+                      (grid.mesh, np.arange(grid.n_nodes), eps * t,
+                       eps * (t - t[:, None]), kv.v_vals * kv.weights))
 
 
 def b_eps_apply(grid: OperatorGrid, sp: SpectralParameter, eps: float,

@@ -11,8 +11,9 @@ in ``kernel_fields`` alone, which only ``phi_a`` and the chunk loop
 the loop only by ``_KernelSum`` and the cell rule's far sums in
 ``_cell_block``, so the dense and matrix-free readings of every operator
 and the punctured sums of its cells share one route.  The cell rule
-itself is called once per sheet, by the trace ``_trace_op`` and the
-squeezed ``_b_eps_op``, and a Dirac block is composed in
+itself is called by ``_KernelSum`` alone, in the one pass per sheet
+that also sums the operator's fields (the trace ``_trace_op`` is one
+sheet, the squeezed ``_b_eps_op`` M), and a Dirac block is composed in
 ``spinor_blocks`` alone, for ``phi_a`` and the cell rule.  In ``shell_ops``
 ``exp`` serves only the closed-form disk moments and the smooth sample
 densities, never a second copy of the kernel.
@@ -137,8 +138,7 @@ def test_scan_finds_callers():
     ("_kernel_blocks", [("shell_ops.py", "_KernelSum"),
                         ("shell_ops.py", "_cell_block")]),
     ("phi_a", [("shell_ops.py", "_kernel_blocks")]),
-    ("_cell_block", [("shell_ops.py", "_trace_op"),
-                     ("shell_ops.py", "_b_eps_op")]),
+    ("_cell_block", [("shell_ops.py", "_KernelSum")]),
     ("spinor_blocks", [("dirac_algebra.py", "phi_a"),
                        ("shell_ops.py", "_cell_block")]),
     ("kernel_fields", [("dirac_algebra.py", "phi_a"),

@@ -151,7 +151,7 @@ def cell_block_at_height(sp, mesh, rows, shift, height):
     d_far = np.empty((rows.size, 3), dtype=complex)
     nu_cols = np.column_stack([nu * wts[:, None], wts])
 
-    def add(lo, hi, diff, fields):
+    def add(lo, hi, diff, fields, _):  # its own distances, not the loop's
         pref, odd = fields
         ndot = pts[lo:hi] @ nu.T - np.sum(src * nu, axis=1)
         r = np.sqrt(diff[..., 0] ** 2 + diff[..., 1] ** 2 + diff[..., 2] ** 2)
@@ -289,10 +289,19 @@ def test_operators_do_not_depend_on_the_chunk_layout(ellipsoid320, grid80_m8,
                                                      monkeypatch):
     from deltashell import shell_ops
 
-    # the cell rule's far sums and the apply are matmuls against four or
-    # more columns, so a row's bits do not depend on where it falls in
-    # its chunk; the kernel fields are real at a = i, and at a complex
-    # branch (a = 0.3 + 0.4i) formed from real products
+    # the cell rule's far sums and the apply are matmuls of a block of
+    # rows against four or eight columns.  OpenBLAS 0.3.31 (one thread)
+    # gives a row the same bits in any block of up to about 1.2e5 pairs
+    # (rows x nodes) against eight real columns and 2.5e5 against four,
+    # and complex products in every block measured (up to 2,560 rows by
+    # 2,560 nodes); past that, a row's bits depend on its block.  These
+    # layouts stay within 3.2e4 pairs a block: up to 390 rows by 80 nodes
+    # in a sheet's pass, 97 by 320 in the trace's.  The kept apply reads
+    # each sheet's columns of the whole arrays in the blocks of a pass
+    # against all of y (48 rows by 80 nodes here), inside the same range,
+    # and the row stride does not change the bits.  The kernel fields are
+    # real at a = i, and at a complex branch (a = 0.3 + 0.4i) formed from
+    # real products
     gc = RNG.normal(size=(len(ellipsoid320), 4)) + 0.5j
     gb = RNG.normal(size=(grid80_m8.dofs // 4, 4)) - 0.5j
     for sp in (SP, SpectralParameter(0.3 + 0.4j, 1.0)):
@@ -333,20 +342,23 @@ def test_kernel_blocks_hand_out_contiguous_planes(owned, monkeypatch):
     from deltashell import shell_ops
 
     # every component of diff is one contiguous plane, with the bits of
-    # the interleaved difference; cell pairs have zero fields
+    # the interleaved difference, and r is its length, with the bits
+    # kernel_fields forms; cell pairs have zero fields
     monkeypatch.setattr(shell_ops, "CHUNK_BYTES", 2e5)  # several blocks
     rng = np.random.default_rng(5)
     x, y = rng.normal(size=(300, 3)), rng.normal(size=(200, 3))
     owners = (rng.integers(0, 20, 300), np.arange(200) // 10) if owned else None
     blocks = []
 
-    def use(lo, hi, diff, kernel):
+    def use(lo, hi, diff, kernel, r):
         cell = (owners[0][lo:hi, None] == owners[1][None, :] if owned
                 else np.zeros((hi - lo, 200), dtype=bool))
         for c in range(3):
             assert diff[..., c].flags.c_contiguous
             want = x[lo:hi, None, c] - y[None, :, c]
             assert np.array_equal(diff[..., c][~cell], want[~cell])
+        want = np.sqrt(diff[..., 0] ** 2 + diff[..., 1] ** 2 + diff[..., 2] ** 2)
+        assert np.array_equal(r, want)
         for f in kernel:
             assert np.all(f[cell] == 0.0)
         blocks.append((lo, hi, np.count_nonzero(cell)))
@@ -477,25 +489,96 @@ def test_cell_block_matches_the_per_height_rule(ellipsoid320, shift, a):
         assert np.max(np.abs(got[:, k] - want)) <= 1e-14 * np.max(np.abs(want))
 
 
-def test_cell_rule_makes_one_pass_per_sheet(grid80_m8, mesh320, monkeypatch):
+@pytest.mark.parametrize("a", [1j, 0.3 + 0.4j])
+def test_trace_readings_are_the_sum_plus_standalone_cells(ellipsoid320, a):
+    from deltashell.shell_ops import _cell_block, _mesh_resolution, _trace_op
+
+    # the cells ride the trace's own pass; with the cells of a standalone
+    # _cell_block call put in first, the pass sums the kernel alone
+    sp = SpectralParameter(a, 1.0)
+    mesh = ellipsoid320
+    g = RNG.normal(size=(len(mesh), 4)) + 1j * RNG.normal(size=(len(mesh), 4))
+    h = 1.5 * _mesh_resolution(mesh)
+    reads = [(np.arange(len(mesh)), [0.0]),
+             (np.array([0, 57, 160, 255]), [h, -h, 0.0])]
+    for rows, heights in reads:
+        fused = _trace_op(sp, mesh, rows, heights)
+        got = fused.apply(g)
+        apart = _trace_op(sp, mesh, rows, heights)
+        apart.finished.append(_cell_block(sp, mesh, rows, 0.0, heights)[:, :, None])
+        assert np.array_equal(fused.cells[1], apart.cells[1])
+        assert np.array_equal(got, apart.apply(g))
+    assert np.array_equal(cauchy_sigma_apply(sp, mesh, g),
+                          _trace_op(sp, mesh).apply(g))
+
+
+@pytest.mark.parametrize("a", [1j, 0.3 + 0.4j])
+def test_b_eps_streamed_and_kept_applies_agree_bit_for_bit(grid80_m8, a):
+    sp = SpectralParameter(a, 1.0)
+    g = RNG.normal(size=(grid80_m8.dofs // 4, 4)) + 1j * RNG.normal(
+        size=(grid80_m8.dofs // 4, 4))
+    kept = assemble_family(grid80_m8, sp, 0.05)["B"].apply(g)
+    streamed = b_eps_apply(grid80_m8, sp, 0.05, g)
+    assert np.array_equal(kept, streamed.reshape(-1, 4))
+
+
+def test_cell_rule_makes_one_pass_per_sheet(grid80_m8, mesh320, resolvent_setup,
+                                            monkeypatch):
     from deltashell import shell_ops
 
-    passes = []
-    blocks = shell_ops._kernel_blocks
+    # every kernel pass, and those of them that also run the far sums
+    passes, far = [], []
+    blocks, cell_block = shell_ops._kernel_blocks, shell_ops._cell_block
 
-    def counted(sp, x, y, use, *args, **kwargs):
-        passes.append(use.__qualname__.split(".")[0])
-        return blocks(sp, x, y, use, *args, **kwargs)
+    def counted(*args, **kwargs):
+        passes.append(1)
+        return blocks(*args, **kwargs)
+
+    def counted_cells(*args, **kwargs):
+        far.append(1)
+        return cell_block(*args, **kwargs)
 
     monkeypatch.setattr(shell_ops, "_kernel_blocks", counted)
-    shell_ops._b_eps_op(grid80_m8, SP, 0.05)  # M = 8 sheets
-    assert passes == ["_cell_block"] * 8
-    passes.clear()
+    monkeypatch.setattr(shell_ops, "_cell_block", counted_cells)
+
+    def counts(read):
+        passes.clear()
+        far.clear()
+        read()
+        return len(passes), len(far)
+
     g = smooth_density(mesh320)
-    report = plemelj_check(SP, mesh320, g, max_eval_nodes=16)
-    assert len(report.offsets) == 5
-    # one cell pass for both sides and the trace, then one apply
-    assert passes == ["_cell_block", "_KernelSum"]
+    gb = np.ones((grid80_m8.dofs // 4, 4), dtype=complex)
+    # M = 8 sheets: one pass each, the cells riding them
+    assert counts(lambda: b_eps_apply(grid80_m8, SP, 0.05, gb)) == (8, 8)
+    family = []
+    assert counts(lambda: family.append(
+        assemble_family(grid80_m8, SP, 0.05)["B"])) == (8, 8)
+    assert counts(lambda: family[0].norm()) == (0, 0)
+    # the trace is one sheet, its rows at every height one pass
+    assert counts(lambda: cauchy_sigma_apply(SP, mesh320, g)) == (1, 1)
+    report = []
+    assert counts(lambda: report.append(
+        plemelj_check(SP, mesh320, g, max_eval_nodes=16))) == (1, 1)
+    assert len(report[0].offsets) == 5
+
+    # the resolvent's trace: one pass per GMRES matvec, far sums in the first
+    applies = []
+    apply = shell_ops._KernelSum.apply
+
+    def counted_apply(op, *args, **kwargs):
+        before = len(passes), len(far)
+        out = apply(op, *args, **kwargs)
+        if op.sheets is not None:
+            applies.append((len(passes) - before[0], len(far) - before[1]))
+        return out
+
+    monkeypatch.setattr(shell_ops._KernelSum, "apply", counted_apply)
+    mesh, vol, fv = resolvent_setup
+    shell_resolvent_apply(SP, mesh, 0.5, "electrostatic", vol, fv,
+                          np.array([[1.4, 0.3, 0.1]]))
+    assert len(applies) > 10
+    assert applies == [(1, 1)] + [(1, 0)] * (len(applies) - 1)
 
 
 def gemvs(mat):
