@@ -9,9 +9,14 @@ values are echoed in a metadata block so a run can be reproduced from
 its own output, and all output is deterministic for a fixed
 configuration.
 
-Exit codes: 0 on success, 1 when a computation ran but a check failed
-(method disagreement, tolerance exceeded, broken monotonicity), 2 when
-the request is malformed or outside the validity domain.
+Each ``cmd_*`` computes its result and writes nothing; :func:`main`
+adds the metadata and any ``"error"`` block, formats the JSON or CSV,
+writes it to stdout, ``--out`` or ``--json-out``, and returns the exit
+code: 0 on success, 1 when a computation ran but a check failed
+(method disagreement, tolerance exceeded, broken monotonicity, or a
+:class:`CheckFailed` raised inside it), 2 when the request is
+malformed or outside the validity domain, or an output path cannot be
+written.
 """
 
 from __future__ import annotations
@@ -26,7 +31,6 @@ import scipy
 from . import CheckFailed, __version__
 from .coupling import (
     KINDS,
-    NonContractive,
     build_kv,
     effective_coupling,
     lambda_electrostatic,
@@ -198,24 +202,15 @@ def _meta_dict(command: str, params: dict) -> dict:
     return doc
 
 
-def _meta_block(command: str, params: dict, extra: dict | None = None) -> str:
+def _meta_block(command: str, params: dict, extra: dict) -> str:
     doc = _meta_dict(command, params)
     lines = [f"# {key}={doc[key]}" for key in sorted(doc)]
-    if extra:
-        lines += [f"# {key}={_fmt(extra[key])}" for key in sorted(extra)]
+    lines += [f"# {key}={_fmt(extra[key])}" for key in sorted(extra)]
     return "\n".join(lines) + "\n"
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-
-
-def _emit_json(doc: dict, out: str | None) -> None:
-    _emit(json.dumps(_jsonable(doc), sort_keys=True, indent=2) + "\n", out)
+def _json(doc: dict) -> str:
+    return json.dumps(_jsonable(doc), sort_keys=True, indent=2) + "\n"
 
 
 def _make_profile(params: dict, parser: argparse.ArgumentParser):
@@ -238,7 +233,7 @@ def _make_profile(params: dict, parser: argparse.ArgumentParser):
 # coupling
 
 
-def cmd_coupling(params, parser) -> int:
+def cmd_coupling(params, parser) -> tuple:
     profile = _make_profile(params, parser)
     tol = params["tol"]
     terms = params["terms"]
@@ -278,13 +273,10 @@ def cmd_coupling(params, parser) -> int:
         meta["eta"] = float(profile.eta)
     doc = {"lambda_e": direct.lambda_e, "lambda_s": direct.lambda_s,
            "hs_norm": kv.hs_norm, "method_agreement": agreement,
-           "methods": methods, "metadata": _meta_dict("coupling", meta)}
-    if agreement > tol:
-        doc["error"] = {"type": "MethodDisagreement",
-                        "message": f"methods spread {agreement:.3e} "
-                                   f"exceeds tolerance {tol:.3e}"}
-    _emit_json(doc, params["out"])
-    return 0 if agreement <= tol else 1
+           "methods": methods, "metadata": meta}
+    return doc, None if agreement <= tol else (
+        "MethodDisagreement",
+        f"methods spread {agreement:.3e} exceeds tolerance {tol:.3e}")
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +300,7 @@ def _jump_density(mesh, name: str, seed: int) -> np.ndarray:
     return g.ravel()
 
 
-def cmd_jump_check(params, parser) -> int:
+def cmd_jump_check(params, parser) -> tuple:
     sp = SpectralParameter(_as_complex(params["a"]), params["m"])
     mesh = build_mesh(sphere(params["radius"]), params["n"])
     g = _jump_density(mesh, params["density"], params["seed"])
@@ -326,21 +318,17 @@ def cmd_jump_check(params, parser) -> int:
            "jump_identity_rel": report.jump_identity_rel,
            "average_identity_rel": report.average_identity_rel,
            "max_rel_error": report.max_rel_error,
-           "tol": tol, "passed": passed,
-           "metadata": _meta_dict("jump-check", params)}
-    if not passed:
-        doc["error"] = {"type": "JumpToleranceExceeded",
-                        "message": f"max relative error {report.max_rel_error:.3e} "
-                                   f"exceeds tolerance {tol:.3e}"}
-    _emit_json(doc, params["out"])
-    return 0 if passed else 1
+           "tol": tol, "passed": passed}
+    return doc, None if passed else (
+        "JumpToleranceExceeded",
+        f"max relative error {report.max_rel_error:.3e} exceeds tolerance {tol:.3e}")
 
 
 # ---------------------------------------------------------------------------
 # geometry-audit
 
 
-def cmd_geometry_audit(params, parser) -> int:
+def cmd_geometry_audit(params, parser) -> tuple:
     name = params["surface"]
     if name == "sphere":
         surf = sphere(params["radius"])
@@ -358,8 +346,7 @@ def cmd_geometry_audit(params, parser) -> int:
     moment = coarea_integrate(mesh, lambda pts: np.sum(pts * pts, axis=1), eps,
                               params["t_nodes"])
     doc = {"volume": volume, "radial_moment": moment,
-           "collar_eta": surf.collar_eta(), "nodes": len(mesh),
-           "metadata": _meta_dict("geometry-audit", params)}
+           "collar_eta": surf.collar_eta(), "nodes": len(mesh)}
     checks = []
     if name == "sphere":
         r = params["radius"]
@@ -383,20 +370,16 @@ def cmd_geometry_audit(params, parser) -> int:
         doc["growth"] = {"error": str(exc)}
         checks.append(False)
 
-    passed = all(checks)
-    doc["passed"] = passed
-    if not passed:
-        doc["error"] = {"type": "GeometryAuditFailed",
-                        "message": "a coarea or measure-growth check failed"}
-    _emit_json(doc, params["out"])
-    return 0 if passed else 1
+    doc["passed"] = all(checks)
+    return doc, None if doc["passed"] else (
+        "GeometryAuditFailed", "a coarea or measure-growth check failed")
 
 
 # ---------------------------------------------------------------------------
 # converge
 
 
-def cmd_converge(params, parser) -> int:
+def cmd_converge(params, parser) -> tuple:
     eps = _require(params, "eps", parser)
     sp = SpectralParameter(_as_complex(params["a"]), params["m"])
     mesh = build_mesh(sphere(1.0), params["n"])
@@ -405,16 +388,14 @@ def cmd_converge(params, parser) -> int:
     table = strong_convergence_experiment(grid, sp, eps)
     # the coupling the eps -> 0 limit reaches: the grid's own J, not 2 tan(s/2)
     lam = lambda_electrostatic(grid.kv).lambda_e
-    _emit(table.csv() + _meta_block("converge", params, {
-        "lambda_grid": lam, "mesh_nodes": len(mesh)}), params["out"])
-    return 0
+    return table.csv(), {"lambda_grid": lam, "mesh_nodes": len(mesh)}
 
 
 # ---------------------------------------------------------------------------
 # spectrum
 
 
-def cmd_spectrum(params, parser) -> int:
+def cmd_spectrum(params, parser) -> tuple:
     lam = _require(params, "lam", parser)
     scan = params["scan"]
     if scan is not None:
@@ -432,29 +413,23 @@ def cmd_spectrum(params, parser) -> int:
                 zip(res.eigenvalues, res.residuals, res.brackets)):
             lines.append(f"{kap},{i},{eig:.12g},{resid:.3g},"
                          f"{brk[0]:.12g},{brk[1]:.12g}")
-    _emit("\n".join(lines) + "\n" + _meta_block("spectrum", params),
-          params["out"])
-    return 0
+    return "\n".join(lines) + "\n", {}
 
 
 # ---------------------------------------------------------------------------
 # klein
 
 
-def cmd_klein(params, parser) -> int:
+def cmd_klein(params, parser) -> tuple:
     eps = _require(params, "eps", parser)
     profile = _make_profile(params, parser)
     study = klein_convergence_study(
         profile, eps, kappa=params["kappa"], m=params["m"], R=params["R"],
         kind=params["kind"], sub_panels=params["panels"])
     summary = study.summary()
-    _emit(study.csv() + _meta_block("klein", params, summary), params["out"])
-    if params["json_out"] is not None:
-        _emit_json({**summary, "kind": study.kind,
-                    "epsilons": [eps for eps, _, _ in study.rows],
-                    "gaps": [gap for _, _, gap in study.rows]},
-                   params["json_out"])
-    return 0
+    return study.csv(), summary, {**summary, "kind": study.kind,
+                                  "epsilons": [eps for eps, _, _ in study.rows],
+                                  "gaps": [gap for _, _, gap in study.rows]}
 
 
 # ---------------------------------------------------------------------------
@@ -573,20 +548,59 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _emit(writes: list, code: int) -> int:
+    """Write each ``(text, path)``, to stdout for a None path; the exit code.
+
+    An unwritable path is a usage error: one ``error:`` line on stderr
+    names it, and the code is 2.
+    """
+    for text, out in writes:
+        if out is None:
+            sys.stdout.write(text)
+            continue
+        try:
+            with open(out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except (OSError, ValueError) as exc:
+            sys.stderr.write(f"error: cannot write {out}: {exc}\n")
+            return 2
+    return code
+
+
 def main(argv=None) -> int:
+    """Run one command, write its result and return the exit code.
+
+    A command returns its result and writes nothing.  A JSON document
+    comes with its failed check, ``(type, message)``, or None; here it
+    gets the metadata of the parameters it names under ``"metadata"``,
+    or else of all of them, and the failure as its ``"error"`` block
+    (exit 1).  CSV text comes with the figures its metadata block adds
+    to the parameters, and ``klein``'s also with the document for
+    ``--json-out``.  A :class:`CheckFailed` raised inside a computation
+    leaves no result: its ``"error"`` block alone goes to stdout, never
+    to ``--out``.
+    """
     parser = _build_parser()
     ns = parser.parse_args(argv)
     config = _load_config(ns.config, parser)
     params = _resolve(ns, config, ns.command, ns.parser)
     try:
-        return COMMANDS[ns.command][0](params, ns.parser)
-    except (AssertionError, NonContractive) as exc:
-        _emit_json({"error": {"type": type(exc).__name__,
-                              "message": str(exc)}}, None)
-        return 1
+        result, extra, *also = COMMANDS[ns.command][0](params, ns.parser)
+    except CheckFailed as exc:
+        return _emit([(_json({"error": {"type": type(exc).__name__,
+                                        "message": str(exc)}}), None)], 1)
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    if isinstance(result, str):
+        writes = [(result + _meta_block(ns.command, params, extra), params["out"])]
+        if also and params["json_out"] is not None:
+            writes.append((_json(also[0]), params["json_out"]))
+        return _emit(writes, 0)
+    result["metadata"] = _meta_dict(ns.command, result.get("metadata", params))
+    if extra is not None:
+        result["error"] = {"type": extra[0], "message": extra[1]}
+    return _emit([(_json(result), params["out"])], int(extra is not None))
 
 
 if __name__ == "__main__":

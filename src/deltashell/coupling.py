@@ -34,6 +34,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.linalg import get_lapack_funcs, lu_solve
 
+from . import CheckFailed
 from .potential import PotentialProfile, UVFactorization
 
 DEFAULT_NODES = 128
@@ -42,7 +43,7 @@ ILL_CONDITIONED = 1e12
 KINDS = ("electrostatic", "scalar")
 
 
-class NonContractive(Exception):
+class NonContractive(CheckFailed):
     """The Hilbert-Schmidt bound fails and the linear solve is untrustworthy."""
 
 

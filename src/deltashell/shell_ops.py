@@ -659,7 +659,9 @@ class ShellOperator:
     operator is built, in the passes that also finish its cells, and
     every :meth:`apply`, :meth:`adjoint` and :meth:`norm` reads
     them.  ``weights`` are the scalar quadrature weights, one per
-    4-spinor block, of both its rows and its columns.
+    4-spinor block, of both its rows and its columns.  An operator of
+    more than ``DENSE_DOF_CAP`` dofs is refused with ``ValueError``
+    before any field is evaluated; its streamed apply serves beyond.
     """
 
     op: _KernelSum
@@ -667,6 +669,10 @@ class ShellOperator:
     fields: list = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        dofs = 4 * len(self.op.x)
+        if dofs > DENSE_DOF_CAP:
+            raise ValueError(
+                f"kept operator needs {dofs} dofs, DENSE_DOF_CAP is {DENSE_DOF_CAP}")
         object.__setattr__(self, "fields", self.op.fields())
 
     def apply(self, g: np.ndarray) -> np.ndarray:
@@ -687,12 +693,7 @@ class ShellOperator:
 
 def cauchy_sigma(sp: SpectralParameter, mesh: SurfaceMesh) -> ShellOperator:
     """The boundary trace operator with its fields cached, up to ``DENSE_DOF_CAP``."""
-    n = len(mesh)
     _check_trace_nodes(mesh)
-    if 4 * n > DENSE_DOF_CAP:
-        raise ValueError(
-            f"cached trace operator needs {4 * n} dofs, cap is {DENSE_DOF_CAP}; "
-            "use cauchy_sigma_apply for large meshes")
     return ShellOperator(_trace_op(sp, mesh), mesh.weights)
 
 
@@ -820,10 +821,6 @@ class OperatorGrid:
     @property
     def n_transverse(self) -> int:
         return self.kv.nodes.size
-
-    @property
-    def dofs(self) -> int:
-        return 4 * self.n_nodes * self.n_transverse
 
     def scalar_weights(self) -> np.ndarray:
         """Quadrature weights per (node, t) pair, flattened."""
@@ -960,9 +957,6 @@ def assemble_family(grid: OperatorGrid, sp: SpectralParameter,
     ``DENSE_DOF_CAP`` dofs; use that routine beyond the cap.  A_eps and
     C_eps are read by streamed applies only.
     """
-    if grid.dofs > DENSE_DOF_CAP:
-        raise ValueError(
-            f"grid has {grid.dofs} dofs, cap is {DENSE_DOF_CAP}")
     return {"B": ShellOperator(_b_eps_op(grid, sp, eps), grid.scalar_weights())}
 
 

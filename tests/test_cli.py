@@ -10,7 +10,7 @@ import pytest
 
 from deltashell import CheckFailed, cli, geometry
 from deltashell.cli import _build_parser, main
-from deltashell.coupling import lambda_electrostatic
+from deltashell.coupling import NonContractive, lambda_electrostatic
 from deltashell.potential import factorize, square_well
 from deltashell.shell_ops import make_operator_grid
 
@@ -506,6 +506,77 @@ def test_geometry_audit_flagged_row_is_strict_json(tmp_path):
     assert code == 0
     doc = json.loads(out.read_text(), parse_constant=_reject_constant)
     assert doc["growth"]["rows"][0] == [0.01, True, None, None]
+
+
+# ---------------------------------------------------------------------------
+# the exit path: failures raised inside a computation, unwritable outputs
+
+
+def _error_only(text):
+    """The strict JSON a raised check leaves on stdout: its error alone."""
+    doc = json.loads(text, parse_constant=_reject_constant)
+    assert list(doc) == ["error"] and sorted(doc["error"]) == ["message", "type"]
+    return doc["error"]
+
+
+def test_noncontractive_coupling_exits_one_with_the_error_on_stdout(
+        tmp_path, capsys):
+    assert issubclass(NonContractive, CheckFailed)
+    out = tmp_path / "out.json"
+    args = ["coupling", "--tau", "3.14159265358979", "--eta", "1"]
+    for extra in ([], ["--out", str(out)]):
+        assert main(args + extra) == 1
+        error = _error_only(capsys.readouterr().out)
+        assert error["type"] == "NonContractive"
+        assert "HS bound 1.571 >= 1" in error["message"]
+    # no result was computed, so --out is not written: the failure is on stdout
+    assert not out.exists()
+
+
+def test_check_failed_inside_converge_exits_one(tmp_path, capsys, monkeypatch):
+    def fail(grid, sp, eps):
+        raise CheckFailed("norm column 0 increased before the floor")
+
+    monkeypatch.setattr(cli, "strong_convergence_experiment", fail)
+    out = tmp_path / "out.csv"
+    code = main(["converge", "--N", "80", "--M", "2", "--eps", "0.1",
+                 "--out", str(out)])
+    assert code == 1
+    assert _error_only(capsys.readouterr().out) == {
+        "type": "CheckFailed",
+        "message": "norm column 0 increased before the floor"}
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("route", ["missing-dir", "nul-from-config"])
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys, route):
+    args = ["coupling", "--tau", "0.4"]
+    if route == "missing-dir":  # open raises OSError
+        path = tmp_path / "missing" / "x.json"
+        args += ["--out", str(path)]
+    else:  # a NUL byte, which only a config file can carry: ValueError
+        path = str(tmp_path / "x\0.json")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"out": path}))
+        args += ["--config", str(cfg)]
+    code = main(args)
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {path}: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_unwritable_json_out_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "missing" / "k.json"
+    code = main(["klein", "--tau", "1.0", "--eta", "1.0", "--eps", "0.1",
+                 "--json-out", str(path)])
+    assert code == 2
+    captured = capsys.readouterr()
+    # the CSV is written first, to stdout, then the summary fails
+    assert captured.out.startswith("epsilon,a_eps,")
+    assert captured.err.startswith(f"error: cannot write {path}: ")
+    assert captured.err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,9 @@ cells, never a second sign kernel.  A ninth keeps one eigensolver and
 no dense matrix on a program path: ``eigsh`` is called by
 ``weighted_norm`` alone, and ``_KernelSum.matrix()`` only by
 ``ShellOperator``, whose ``matrix`` is built when a reader asks for it.
+A tenth keeps the command line's output in one place: no ``cmd_*`` of
+``cli`` writes stdout, formats JSON or opens a file for writing, and
+the writer ``_emit`` has one caller, ``main``.
 """
 
 import ast
@@ -381,3 +384,38 @@ def test_one_eigensolver_and_the_dense_matrix_only_on_request():
 
     assert found("eigsh") == {("shell_ops.py", "weighted_norm")}
     assert found("matrix") == {("shell_ops.py", "ShellOperator")}
+
+
+def output_calls(node) -> list:
+    """The calls under ``node`` that write output or format it for output:
+    ``sys.stdout.write``, ``json.dumps`` and ``open`` in a mode that
+    writes (a mode that is no literal counts as one)."""
+    found = []
+    for call in ast.walk(node):
+        if not isinstance(call, ast.Call):
+            continue
+        name = ast.unparse(call.func)
+        modes = call.args[1:2] + [k.value for k in call.keywords if k.arg == "mode"]
+        writes = any(not isinstance(m, ast.Constant) or set(str(m.value)) & set("wax+")
+                     for m in modes)
+        if name in ("sys.stdout.write", "json.dumps") or (name == "open" and writes):
+            found.append(name)
+    return found
+
+
+def test_scan_finds_output_calls():
+    source = ("def f(p, m):\n    open(p)\n    open(p, 'r')\n    open(p, 'w')\n"
+              "    open(p, mode=m)\n    json.dumps({})\n    sys.stdout.write('')\n"
+              "    sys.stderr.write('')\n")
+    assert output_calls(ast.parse(source)) == [
+        "open", "open", "json.dumps", "sys.stdout.write"]
+
+
+def test_commands_compute_and_main_writes():
+    source = (ROOT / "src" / "deltashell" / "cli.py").read_text(encoding="utf-8")
+    commands = {top.name: top for top in ast.parse(source).body
+                if isinstance(top, ast.FunctionDef) and top.name.startswith("cmd_")}
+    assert len(commands) == 6
+    assert {name: output_calls(top) for name, top in commands.items()} == {
+        name: [] for name in commands}
+    assert callers(source, "_emit") == ["main"]

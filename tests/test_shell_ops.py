@@ -117,7 +117,7 @@ def sphere_trace_reference(sp, mesh, spinor=E1):
 def bprime_direct(grid):
     """Dense B' assembled entry by entry from the sign kernel."""
     n, m = grid.n_nodes, grid.n_transverse
-    out = np.zeros((grid.dofs, grid.dofs), dtype=complex)
+    out = np.zeros((4 * n * m, 4 * n * m), dtype=complex)
     for k in range(n):
         an = alpha_dot(grid.mesh.normals[k])
         for p in range(m):
@@ -303,7 +303,7 @@ def test_operators_do_not_depend_on_the_chunk_layout(ellipsoid320, grid80_m8,
     # real at a = i, and at a complex branch (a = 0.3 + 0.4i) formed from
     # real products
     gc = RNG.normal(size=(len(ellipsoid320), 4)) + 0.5j
-    gb = RNG.normal(size=(grid80_m8.dofs // 4, 4)) - 0.5j
+    gb = RNG.normal(size=(grid80_m8.n_nodes * grid80_m8.n_transverse, 4)) - 0.5j
     for sp in (SP, SpectralParameter(0.3 + 0.4j, 1.0)):
         runs = []
         for chunk_bytes in (4e6, 1.3e6, 3.7e5):
@@ -372,7 +372,7 @@ def test_kernel_blocks_hand_out_contiguous_planes(owned, monkeypatch):
 def test_kept_fields_are_row_views_of_four_arrays(a, pair_bytes, grid80_m8):
     # one (nx, ny) array per field, not four arrays per block of rows
     b = assemble_family(grid80_m8, SpectralParameter(a, 1.0), 0.05)["B"]
-    n = grid80_m8.dofs // 4
+    n = grid80_m8.n_nodes * grid80_m8.n_transverse
     whole = [f.base for f in b.fields[0][2]]
     assert len(b.fields) > 1 and len({id(w) for w in whole}) == 4
     assert all(w is not None and w.shape == (n, n) for w in whole)
@@ -515,8 +515,8 @@ def test_trace_readings_are_the_sum_plus_standalone_cells(ellipsoid320, a):
 @pytest.mark.parametrize("a", [1j, 0.3 + 0.4j])
 def test_b_eps_streamed_and_kept_applies_agree_bit_for_bit(grid80_m8, a):
     sp = SpectralParameter(a, 1.0)
-    g = RNG.normal(size=(grid80_m8.dofs // 4, 4)) + 1j * RNG.normal(
-        size=(grid80_m8.dofs // 4, 4))
+    shape = (grid80_m8.n_nodes * grid80_m8.n_transverse, 4)
+    g = RNG.normal(size=shape) + 1j * RNG.normal(size=shape)
     kept = assemble_family(grid80_m8, sp, 0.05)["B"].apply(g)
     streamed = b_eps_apply(grid80_m8, sp, 0.05, g)
     assert np.array_equal(kept, streamed.reshape(-1, 4))
@@ -548,7 +548,7 @@ def test_cell_rule_makes_one_pass_per_sheet(grid80_m8, mesh320, resolvent_setup,
         return len(passes), len(far)
 
     g = smooth_density(mesh320)
-    gb = np.ones((grid80_m8.dofs // 4, 4), dtype=complex)
+    gb = np.ones((grid80_m8.n_nodes * grid80_m8.n_transverse, 4), dtype=complex)
     # M = 8 sheets: one pass each, the cells riding them
     assert counts(lambda: b_eps_apply(grid80_m8, SP, 0.05, gb)) == (8, 8)
     family = []
@@ -782,7 +782,7 @@ def test_b_limit_dense_matches_matrix_free(grid_m3):
     trace = cauchy_sigma(SP, grid_m3.mesh).matrix.reshape(n, 4, n, 4)
     uv = np.outer(grid_m3.kv.u_vals, grid_m3.kv.v_vals * grid_m3.kv.weights)
     b0 = np.einsum("kalb,pq->kpalqb", trace, uv).reshape(
-        grid_m3.dofs, grid_m3.dofs)
+        4 * grid_m3.n_nodes * grid_m3.n_transverse, -1)
     dense = (b0 @ g.ravel()
              + bprime_direct(grid_m3) @ g.ravel()).reshape(g.shape)
     free = b_limit_apply(grid_m3, SP, g)
@@ -845,6 +845,28 @@ def test_dense_dof_cap(mesh1280):
     grid = make_operator_grid(mesh1280, uv, m_nodes=8)
     with pytest.raises(ValueError):
         assemble_family(grid, SP, 0.05)
+
+
+def test_kept_operator_cap_is_checked_once_before_any_field(
+        grid80_m8, mesh320, monkeypatch):
+    # ShellOperator holds the one check for both kept operators: the
+    # error names the dofs and the cap, and no field is evaluated first
+    from deltashell import shell_ops
+
+    def evaluated(self):
+        raise AssertionError("a field was evaluated")
+
+    monkeypatch.setattr(shell_ops._KernelSum, "fields", evaluated)
+    monkeypatch.setattr(shell_ops, "DENSE_DOF_CAP", 2556)
+    with pytest.raises(ValueError, match="needs 2560 dofs, DENSE_DOF_CAP is 2556"):
+        assemble_family(grid80_m8, SP, 0.05)
+    monkeypatch.setattr(shell_ops, "DENSE_DOF_CAP", 1276)
+    with pytest.raises(ValueError, match="needs 1280 dofs, DENSE_DOF_CAP is 1276"):
+        cauchy_sigma(SP, mesh320)
+    # at the cap the operator is built: its fields are evaluated
+    monkeypatch.setattr(shell_ops, "DENSE_DOF_CAP", 1280)
+    with pytest.raises(AssertionError, match="a field was evaluated"):
+        cauchy_sigma(SP, mesh320)
 
 
 def test_degenerate_shift_guard(grid80_m8):
