@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -174,7 +175,7 @@ def _fmt(value) -> str:
 
 def _jsonable(value):
     if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in sorted(value.items())}
+        return {k: _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
     if isinstance(value, (np.bool_, bool)):
@@ -184,8 +185,6 @@ def _jsonable(value):
     if isinstance(value, (np.floating, float)):
         # RFC 8259 has no NaN or Infinity; a missing figure is null
         return float(value) if np.isfinite(value) else None
-    if isinstance(value, complex):
-        return str(value)
     return value
 
 
@@ -548,11 +547,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _cannot_write(path: str, why) -> int:
+    """One ``error:`` line on stderr naming an unwritable path; code 2."""
+    sys.stderr.write(f"error: cannot write {path}: {why}\n")
+    return 2
+
+
 def _emit(writes: list, code: int) -> int:
     """Write each ``(text, path)``, to stdout for a None path; the exit code.
 
-    An unwritable path is a usage error: one ``error:`` line on stderr
-    names it, and the code is 2.
+    A path that only the write finds unwritable, such as a directory or
+    one without permission, is a usage error (:func:`_cannot_write`).
     """
     for text, out in writes:
         if out is None:
@@ -562,8 +567,7 @@ def _emit(writes: list, code: int) -> int:
             with open(out, "w", encoding="utf-8", newline="") as fh:
                 fh.write(text)
         except (OSError, ValueError) as exc:
-            sys.stderr.write(f"error: cannot write {out}: {exc}\n")
-            return 2
+            return _cannot_write(out, exc)
     return code
 
 
@@ -578,12 +582,18 @@ def main(argv=None) -> int:
     to the parameters, and ``klein``'s also with the document for
     ``--json-out``.  A :class:`CheckFailed` raised inside a computation
     leaves no result: its ``"error"`` block alone goes to stdout, never
-    to ``--out``.
+    to ``--out``.  An output path with a NUL byte, or in no existing
+    directory, is refused before the command runs.
     """
     parser = _build_parser()
     ns = parser.parse_args(argv)
     config = _load_config(ns.config, parser)
     params = _resolve(ns, config, ns.command, ns.parser)
+    for path in (params["out"], params.get("json_out")):
+        if path is not None and "\0" in path:
+            return _cannot_write(path, "the path holds a NUL byte")
+        if path is not None and not os.path.isdir(os.path.dirname(path) or "."):
+            return _cannot_write(path, f"no directory {os.path.dirname(path)}")
     try:
         result, extra, *also = COMMANDS[ns.command][0](params, ns.parser)
     except CheckFailed as exc:

@@ -298,7 +298,7 @@ def measure_growth_audit(
     pts, w_t = mesh.sheet(t)
     resolution = 2.0 * float(np.sqrt(np.max(w_t)))
     diameter = 2.0 * float(np.max(np.linalg.norm(pts, axis=1)))
-    stride = max(1, len(pts) // max_centers)
+    stride = -(-len(pts) // max_centers)  # ceiling: at most max_centers
     centers = pts[::stride]
     tree = cKDTree(pts)
 

@@ -15,14 +15,15 @@ Each operator is defined once, as a ``_KernelSum``: its points, weights
 and, for the trace and the squeezed family, the parallel sheets its
 sources lie on, with the closed-form cells under them.  The program
 reads it by the apply, which sums the kernel's two scalar fields by
-matmuls; the dense matrix of its 4x4 blocks is only an oracle.  One
-chunk loop, ``_kernel_blocks``, evaluates the kernel for every reading,
-in blocks of rows of about ``CHUNK_BYTES``; it hands out the pair
-differences as three contiguous planes, one per component, and their
-lengths, formed once.  An apply streams the fields and keeps nothing; a
-``ShellOperator``, whose ARPACK norm applies the operator and its
-adjoint 21 to 31 times, keeps them, evaluated once, in four whole
-arrays, and also reads the adjoint from them.  The singular cells use
+matmuls; the dense matrix of its 4x4 blocks is only an oracle, written
+from the same passes.  One chunk loop, ``_kernel_blocks``, evaluates
+the kernel's fields for every reading, in blocks of rows of about
+``CHUNK_BYTES``; it hands out the pair differences as three contiguous
+planes, one per component, and their lengths, formed once.  An apply
+streams the fields and keeps nothing; a ``ShellOperator``, whose ARPACK
+norm applies the operator and its adjoint 21 to 31 times, keeps them,
+evaluated once, in four whole arrays, and also reads the adjoint from
+them.  The singular cells use
 an analytically integrated flat-disk model: each surface node owns a
 disk of equal area, and the odd (Riesz) part of the kernel integrates
 to zero over the disk at zero offset, which is the principal-value
@@ -62,7 +63,8 @@ RESOLVENT_RTOL = 1e-12
 NORM_TOL = 1e-12
 #: dofs up to which a ``ShellOperator`` is built: its kept fields take 32
 #: or 64 bytes a pair of points (0.54 or 1.07 GB at the cap), its dense
-#: oracle, built only when read, 256 bytes a pair (4.3 GB)
+#: oracle, built only when read, from the operator's own passes, 256
+#: bytes a pair (4.3 GB)
 DENSE_DOF_CAP = 16384
 COINCIDENCE_TOL = 1e-10
 MIN_TRACE_NODES = 128
@@ -143,8 +145,7 @@ CHUNK_BYTES = 4e6
 
 
 def _kernel_blocks(sp: SpectralParameter, x: np.ndarray, y: np.ndarray,
-                   use, owners: tuple | None = None,
-                   dense: bool = False) -> None:
+                   use, owners: tuple | None = None) -> None:
     """Pass the kernel to ``use`` one block of rows of ``x`` at a time.
 
     Calls ``use(lo, hi, diff, kernel, r)`` for the rows lo..hi, with
@@ -152,23 +153,20 @@ def _kernel_blocks(sp: SpectralParameter, x: np.ndarray, y: np.ndarray,
     view of three contiguous (hi - lo, ny) planes, so each component
     ``diff[..., c]`` is contiguous, and ``r = |diff|``, formed once per
     block for the kernel and for the flat kernel of the cell rule's far
-    sums.  The kernel is evaluated once per block.  By default it is the
-    pair of scalar fields ``(pref, odd)`` of :func:`kernel_fields`, each
-    (hi - lo, ny): phi_a(x_i - y_j) = pref_ij (a + m beta) + odd_ij i
-    alpha.diff_ij, so a matrix-free caller sums scalar fields and never
-    forms a 4x4 block.  With ``dense`` it is the blocks phi_a(x_i - y_j)
-    themselves, (hi - lo, ny, 4, 4), for a caller that writes a matrix.
-    With ``owners = (x_owner, y_owner)``, a pair whose owners match has
-    x over the surface cell of y: its fields or block are zero and its
-    ``diff`` and ``r`` are arbitrary, for the caller to fill with the
-    cell's closed form.  Only :meth:`_KernelSum.fields` keeps anything
-    of a block.  A block's rows are sized at 128 bytes a pair for fields
-    and 256 for 4x4 blocks, about ``CHUNK_BYTES``; of that, ``diff``
-    takes 24 bytes a pair, ``r`` 8 and the two fields 16 (32 at a
-    complex branch).
+    sums.  The kernel is evaluated once per block, as the pair of scalar
+    fields ``(pref, odd)`` of :func:`kernel_fields`, each (hi - lo, ny):
+    phi_a(x_i - y_j) = pref_ij (a + m beta) + odd_ij i alpha.diff_ij, so
+    a sum over phi_a is two scalar sums, with no 4x4 block.  With
+    ``owners = (x_owner, y_owner)``, a pair whose owners match has x over
+    the surface cell of y: its fields are zero and its ``diff`` and ``r``
+    are arbitrary, for the caller to fill with the cell's closed form.
+    Only :meth:`_KernelSum.fields` keeps anything of a block.  A block's
+    rows are sized at 128 bytes a pair, about ``CHUNK_BYTES``; of that,
+    ``diff`` takes 24 bytes a pair, ``r`` 8 and the two fields 16 (32 at
+    a complex branch).
     """
     nx, ny = x.shape[0], y.shape[0]
-    rows = max(1, int(CHUNK_BYTES // (max(ny, 1) * (256 if dense else 128))))
+    rows = max(1, int(CHUNK_BYTES // (max(ny, 1) * 128)))
     xt, yt = np.ascontiguousarray(x.T), np.ascontiguousarray(y.T)
     for lo in range(0, nx, rows):
         hi = min(lo + rows, nx)
@@ -179,13 +177,9 @@ def _kernel_blocks(sp: SpectralParameter, x: np.ndarray, y: np.ndarray,
             np.copyto(planes, 1.0, where=cell)
         diff = planes.transpose(1, 2, 0)
         r = np.sqrt(planes[0] ** 2 + planes[1] ** 2 + planes[2] ** 2)
-        if dense:  # flat, as perfbench's tracer counts points by length;
-            # the oracle's reshape copies the planes
-            kernel = phi_a(sp, diff.reshape(-1, 3)).reshape(hi - lo, ny, 4, 4)
-        else:
-            kernel = kernel_fields(sp, diff, r)
+        kernel = kernel_fields(sp, diff, r)
         if owners is not None:
-            for part in (kernel,) if dense else kernel:
+            for part in kernel:
                 part[cell] = 0.0
         use(lo, hi, diff, kernel, r)
         del planes, diff, kernel, r  # freed before the next block is built
@@ -230,8 +224,9 @@ class _KernelSum:
     once at the end.  It streams the fields, or replays the same matmuls
     on the blocks that :meth:`fields` stored, for a caller that applies
     the operator many times; from those :meth:`adjoint` applies B^H
-    without a second evaluation.  :meth:`matrix` writes the blocks phi_a
-    into a dense matrix, an oracle.  All add the cells after the loop.
+    without a second evaluation.  :meth:`matrix`, an oracle, reads the
+    same passes and writes phi_a of their pair differences into a dense
+    matrix.  All add the cells after the passes, which finish them.
     """
 
     sp: SpectralParameter
@@ -247,10 +242,8 @@ class _KernelSum:
     def cells(self) -> tuple | None:
         """``(owner, blocks)`` of the sheets, or None without them.
 
-        If no reading has finished the cells, their passes run here.
+        Read after a reading's passes, which finish the blocks.
         """
-        if self.sheets is not None and not self.finished:
-            self._passes(lambda *block: None)
         return None if self.sheets is None else (self.sheets[1], self.finished[0])
 
     def _sheet_count(self) -> int:
@@ -382,24 +375,27 @@ class _KernelSum:
         return (self.sp.a * I4 + self.sp.m * BETA,) + tuple(1j * a for a in ALPHA)
 
     def matrix(self) -> np.ndarray:
-        """The operator as a dense (4 nx, 4 ny) matrix."""
-        nx, ny = self.x.shape[0], self.y.shape[0]
+        """The operator as a dense (4 nx, 4 ny) matrix, an oracle.
+
+        It reads the passes of :meth:`_passes`: each block of sheet q's
+        pass writes phi_a into sheet q's columns, y points Q j + q, and
+        the cells then overwrite the pairs the loop left arbitrary.
+        """
+        nx, ny, count = self.x.shape[0], self.y.shape[0], self._sheet_count()
         mat = np.zeros((nx, 4, ny, 4), dtype=complex)
         row = np.ones(nx) if self.row is None else self.row
 
-        def write(lo: int, hi: int, diff: np.ndarray, blocks: np.ndarray,
+        def write(q: int, lo: int, hi: int, diff: np.ndarray, kernel: tuple,
                   r: np.ndarray) -> None:
-            blocks *= (row[lo:hi, None] * self.col)[:, :, None, None]
-            mat[lo:hi] = blocks.transpose(0, 2, 1, 3)
+            # flat, as perfbench's tracer counts points by length
+            blocks = phi_a(self.sp, diff.reshape(-1, 3)).reshape(hi - lo, -1, 4, 4)
+            blocks *= (row[lo:hi, None] * self.col[q::count])[:, :, None, None]
+            mat[lo:hi, :, q::count] = blocks.transpose(0, 2, 1, 3)
 
-        owners = None
+        self._passes(write)
         if self.cells is not None:
             # x group k (points P k + i) over y cell owner[k] (Q owner[k] + j)
             owner, cell = self.cells
-            owners = (np.repeat(owner, cell.shape[1]),
-                      np.arange(ny) // cell.shape[2])
-        _kernel_blocks(self.sp, self.x, self.y, write, owners, dense=True)
-        if owners is not None:
             i, j = np.arange(cell.shape[1]), np.arange(cell.shape[2])
             xs = (i.size * np.arange(owner.size)[:, None] + i)[:, :, None]
             ys = (j.size * owner[:, None] + j)[:, None, :]

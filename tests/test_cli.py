@@ -548,35 +548,46 @@ def test_check_failed_inside_converge_exits_one(tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("route", ["missing-dir", "nul-from-config"])
-def test_unwritable_out_is_a_usage_error(tmp_path, capsys, route):
+@pytest.mark.parametrize("route", ["missing-dir", "nul-from-config", "directory"])
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys, monkeypatch, route):
     args = ["coupling", "--tau", "0.4"]
-    if route == "missing-dir":  # open raises OSError
+    if route == "missing-dir":  # refused before the computation
         path = tmp_path / "missing" / "x.json"
         args += ["--out", str(path)]
-    else:  # a NUL byte, which only a config file can carry: ValueError
+    elif route == "nul-from-config":  # a NUL byte, which only a config file can carry
         path = str(tmp_path / "x\0.json")
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"out": path}))
         args += ["--config", str(cfg)]
+    else:  # a directory, which only the write finds: IsADirectoryError
+        path = tmp_path
+        args += ["--out", str(path)]
+    calls = []
+    build_kv = cli.build_kv
+    monkeypatch.setattr(cli, "build_kv", lambda *a: calls.append(a) or build_kv(*a))
     code = main(args)
     assert code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: cannot write {path}: ")
     assert captured.err.count("\n") == 1
+    assert len(calls) == (route == "directory")
 
 
-def test_unwritable_json_out_is_a_usage_error(tmp_path, capsys):
+def test_unwritable_json_out_is_a_usage_error(tmp_path, capsys, monkeypatch):
     path = tmp_path / "missing" / "k.json"
+    calls = []
+    monkeypatch.setattr(cli, "klein_convergence_study",
+                        lambda *a, **k: calls.append(a))
     code = main(["klein", "--tau", "1.0", "--eta", "1.0", "--eps", "0.1",
                  "--json-out", str(path)])
     assert code == 2
     captured = capsys.readouterr()
-    # the CSV is written first, to stdout, then the summary fails
-    assert captured.out.startswith("epsilon,a_eps,")
+    # refused before the study runs: no CSV on stdout, no file
+    assert calls == [] and captured.out == ""
     assert captured.err.startswith(f"error: cannot write {path}: ")
     assert captured.err.count("\n") == 1
+    assert not path.parent.exists()
 
 
 # ---------------------------------------------------------------------------

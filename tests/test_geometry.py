@@ -191,6 +191,23 @@ def test_measure_growth_full_area_beyond_diameter():
     assert hi * r**2 == pytest.approx(area, rel=1e-9)
 
 
+@pytest.mark.parametrize("n, cap, want", [
+    (320, 256, 160), (1280, 1000, 640), (5120, 256, 256), (320, 1, 1), (1280, 2000, 1280)])
+def test_measure_growth_queries_at_most_max_centers(n, cap, want, monkeypatch):
+    from deltashell import geometry
+
+    queried = []
+
+    class Spy(geometry.cKDTree):
+        def query_ball_point(self, x, *args, **kwargs):
+            queried.append(len(x))
+            return super().query_ball_point(x, *args, **kwargs)
+
+    monkeypatch.setattr(geometry, "cKDTree", Spy)
+    measure_growth_audit(build_mesh(sphere(1.0), n), 0.0, [0.5], cap)
+    assert queried == [want]
+
+
 def test_measure_growth_stable_across_t():
     m = build_mesh(sphere(1.0), 5120)
     mids = []

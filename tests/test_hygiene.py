@@ -7,10 +7,11 @@ stale ``__all__`` entry, which fails only under ``import *``; a second
 scan checks that each exported name is bound in its module.  A third
 scan keeps one kernel evaluator in ``src/``: the kernel's formula lives
 in ``kernel_fields`` alone, which only ``phi_a`` and the chunk loop
-``_kernel_blocks`` call; ``phi_a`` too is called only by that loop, and
-the loop only by ``_KernelSum`` and the cell rule's far sums in
-``_cell_block``, so the dense and matrix-free readings of every operator
-and the punctured sums of its cells share one route.  The cell rule
+``_kernel_blocks`` call; the loop is called only by ``_KernelSum`` and
+the cell rule's far sums in ``_cell_block``, and ``phi_a`` only by
+``_KernelSum``, whose dense oracle writes it from the blocks of the
+operator's own passes, so the dense and matrix-free readings of every
+operator and the punctured sums of its cells share one route.  The cell rule
 itself is called by ``_KernelSum`` alone, in the one pass per sheet
 that also sums the operator's fields (the trace ``_trace_op`` is one
 sheet, the squeezed ``_b_eps_op`` M), and a Dirac block is composed in
@@ -140,7 +141,7 @@ def test_scan_finds_callers():
 @pytest.mark.parametrize("name, owners", [
     ("_kernel_blocks", [("shell_ops.py", "_KernelSum"),
                         ("shell_ops.py", "_cell_block")]),
-    ("phi_a", [("shell_ops.py", "_kernel_blocks")]),
+    ("phi_a", [("shell_ops.py", "_KernelSum")]),
     ("_cell_block", [("shell_ops.py", "_KernelSum")]),
     ("spinor_blocks", [("dirac_algebra.py", "phi_a"),
                        ("shell_ops.py", "_cell_block")]),

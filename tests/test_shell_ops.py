@@ -278,9 +278,10 @@ def test_kernel_sum_matches_phi_block_sum(which, chunk_bytes, grid80_m8,
             *shell_ops._collar(grid80_m8, 0.05, False))
     g = RNG.normal(size=(op.y.shape[0], 4)) + 1j * RNG.normal(
         size=(op.y.shape[0], 4))
+    got = op.apply(g)  # its passes finish the cells phi_block_sum reads
     want = phi_block_sum(op, g)
     scale = np.max(np.abs(want))
-    assert np.max(np.abs(op.apply(g) - want)) <= 1e-12 * scale
+    assert np.max(np.abs(got - want)) <= 1e-12 * scale
     dense = (op.matrix() @ g.ravel()).reshape(-1, 4)
     assert np.max(np.abs(dense - want)) <= 1e-12 * scale
 
@@ -310,11 +311,12 @@ def test_operators_do_not_depend_on_the_chunk_layout(ellipsoid320, grid80_m8,
             monkeypatch.setattr(shell_ops, "CHUNK_BYTES", chunk_bytes)
             trace = shell_ops._trace_op(sp, ellipsoid320)
             b_eps = shell_ops._b_eps_op(grid80_m8, sp, 0.05)
-            runs.append([trace.cells[1], trace.apply(gc),
-                         b_eps.cells[1], b_eps.apply(gb)])
+            # the applies' passes finish the cells
+            runs.append([trace.apply(gc), trace.cells[1],
+                         b_eps.apply(gb), b_eps.cells[1]])
             # the cached apply replays the streamed one's matmuls
-            assert np.array_equal(trace.apply(gc, trace.fields()), runs[-1][1])
-            assert np.array_equal(b_eps.apply(gb, b_eps.fields()), runs[-1][3])
+            assert np.array_equal(trace.apply(gc, trace.fields()), runs[-1][0])
+            assert np.array_equal(b_eps.apply(gb, b_eps.fields()), runs[-1][2])
         for run in runs[1:]:
             for got, want in zip(run, runs[0]):
                 assert np.array_equal(got, want)
@@ -335,6 +337,25 @@ def test_adjoint_from_cached_fields_matches_the_matrix(which, a, ellipsoid320,
     want = (op.matrix().conj().T @ y.ravel()).reshape(-1, 4)
     got = op.adjoint(y, op.fields())
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("which", ["trace", "b_eps"])
+def test_matrix_reads_the_same_passes_before_and_after_an_apply(
+        which, ellipsoid320, grid80_m8):
+    from deltashell import shell_ops
+
+    # the oracle writes phi_a from the sheet passes: the cell rule's on a
+    # fresh operator, the plain ones once an apply has finished the cells
+    sp = SpectralParameter(0.3 + 0.4j, 1.0)
+
+    def build():
+        return (shell_ops._trace_op(sp, ellipsoid320) if which == "trace"
+                else shell_ops._b_eps_op(grid80_m8, sp, 0.05))
+
+    fresh = build().matrix()
+    op = build()
+    op.apply(np.ones((op.y.shape[0], 4), dtype=complex))
+    assert np.array_equal(op.matrix(), fresh)
 
 
 @pytest.mark.parametrize("owned", [False, True])
